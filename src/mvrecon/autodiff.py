@@ -35,7 +35,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 FLOAT_DTYPES = (np.float32, np.float64)
 
 _grad_enabled = True
-_finite_checks = True
 
 
 class no_grad:
@@ -53,13 +52,8 @@ class no_grad:
         return False
 
 
-def set_finite_checks(enabled: bool) -> None:
-    global _finite_checks
-    _finite_checks = bool(enabled)
-
-
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if _finite_checks and not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):
         raise NumericalOverflow(f"{op} produced non-finite values")
 
 
@@ -104,10 +98,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def is_leaf(self) -> bool:
-        return self._vjp is None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, op={self._op!r})"
 
@@ -115,19 +105,6 @@ class Tensor:
         if self.data.size != 1:
             raise NotScalar(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        out._parents = ()
-        out._vjp = None
-        out._op = "detach"
-        return out
 
     # --- graph mechanics ---
 
@@ -427,25 +404,6 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         return (full,)
 
     return _make(data, "narrow", (a,), vjp)
-
-
-def split(a: Tensor, sections, axis: int = -1) -> list[Tensor]:
-    """Inverse of concat: cut into equal sections (int) or given sizes (list)."""
-    axis = axis % a.ndim
-    extent = a.shape[axis]
-    if isinstance(sections, int):
-        if extent % sections != 0:
-            raise ShapeMismatch(f"split: {sections} does not divide extent {extent}")
-        sizes = [extent // sections] * sections
-    else:
-        sizes = list(sections)
-        if sum(sizes) != extent:
-            raise ShapeMismatch(f"split: sizes {sizes} do not sum to extent {extent}")
-    out, start = [], 0
-    for sz in sizes:
-        out.append(narrow(a, axis, start, sz))
-        start += sz
-    return out
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig, config_hash
+from .config import config_hash
 from .errors import ConfigHashMismatch, CorruptRecord, VersionMismatch
 
 MAGIC = b"MVRCKPT\x00"
@@ -130,9 +130,12 @@ def load_checkpoint_bytes(data: bytes, model) -> CheckpointMeta:
         check = zlib.crc32(struct.pack(f"<{ndim}I", *dims), check)
         check = zlib.crc32(bytes([dtype_code]), check)
         check = zlib.crc32(payload, check)
+        try:
+            name = name_b.decode()
+        except UnicodeDecodeError:
+            raise CorruptRecord(f"record name {name_b!r} is not UTF-8") from None
         if check != crc:
-            raise CorruptRecord(f"record {name_b.decode()!r} checksum mismatch")
-        name = name_b.decode()
+            raise CorruptRecord(f"record {name!r} checksum mismatch")
         if name not in table:
             raise CorruptRecord(f"unknown parameter {name!r}")
         if dtype_code not in _CODE_DTYPES:
@@ -156,23 +159,3 @@ def load_checkpoint(path, model) -> CheckpointMeta:
     with open(path, "rb") as fh:
         return load_checkpoint_bytes(fh.read(), model)
 
-
-def read_checkpoint_config_hash(path) -> str:
-    with open(path, "rb") as fh:
-        head = fh.read(8 + 4 + 32)
-    r = _Reader(head)
-    if r.take(8) != MAGIC:
-        raise VersionMismatch("not a checkpoint file")
-    (version,) = r.unpack("I")
-    if version != VERSION:
-        raise VersionMismatch(f"checkpoint version {version}, expected {VERSION}")
-    return r.take(32).hex()
-
-
-def model_config_for_checkpoint(path, candidates: list[ModelConfig]) -> ModelConfig:
-    """Pick the candidate config whose hash matches the checkpoint."""
-    want = read_checkpoint_config_hash(path)
-    for cfg in candidates:
-        if config_hash(cfg) == want:
-            return cfg
-    raise ConfigHashMismatch("no candidate config matches the checkpoint")

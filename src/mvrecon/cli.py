@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: synth (build a dataset), train, eval, occlusion, rollout,
-reconstruct (view images -> binvox), report (CSV -> Markdown tables).
+reconstruct (view images -> binvox).
 Every run directory gets a flat key=value config file and a run manifest
 recording the config, seed, git description, and outputs.
 """
@@ -18,7 +18,6 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (
     MODEL_PRESETS,
-    ModelConfig,
     TrainConfig,
     config_from_text,
     config_to_text,
@@ -33,7 +32,6 @@ from .datagen import (
 )
 from .evaluation import (
     DEFAULT_VIEW_COUNTS,
-    EvalReport,
     evaluate,
     occlusion_csv,
     occlusion_markdown,
@@ -92,45 +90,17 @@ def cmd_synth(args) -> int:
 # --- train ---
 
 def _train_config(args) -> TrainConfig:
+    """The preset or ``--config`` text with each ``--set key=value`` line
+    appended; later lines override earlier ones."""
     if args.config:
         with open(args.config) as fh:
-            cfg = config_from_text(fh.read())
+            text = fh.read()
     else:
-        model = MODEL_PRESETS[args.preset]()
-        cfg = TrainConfig(model=model)
-    model_overrides = {}
-    if args.no_refiner:
-        model_overrides["use_refiner"] = False
-    if args.voxel_side:
-        model_overrides["voxel_side"] = args.voxel_side
-    if args.image_size:
-        model_overrides["image_size"] = args.image_size
-    if model_overrides:
-        from dataclasses import replace
-        cfg.model = replace(cfg.model, **model_overrides)
-    if args.iterations is not None:
-        cfg.max_iterations = args.iterations
-    if args.epochs is not None:
-        cfg.epochs = args.epochs
-    if args.batch_size is not None:
-        cfg.batch_size = args.batch_size
-    if args.views is not None:
-        cfg.views_per_sample = args.views
-    if args.lr is not None:
-        cfg.lr_init = args.lr
-    if args.lr_decay_epochs is not None:
-        cfg.lr_decay_epochs = args.lr_decay_epochs
-    if args.loss is not None:
-        cfg.loss_mode = args.loss
-    if args.aux_coarse_weight is not None:
-        cfg.aux_coarse_weight = args.aux_coarse_weight
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return TrainConfig(model=cfg.model, **{
-        f: getattr(cfg, f) for f in (
-            "batch_size", "views_per_sample", "views_pool", "epochs",
-            "max_iterations", "lr_init", "lr_decay_epochs", "lr_decay_factor",
-            "lr_floor", "seed", "loss_mode", "aux_coarse_weight")})
+        text = config_to_text(TrainConfig(model=MODEL_PRESETS[args.preset]()))
+    try:
+        return config_from_text("\n".join([text, *args.set]))
+    except ValueError as exc:
+        raise SystemExit(f"bad config: {exc}") from None
 
 
 def cmd_train(args) -> int:
@@ -139,11 +109,11 @@ def cmd_train(args) -> int:
     if dataset.voxel_side != cfg.model.voxel_side:
         raise SystemExit(
             f"dataset voxels {dataset.voxel_side}^3 vs model "
-            f"{cfg.model.voxel_side}^3; pass --voxel-side or a matching config")
+            f"{cfg.model.voxel_side}^3; pass --set model.voxel_side=N or a matching config")
     if dataset.image_size != cfg.model.image_size:
         raise SystemExit(
             f"dataset images {dataset.image_size}px vs model "
-            f"{cfg.model.image_size}px; pass --image-size or a matching config")
+            f"{cfg.model.image_size}px; pass --set model.image_size=N or a matching config")
     os.makedirs(args.out, exist_ok=True)
     model = MultiViewReconstructor(cfg.model, seed=cfg.seed)
     print(f"training {model.num_params():,} parameters "
@@ -261,36 +231,6 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-# --- report ---
-
-def cmd_report(args) -> int:
-    sections = []
-    if args.eval:
-        rows = [line.split(",") for line in
-                open(args.eval).read().strip().splitlines()[1:]]
-        counts = sorted({int(r[0]) for r in rows})
-        overall = {int(r[0]): (float(r[2]), float(r[3]))
-                   for r in rows if r[1] == "overall"}
-        report = EvalReport("test", DEFAULT_THRESHOLD, 0.0, 0)
-        from .evaluation import ViewCountResult
-        report.view_counts = [ViewCountResult(c, overall[c][0], overall[c][1])
-                              for c in counts]
-        sections.append(report_markdown(report))
-    if args.occlusion:
-        from .evaluation import OcclusionResult
-        rows = [line.split(",") for line in
-                open(args.occlusion).read().strip().splitlines()[1:]]
-        results = [OcclusionResult(int(r[0]), float(r[1]), float(r[2]))
-                   for r in rows]
-        sections.append(occlusion_markdown(results) + "\n")
-    text = "\n".join(sections)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    print(text)
-    return 0
-
-
 # --- parser ---
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,19 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--preset", choices=sorted(MODEL_PRESETS), default="desk")
     p.add_argument("--config", help="flat key=value config file (overrides preset)")
-    p.add_argument("--iterations", type=int, default=None,
-                   help="stop after this many iterations")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--views", type=int, default=None, help="views per sample")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--lr-decay-epochs", type=int, default=None)
-    p.add_argument("--loss", choices=("mse", "ssim", "total"), default=None)
-    p.add_argument("--aux-coarse-weight", type=float, default=None)
-    p.add_argument("--no-refiner", action="store_true")
-    p.add_argument("--voxel-side", type=int, default=None)
-    p.add_argument("--image-size", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                   help="override one config line, e.g. train.max_iterations=100 "
+                        "or model.use_refiner=false (repeatable)")
     p.add_argument("--log-every", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
@@ -372,12 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("report", help="render eval/occlusion CSVs as Markdown")
-    p.add_argument("--eval", default=None)
-    p.add_argument("--occlusion", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_report)
 
     return parser
 

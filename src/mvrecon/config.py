@@ -144,7 +144,6 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=tiny_model_config)
     batch_size: int = 32
     views_per_sample: int = 8
-    views_pool: int = 24
     epochs: int = 100
     max_iterations: int = 0          # 0 = run all epochs
     lr_init: float = 0.01
@@ -158,8 +157,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_mode not in ("mse", "ssim", "total"):
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
-        if self.views_per_sample > self.views_pool:
-            raise ValueError("views_per_sample exceeds the pose pool")
         if self.lr_floor > self.lr_init:
             raise ValueError("lr floor above the initial rate")
 

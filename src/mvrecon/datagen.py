@@ -10,10 +10,12 @@ odd-indexed views with background.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import voxio  # looked up per call, so wrappers set on voxio see every read and write
 from .errors import BoxLargerThanImage, TooFewObjects
 from .voxels import BINARY, VoxelGrid
 
@@ -28,34 +30,6 @@ DEFAULT_ELEVATION_DEG = 30.0
 DEFAULT_N_VIEWS = 24
 OCCLUSION_REFERENCE_SIZE = 224  # box sizes are quoted at this image size
 OCCLUSION_BOX_SIZES = (10, 15, 20, 25, 30, 35, 40)
-
-
-@dataclass
-class SyntheticObject:
-    object_id: str
-    category: str
-    seed: int
-    grid: VoxelGrid
-
-
-@dataclass(frozen=True)
-class CameraPose:
-    azimuth_index: int
-    azimuth_deg: float
-    elevation_deg: float = DEFAULT_ELEVATION_DEG
-
-
-@dataclass
-class ViewSet:
-    object_id: str
-    pose_indices: list[int]
-    images: np.ndarray  # [n_views, channels, H, W] float32 in [0, 1]
-
-
-def default_poses(n_views: int = DEFAULT_N_VIEWS,
-                  elevation_deg: float = DEFAULT_ELEVATION_DEG) -> list[CameraPose]:
-    step = 360.0 / n_views
-    return [CameraPose(i, i * step, elevation_deg) for i in range(n_views)]
 
 
 # --- procedural generators ---
@@ -79,14 +53,6 @@ def _gen_box(rng, vol, side):
     ext = rng.integers(lo, hi + 1, size=3)
     corner = [int(rng.integers(1, side - 1 - ext[a] + 1)) for a in range(3)]
     _fill_box(vol, corner[0], corner[1], corner[2], *ext)
-
-
-def box_trace(rng: np.random.Generator, side: int):
-    """Re-derive the box extents/corner from the documented draw order."""
-    lo, hi = max(2, side // 4), side // 2
-    ext = rng.integers(lo, hi + 1, size=3)
-    corner = [int(rng.integers(1, side - 1 - ext[a] + 1)) for a in range(3)]
-    return ext, corner
 
 
 def _gen_box_stack(rng, vol, side):
@@ -221,9 +187,9 @@ _GENERATORS = {
 }
 
 
-def gen_object(category: str, seed: int, side: int,
-               object_id: str | None = None) -> SyntheticObject:
-    """Deterministic binary object of the given family, inside a 1-voxel margin."""
+def gen_object(category: str, seed: int, side: int) -> np.ndarray:
+    """Deterministic float32 binary [V, V, V] grid of the given family,
+    inside a 1-voxel margin."""
     if category not in _GENERATORS:
         raise ValueError(f"unknown category {category!r}")
     if side < 8:
@@ -233,9 +199,7 @@ def gen_object(category: str, seed: int, side: int,
     _GENERATORS[category](rng, vol, side)
     if vol.sum() == 0:  # every family is constructed non-empty; guard anyway
         vol[side // 2, side // 2, side // 2] = 1.0
-    if object_id is None:
-        object_id = f"{category}-{seed}"
-    return SyntheticObject(object_id, category, int(seed), VoxelGrid(side, vol, BINARY))
+    return vol
 
 
 # --- rendering ---
@@ -252,62 +216,41 @@ def _rotation(azimuth_deg: float, elevation_deg: float) -> np.ndarray:
     return rot_x @ rot_z
 
 
-def render_views(obj: SyntheticObject, poses: list[CameraPose] | None = None,
-                 out_size: int = 64) -> ViewSet:
-    """Orthographic silhouette + nearest-depth renders, background 0.
+def _project(grid: np.ndarray, n_views: int, elevation_deg: float, out_size: int):
+    """For each of ``n_views`` evenly spaced azimuths: the pixel row and
+    column of each occupied voxel center, and its depth in [0, 1] (nearer
+    is larger)."""
+    side = grid.shape[0]
+    centers = (np.argwhere(grid > 0).astype(np.float64) + 0.5) / side - 0.5
+    scale = (out_size - 4) / math.sqrt(3.0)
+    center_px = (out_size - 1) / 2.0
+    depth_span = math.sqrt(3.0)
+    for k in range(n_views):
+        p = centers @ _rotation(k * (360.0 / n_views), elevation_deg).T
+        rows = np.floor(center_px - scale * p[:, 2] + 0.5).astype(np.int64)
+        cols = np.floor(center_px + scale * p[:, 0] + 0.5).astype(np.int64)
+        yield rows, cols, (0.5 * depth_span - p[:, 1]) / depth_span
+
+
+def render_views(grid: np.ndarray, n_views: int = DEFAULT_N_VIEWS, out_size: int = 64,
+                 elevation_deg: float = DEFAULT_ELEVATION_DEG) -> np.ndarray:
+    """Orthographic silhouette + nearest-depth renders of a [V, V, V] grid
+    from ``n_views`` evenly spaced azimuths: [n_views, 2, H, W], background 0.
 
     Every occupied voxel is painted as a small square around its projected
     center, sized so that face-adjacent voxels leave no holes.
     """
-    if poses is None:
-        poses = default_poses()
-    side = obj.grid.side
-    occupied = np.argwhere(obj.grid.values > 0)
-    centers = (occupied.astype(np.float64) + 0.5) / side - 0.5
-    scale = (out_size - 4) / math.sqrt(3.0)
-    half = (math.ceil(scale / side) + 1) // 2
+    half = (math.ceil((out_size - 4) / math.sqrt(3.0) / grid.shape[0]) + 1) // 2
     offsets = [(dr, dc) for dr in range(-half, half + 1)
                for dc in range(-half, half + 1)]
-    center_px = (out_size - 1) / 2.0
-    depth_span = math.sqrt(3.0)
-
-    images = np.zeros((len(poses), 2, out_size, out_size), dtype=np.float32)
-    for k, pose in enumerate(poses):
-        rot = _rotation(pose.azimuth_deg, pose.elevation_deg)
-        p = centers @ rot.T
-        u = center_px + scale * p[:, 0]
-        v = center_px - scale * p[:, 2]
-        depth_norm = (0.5 * depth_span - p[:, 1]) / depth_span  # nearer -> larger
-        iu = np.floor(u + 0.5).astype(np.int64)
-        iv = np.floor(v + 0.5).astype(np.int64)
-        rows, cols, vals = [], [], []
-        for dr, dc in offsets:
-            rows.append(iv + dr)
-            cols.append(iu + dc)
-            vals.append(depth_norm)
-        rows = np.clip(np.concatenate(rows), 0, out_size - 1)
-        cols = np.clip(np.concatenate(cols), 0, out_size - 1)
-        vals = np.concatenate(vals)
-        sil = images[k, 0]
-        dep = images[k, 1]
-        sil[rows, cols] = 1.0
-        np.maximum.at(dep, (rows, cols), vals.astype(np.float32))
-    return ViewSet(obj.object_id, [p.azimuth_index for p in poses], images)
-
-
-def project_centers(obj: SyntheticObject, pose: CameraPose,
-                    out_size: int) -> np.ndarray:
-    """Pixel (row, col) of each occupied voxel center; the renderer's
-    silhouette must cover all of them."""
-    side = obj.grid.side
-    occupied = np.argwhere(obj.grid.values > 0)
-    centers = (occupied.astype(np.float64) + 0.5) / side - 0.5
-    scale = (out_size - 4) / math.sqrt(3.0)
-    center_px = (out_size - 1) / 2.0
-    p = centers @ _rotation(pose.azimuth_deg, pose.elevation_deg).T
-    iu = np.floor(center_px + scale * p[:, 0] + 0.5).astype(np.int64)
-    iv = np.floor(center_px - scale * p[:, 2] + 0.5).astype(np.int64)
-    return np.stack([iv, iu], axis=1)
+    images = np.zeros((n_views, 2, out_size, out_size), dtype=np.float32)
+    for k, (iv, iu, depth) in enumerate(_project(grid, n_views, elevation_deg, out_size)):
+        rows = np.clip(np.concatenate([iv + dr for dr, _ in offsets]), 0, out_size - 1)
+        cols = np.clip(np.concatenate([iu + dc for _, dc in offsets]), 0, out_size - 1)
+        vals = np.concatenate([depth] * len(offsets))
+        images[k, 0][rows, cols] = 1.0
+        np.maximum.at(images[k, 1], (rows, cols), vals.astype(np.float32))
+    return images
 
 
 # --- occlusion ---
@@ -358,26 +301,6 @@ def occlude(images: np.ndarray, box: int, mode: str = "center", seed: int = 0,
 
 # --- manifests and splits ---
 
-@dataclass
-class ManifestEntry:
-    object_id: str
-    category: str
-    seed: int
-    split: str
-
-
-@dataclass
-class DatasetManifest:
-    voxel_side: int
-    image_size: int
-    n_views: int
-    elevation_deg: float
-    entries: list[ManifestEntry] = field(default_factory=list)
-
-    def split_entries(self, split: str) -> list[ManifestEntry]:
-        return [e for e in self.entries if e.split == split]
-
-
 def _largest_remainder(want: list[float], total: int) -> list[int]:
     counts = [max(0, math.floor(w)) for w in want]
     while sum(counts) > total:
@@ -422,42 +345,6 @@ def make_splits(entries: list[tuple[str, str]], ratios=DEFAULT_RATIOS,
     return assignment
 
 
-def manifest_to_text(manifest: DatasetManifest) -> str:
-    lines = [
-        "# mvrecon-dataset 1",
-        f"# voxel_side {manifest.voxel_side}",
-        f"# image_size {manifest.image_size}",
-        f"# n_views {manifest.n_views}",
-        f"# elevation_deg {manifest.elevation_deg:g}",
-    ]
-    for e in manifest.entries:
-        lines.append(f"{e.object_id} {e.category} {e.seed} {e.split}")
-    return "\n".join(lines) + "\n"
-
-
-def manifest_from_text(text: str) -> DatasetManifest:
-    header: dict[str, str] = {}
-    entries: list[ManifestEntry] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) == 2:
-                header[parts[0]] = parts[1]
-            continue
-        object_id, category, seed, split = line.split()
-        entries.append(ManifestEntry(object_id, category, int(seed), split))
-    return DatasetManifest(
-        voxel_side=int(header["voxel_side"]),
-        image_size=int(header["image_size"]),
-        n_views=int(header["n_views"]),
-        elevation_deg=float(header.get("elevation_deg", DEFAULT_ELEVATION_DEG)),
-        entries=entries,
-    )
-
-
 # --- full datasets (in memory and on disk) ---
 
 @dataclass
@@ -466,8 +353,8 @@ class DatasetObject:
     category: str
     seed: int
     split: str
-    grid: np.ndarray    # [V, V, V] float32 binary
-    views: np.ndarray   # [n_views, 2, H, W] float32
+    grid: np.ndarray    # [V, V, V] float32 binary; None in a parsed manifest
+    views: np.ndarray   # [n_views, 2, H, W] float32; None in a parsed manifest
 
 
 @dataclass
@@ -481,11 +368,42 @@ class Dataset:
     def split(self, name: str) -> list[DatasetObject]:
         return [o for o in self.objects if o.split == name]
 
-    def manifest(self) -> DatasetManifest:
-        return DatasetManifest(
-            self.voxel_side, self.image_size, self.n_views, self.elevation_deg,
-            [ManifestEntry(o.object_id, o.category, o.seed, o.split)
-             for o in self.objects])
+
+def manifest_to_text(dataset: Dataset) -> str:
+    lines = [
+        "# mvrecon-dataset 1",
+        f"# voxel_side {dataset.voxel_side}",
+        f"# image_size {dataset.image_size}",
+        f"# n_views {dataset.n_views}",
+        f"# elevation_deg {dataset.elevation_deg:g}",
+    ]
+    for o in dataset.objects:
+        lines.append(f"{o.object_id} {o.category} {o.seed} {o.split}")
+    return "\n".join(lines) + "\n"
+
+
+def manifest_from_text(text: str) -> Dataset:
+    """The dataset a manifest lists; its objects carry no grids or views."""
+    header: dict[str, str] = {}
+    objects: list[DatasetObject] = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            parts = line[1:].split()
+            if len(parts) == 2:
+                header[parts[0]] = parts[1]
+            continue
+        object_id, category, seed, split = line.split()
+        objects.append(DatasetObject(object_id, category, int(seed), split, None, None))
+    return Dataset(
+        voxel_side=int(header["voxel_side"]),
+        image_size=int(header["image_size"]),
+        n_views=int(header["n_views"]),
+        elevation_deg=float(header.get("elevation_deg", DEFAULT_ELEVATION_DEG)),
+        objects=objects,
+    )
 
 
 def _quantize(images: np.ndarray) -> np.ndarray:
@@ -498,70 +416,52 @@ def build_dataset(n_objects: int, voxel_side: int, image_size: int, seed: int = 
                   ratios=DEFAULT_RATIOS, n_views: int = DEFAULT_N_VIEWS,
                   elevation_deg: float = DEFAULT_ELEVATION_DEG) -> Dataset:
     """Generate, render, and split a dataset entirely in memory."""
-    poses = default_poses(n_views, elevation_deg)
-    objs = []
+    objects = []
     for i in range(n_objects):
         category = categories[i % len(categories)]
         obj_seed = seed * 1_000_003 + i
-        obj = gen_object(category, obj_seed, voxel_side,
-                         object_id=f"obj{i:04d}")
-        objs.append(obj)
-    assignment = make_splits([(o.object_id, o.category) for o in objs],
+        objects.append(DatasetObject(f"obj{i:04d}", category, obj_seed, "",
+                                     gen_object(category, obj_seed, voxel_side), None))
+    assignment = make_splits([(o.object_id, o.category) for o in objects],
                              ratios=ratios, seed=seed)
-    records = []
-    for obj in objs:
-        views = render_views(obj, poses, out_size=image_size)
-        records.append(DatasetObject(
-            obj.object_id, obj.category, obj.seed, assignment[obj.object_id],
-            obj.grid.values.astype(np.float32), _quantize(views.images)))
-    return Dataset(voxel_side, image_size, n_views, elevation_deg, records)
+    for obj in objects:
+        obj.split = assignment[obj.object_id]
+        obj.views = _quantize(render_views(obj.grid, n_views, image_size, elevation_deg))
+    return Dataset(voxel_side, image_size, n_views, elevation_deg, objects)
 
 
 # --- disk persistence (manifest + binvox ground truth + PGM views) ---
 
 def save_dataset(dataset: Dataset, root) -> None:
-    import os
-
-    from .voxio import write_binvox, write_pgm
-
     os.makedirs(root, exist_ok=True)
     with open(os.path.join(root, "manifest.txt"), "w") as fh:
-        fh.write(manifest_to_text(dataset.manifest()))
+        fh.write(manifest_to_text(dataset))
     vox_dir = os.path.join(root, "voxels")
     os.makedirs(vox_dir, exist_ok=True)
     for obj in dataset.objects:
         grid = VoxelGrid(dataset.voxel_side, obj.grid.astype(np.float32), BINARY)
         with open(os.path.join(vox_dir, f"{obj.object_id}.binvox"), "wb") as fh:
-            fh.write(write_binvox(grid))
+            fh.write(voxio.write_binvox(grid))
         view_dir = os.path.join(root, "views", obj.object_id)
         os.makedirs(view_dir, exist_ok=True)
         for k in range(obj.views.shape[0]):
             for ch, tag in ((0, "sil"), (1, "dep")):
                 path = os.path.join(view_dir, f"v{k:02d}_{tag}.pgm")
                 with open(path, "wb") as fh:
-                    fh.write(write_pgm(obj.views[k, ch]))
+                    fh.write(voxio.write_pgm(obj.views[k, ch]))
 
 
 def load_dataset(root) -> Dataset:
-    import os
-
-    from .voxio import read_binvox, read_pgm
-
     with open(os.path.join(root, "manifest.txt")) as fh:
-        manifest = manifest_from_text(fh.read())
-    objects = []
-    for entry in manifest.entries:
-        with open(os.path.join(root, "voxels", f"{entry.object_id}.binvox"), "rb") as fh:
-            grid = read_binvox(fh.read())
-        view_dir = os.path.join(root, "views", entry.object_id)
-        views = np.zeros((manifest.n_views, 2, manifest.image_size,
-                          manifest.image_size), dtype=np.float32)
-        for k in range(manifest.n_views):
+        dataset = manifest_from_text(fh.read())
+    for obj in dataset.objects:
+        with open(os.path.join(root, "voxels", f"{obj.object_id}.binvox"), "rb") as fh:
+            obj.grid = voxio.read_binvox(fh.read()).values.astype(np.float32)
+        view_dir = os.path.join(root, "views", obj.object_id)
+        obj.views = np.zeros((dataset.n_views, 2, dataset.image_size,
+                              dataset.image_size), dtype=np.float32)
+        for k in range(dataset.n_views):
             for ch, tag in ((0, "sil"), (1, "dep")):
                 with open(os.path.join(view_dir, f"v{k:02d}_{tag}.pgm"), "rb") as fh:
-                    views[k, ch] = read_pgm(fh.read())
-        objects.append(DatasetObject(entry.object_id, entry.category, entry.seed,
-                                     entry.split, grid.values.astype(np.float32),
-                                     views))
-    return Dataset(manifest.voxel_side, manifest.image_size, manifest.n_views,
-                   manifest.elevation_deg, objects)
+                    obj.views[k, ch] = voxio.read_pgm(fh.read())
+    return dataset

@@ -106,10 +106,6 @@ class MultiViewEncoder:
                 reduce=not last, dtype=dtype))
         self.final_norm = LayerNorm(cfg.feature_width, dtype=dtype)
 
-    @property
-    def feature_width(self) -> int:
-        return self.cfg.feature_width
-
     def __call__(self, tokens: Tensor, trace: list | None = None) -> Tensor:
         """[B, N, d] view tokens -> [B, N, feature_width] fused features.
 

@@ -41,6 +41,10 @@ class TruncatedRLE(MvreconError):
     """Run-length payload ended early or overran the declared volume."""
 
 
+class BadRunValue(MvreconError):
+    """A binvox run carries a value other than 0 or 1."""
+
+
 class DimMismatch(MvreconError):
     """Declared voxel dimensions are unusable (non-cubic or wrong count)."""
 

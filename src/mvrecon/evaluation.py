@@ -120,7 +120,7 @@ def occlusion_sweep(model: MultiViewReconstructor, dataset: Dataset,
     for box in sizes:
         def blocked(obj, views, _box=box):
             return occlude(views, _box, mode=mode,
-                           seed=seed * 100_003 + hash(obj.object_id) % 1000)
+                           seed=seed * 100_003 + obj.seed)
         volumes = reconstruct_objects(model, objects, n_views, batch_size,
                                       view_transform=blocked if box else None)
         iou, f, _ = _score_objects(objects, volumes, threshold, tau)
@@ -169,12 +169,3 @@ def occlusion_markdown(results: list[OcclusionResult], n_views: int = 12) -> str
     return "\n".join([f"### {n_views}-view reconstruction under occlusion", "",
                       head, rule, iou_row, f_row])
 
-
-def per_category_markdown(report: EvalReport, view_count: int) -> str:
-    r = report.result_for(view_count)
-    lines = [f"### Per-category results at {view_count} views", "",
-             "| Category | IoU | F-score |", "|---|---|---|"]
-    for cat, (iou, f) in r.per_category.items():
-        lines.append(f"| {cat} | {iou:.3f} | {f:.3f} |")
-    lines.append(f"| overall | {r.mean_iou:.3f} | {r.mean_fscore:.3f} |")
-    return "\n".join(lines)

@@ -101,8 +101,7 @@ class MultiHeadAttention:
 
     ``query`` and ``keyvalue`` are [B, N, dim]; self-attention when
     ``keyvalue`` is omitted.  ``trace`` collects the softmax attention
-    matrices as numpy arrays; ``identity_attention`` replaces them with the
-    identity (a hook for locality tests).
+    matrices as numpy arrays.
     """
 
     def __init__(self, rng, dim: int, heads: int, dtype=np.float32):
@@ -117,7 +116,7 @@ class MultiHeadAttention:
         self.out = Linear(rng, dim, dim, dtype=dtype)
 
     def __call__(self, query: Tensor, keyvalue: Tensor | None = None,
-                 trace: list | None = None, identity_attention: bool = False) -> Tensor:
+                 trace: list | None = None) -> Tensor:
         kv = query if keyvalue is None else keyvalue
         if query.shape[-1] != self.dim or kv.shape[-1] != self.dim:
             raise WidthMismatch(
@@ -134,16 +133,9 @@ class MultiHeadAttention:
         v = heads_first(self.v(kv), n_k)
         scores = ad.scale(ad.matmul(q, k.transpose(0, 1, 3, 2)),
                           1.0 / math.sqrt(self.head_dim))
-        if identity_attention:
-            if n_q != n_k:
-                raise WidthMismatch("identity attention needs square attention")
-            attn = Tensor(np.eye(n_q, dtype=scores.data.dtype))
-        else:
-            attn = ad.softmax(scores, axis=-1)
+        attn = ad.softmax(scores, axis=-1)
         if trace is not None:
-            trace.append(np.array(attn.data if attn.ndim == 4
-                                  else np.broadcast_to(attn.data,
-                                                       (bsz, self.heads, n_q, n_k))))
+            trace.append(np.array(attn.data))
         mixed = ad.matmul(attn, v)  # [B, h, Nq, head_dim]
         merged = mixed.transpose(0, 2, 1, 3).reshape(bsz, n_q, self.dim)
         return self.out(merged)
@@ -170,10 +162,8 @@ class AttentionLayer:
         self.mlp = FeedForward(rng, dim, dim * mlp_ratio, dtype=dtype)
         self.mlp_residual = mlp_residual
 
-    def __call__(self, x: Tensor, trace: list | None = None,
-                 identity_attention: bool = False) -> Tensor:
-        attended = ad.add(x, self.attn(self.norm_attn(x), trace=trace,
-                                       identity_attention=identity_attention))
+    def __call__(self, x: Tensor, trace: list | None = None) -> Tensor:
+        attended = ad.add(x, self.attn(self.norm_attn(x), trace=trace))
         fed = self.mlp(self.norm_mlp(attended))
         return ad.add(attended, fed) if self.mlp_residual else fed
 

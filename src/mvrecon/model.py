@@ -39,15 +39,6 @@ class MultiViewReconstructor:
             images = Tensor(np.asarray(images, dtype=self.cfg.np_dtype))
         return images
 
-    def embed_view(self, image) -> Tensor:
-        """One [C, H, W] image (or [B, C, H, W]) -> its embedding vector(s)."""
-        t = self._as_image_tensor(image)
-        squeeze = t.ndim == 3
-        if squeeze:
-            t = t.reshape((1,) + t.shape)
-        out = self.backbone(t)
-        return out.reshape(out.shape[1:]) if squeeze else out
-
     def encode(self, images, trace: list | None = None) -> Tensor:
         """[B, N, C, H, W] view images -> [B, N, feature_width] features."""
         t = self._as_image_tensor(images)
@@ -116,6 +107,3 @@ class MultiViewReconstructor:
         for p in self.parameters():
             p.grad = None
 
-
-def build_model(cfg: ModelConfig, seed: int = 0) -> MultiViewReconstructor:
-    return MultiViewReconstructor(cfg, seed=seed)

@@ -37,19 +37,12 @@ class CubeAttentionBlock:
                        for _ in range(layers)]
         self.proj_out = Linear(rng, width, width, dtype=dtype)
 
-    def __call__(self, volume: Tensor, identity_attention: bool = False) -> Tensor:
+    def __call__(self, volume: Tensor) -> Tensor:
         tokens = partition_tokens(volume, self.cube_side)
         x = ad.add(self.proj_in(tokens), self.positional)
         for layer in self.layers:
-            x = layer(x, identity_attention=identity_attention)
+            x = layer(x)
         return assemble_tokens(self.proj_out(x), self.cube_side, self.grid_side)
-
-    def token_path(self, tokens: Tensor, identity_attention: bool = False) -> Tensor:
-        """The block's token pathway without partition/assembly (test access)."""
-        x = ad.add(self.proj_in(tokens), self.positional)
-        for layer in self.layers:
-            x = layer(x, identity_attention=identity_attention)
-        return self.proj_out(x)
 
     def named_params(self):
         yield from prefixed("proj_in", self.proj_in)
@@ -69,7 +62,7 @@ class VolumeRefiner:
             for cube, heads in zip(cfg.refiner_cubes, cfg.refiner_heads)
         ]
 
-    def __call__(self, volume: Tensor, identity_attention: bool = False) -> Tensor:
+    def __call__(self, volume: Tensor) -> Tensor:
         """[B, V, V, V] coarse volume in (0, 1) -> refined volume in (0, 1)."""
         side = self.cfg.voxel_side
         if volume.ndim != 4 or volume.shape[1:] != (side, side, side):
@@ -77,7 +70,7 @@ class VolumeRefiner:
                 f"refiner built for side {side}, got volume {volume.shape}")
         x = volume
         for block in self.blocks:
-            x = block(x, identity_attention=identity_attention)
+            x = block(x)
         refined = ad.sigmoid(x)
         if self.cfg.refiner_input_residual:
             # averaged residual keeps the output inside (0, 1)

@@ -1,4 +1,4 @@
-"""Voxel grids: cube tokenization, reconstruction losses, and metrics.
+"""Voxel grids: the cube partition, reconstruction losses, and metrics.
 
 Grids are cubic occupancy fields stored as ``(V, V, V)`` float arrays in C
 order, axes ``(x, y, z)`` with z fastest.  Losses are built from autodiff
@@ -59,57 +59,12 @@ class VoxelGrid:
             else int(np.count_nonzero(self.values))
 
 
-@dataclass
-class CubeTokenization:
-    """A grid cut into (side/cube_side)^3 flattened cubes.
+def partition_tokens(x: Tensor, cube_side: int) -> Tensor:
+    """Differentiable partition of a [B, V, V, V] tensor into [B, (V/c)^3, c^3].
 
     Token order is row-major over cube indices; within a cube the voxels
-    keep their row-major order.  ``assemble_cubes`` is the exact inverse.
+    keep their row-major order.  ``assemble_tokens`` is the exact inverse.
     """
-
-    cube_side: int
-    grid_side: int
-    tokens: np.ndarray  # [(grid_side/cube_side)^3, cube_side^3]
-
-    @property
-    def cubes_per_axis(self) -> int:
-        return self.grid_side // self.cube_side
-
-
-def partition_cubes(grid: VoxelGrid, cube_side: int) -> CubeTokenization:
-    tokens = partition_array(grid.values, cube_side)
-    return CubeTokenization(cube_side, grid.side, tokens)
-
-
-def assemble_cubes(tok: CubeTokenization, kind: str = CONTINUOUS) -> VoxelGrid:
-    n = tok.cubes_per_axis
-    c = tok.cube_side
-    if tok.tokens.shape != (n ** 3, c ** 3):
-        raise ShapeMismatch(
-            f"assemble_cubes: tokens {tok.tokens.shape} vs expected {(n ** 3, c ** 3)}")
-    return VoxelGrid(tok.grid_side, assemble_array(tok.tokens, c, tok.grid_side), kind)
-
-
-def partition_array(values: np.ndarray, cube_side: int) -> np.ndarray:
-    """(V, V, V) -> [(V/c)^3, c^3] with the tokenization ordering above."""
-    v = values.shape[0]
-    if values.shape != (v, v, v):
-        raise ShapeMismatch(f"partition: expected a cubic array, got {values.shape}")
-    if v % cube_side != 0:
-        raise NonDivisibleCube(f"cube side {cube_side} does not divide grid side {v}")
-    n, c = v // cube_side, cube_side
-    blocks = values.reshape(n, c, n, c, n, c).transpose(0, 2, 4, 1, 3, 5)
-    return np.ascontiguousarray(blocks).reshape(n ** 3, c ** 3)
-
-
-def assemble_array(tokens: np.ndarray, cube_side: int, grid_side: int) -> np.ndarray:
-    n, c = grid_side // cube_side, cube_side
-    blocks = tokens.reshape(n, n, n, c, c, c).transpose(0, 3, 1, 4, 2, 5)
-    return np.ascontiguousarray(blocks).reshape(grid_side, grid_side, grid_side)
-
-
-def partition_tokens(x: Tensor, cube_side: int) -> Tensor:
-    """Differentiable partition of a [B, V, V, V] tensor into [B, (V/c)^3, c^3]."""
     b, v = x.shape[0], x.shape[1]
     if x.shape[1:] != (v, v, v):
         raise ShapeMismatch(f"partition_tokens: expected [B, V, V, V], got {x.shape}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatch, MalformedHeader, TruncatedRLE
+from .errors import BadRunValue, DimMismatch, MalformedHeader, TruncatedRLE
 from .voxels import BINARY, CONTINUOUS, VoxelGrid
 
 _BINVOX_MAGIC = b"#binvox 1"
@@ -109,6 +109,8 @@ def _rle_decode(payload: bytes, expected: int) -> np.ndarray:
     values, counts = pairs[:, 0], pairs[:, 1]
     if np.any(counts == 0):
         raise TruncatedRLE("zero-length run")
+    if np.any(values > 1):
+        raise BadRunValue(f"run value {int(values.max())} is neither 0 nor 1")
     total = int(counts.sum())
     if total != expected:
         raise TruncatedRLE(f"payload expands to {total} voxels, expected {expected}")
@@ -170,8 +172,13 @@ def read_pgm(data: bytes) -> np.ndarray:
     while len(fields) < 4:
         while pos < len(data) and data[pos:pos + 1].isspace():
             pos += 1
+        if pos == len(data):
+            raise MalformedHeader("PGM header ends early")
         if data[pos:pos + 1] == b"#":  # comment line
-            pos = data.find(b"\n", pos) + 1
+            nl = data.find(b"\n", pos)
+            if nl < 0:
+                raise MalformedHeader("PGM header ends inside a comment")
+            pos = nl + 1
             continue
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
@@ -179,6 +186,8 @@ def read_pgm(data: bytes) -> np.ndarray:
         fields.append(data[start:pos])
     if fields[0] != b"P5":
         raise MalformedHeader(f"not a binary PGM: {fields[0]!r}")
+    if not all(f.isdigit() for f in fields[1:]):
+        raise MalformedHeader(f"non-numeric PGM size or maxval: {fields[1:]!r}")
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
         raise MalformedHeader(f"unsupported maxval {maxval}")

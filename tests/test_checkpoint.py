@@ -5,7 +5,6 @@ from mvrecon.checkpoint import (
     checkpoint_bytes,
     load_checkpoint,
     load_checkpoint_bytes,
-    read_checkpoint_config_hash,
     save_checkpoint,
 )
 from mvrecon.config import config_hash, tiny_model_config
@@ -82,7 +81,15 @@ def test_config_hash_mismatch(tiny_model, tmp_path):
         load_checkpoint(path, other)
 
 
-def test_config_hash_readable_from_header(tiny_model, tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, tiny_model)
-    assert read_checkpoint_config_hash(path) == config_hash(tiny_model.cfg)
+def test_config_hash_readable_from_header(tiny_model):
+    # magic (8 bytes) and version (4) precede the 32-byte config hash
+    data = checkpoint_bytes(tiny_model)
+    assert data[12:44].hex() == config_hash(tiny_model.cfg)
+
+
+def test_non_utf8_record_name_is_corrupt(tiny_model):
+    data = bytearray(checkpoint_bytes(tiny_model))
+    first_name = data.index(b"backbone.")  # the first record's name
+    data[first_name] = 0xFF
+    with pytest.raises(CorruptRecord):
+        load_checkpoint_bytes(bytes(data), tiny_model)

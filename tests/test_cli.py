@@ -18,8 +18,9 @@ def workspace(tmp_path_factory):
                  "--image-size", "32", "--views", "8", "--seed", "3",
                  "--categories", "box,table,ring"]) == 0
     assert main(["train", "--data", data, "--out", run, "--preset", "tiny",
-                 "--iterations", "4", "--epochs", "50", "--batch-size", "4",
-                 "--views", "3", "--seed", "1"]) == 0
+                 "--set", "train.max_iterations=4", "--set", "train.epochs=50",
+                 "--set", "train.batch_size=4", "--set", "train.views_per_sample=3",
+                 "--set", "train.seed=1"]) == 0
     return {"data": data, "run": run, "root": root}
 
 
@@ -50,6 +51,8 @@ def test_train_outputs(workspace):
     assert len(curve) == 5  # header + 4 iterations
     run_txt = open(os.path.join(run, "run.txt")).read()
     assert "seed 1" in run_txt and "# config" in run_txt
+    config = open(os.path.join(run, "config.txt")).read()
+    assert "train.batch_size = 4" in config and "model.voxel_side = 8" in config
 
 
 def test_eval_command(workspace, tmp_path):
@@ -99,17 +102,15 @@ def test_reconstruct_command(workspace, tmp_path):
     assert grid.side == 8
 
 
-def test_report_command(workspace, tmp_path):
-    eval_out = str(tmp_path / "eval2")
-    main(["eval", "--checkpoint", os.path.join(workspace["run"], "checkpoint.ckpt"),
-          "--data", workspace["data"], "--out", eval_out, "--view-counts", "1,8"])
-    md_path = str(tmp_path / "combined.md")
-    assert main(["report", "--eval", os.path.join(eval_out, "eval.csv"),
-                 "--out", md_path]) == 0
-    assert "| Metric | 1 | 8 |" in open(md_path).read()
-
-
 def test_train_rejects_mismatched_geometry(workspace, tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit, match="--set model.voxel_side="):
         main(["train", "--data", workspace["data"], "--out", str(tmp_path / "r"),
-              "--preset", "desk", "--iterations", "1"])
+              "--preset", "desk", "--set", "train.max_iterations=1"])
+
+
+@pytest.mark.parametrize("override", ["train.views_pool=8", "model.voxel_side=x",
+                                      "voxel_side=8", "train.max_iterations"])
+def test_train_rejects_bad_set(workspace, tmp_path, override):
+    with pytest.raises(SystemExit, match="bad config"):
+        main(["train", "--data", workspace["data"], "--out", str(tmp_path / "r"),
+              "--preset", "tiny", "--set", override])

@@ -3,50 +3,48 @@ import pytest
 
 from mvrecon.datagen import (
     CATEGORIES,
-    CameraPose,
-    box_trace,
+    Dataset,
+    DatasetObject,
+    _project,
     build_dataset,
-    default_poses,
     gen_object,
     make_splits,
     manifest_from_text,
     manifest_to_text,
     occlude,
-    project_centers,
     render_views,
     scaled_box_size,
-    DatasetManifest,
-    ManifestEntry,
-    _object_rng,
 )
 from mvrecon.errors import BoxLargerThanImage, TooFewObjects
 
 
 # --- generation ---
 
-def test_box_occupancy_matches_rng_trace():
+def test_box_fills_its_bounding_box():
+    side = 32
     for seed in range(10):
-        obj = gen_object("box", seed, 32)
-        ext, corner = box_trace(_object_rng("box", seed, 32), 32)
-        assert obj.grid.occupancy() == int(np.prod(ext))
-        block = obj.grid.values[corner[0]:corner[0] + ext[0],
-                                corner[1]:corner[1] + ext[1],
-                                corner[2]:corner[2] + ext[2]]
-        assert np.all(block == 1)
+        grid = gen_object("box", seed, side)
+        occ = np.argwhere(grid > 0)
+        lo, hi = occ.min(axis=0), occ.max(axis=0)
+        ext = hi - lo + 1
+        assert len(occ) == int(np.prod(ext))  # solid: fills its bounding box
+        assert np.all((ext >= max(2, side // 4)) & (ext <= side // 2))
+        assert lo.min() >= 1 and hi.max() <= side - 2
 
 
 def test_generation_deterministic():
     for category in CATEGORIES:
         a = gen_object(category, 7, 16)
         b = gen_object(category, 7, 16)
-        assert np.array_equal(a.grid.values, b.grid.values)
+        assert a.dtype == np.float32 and a.shape == (16, 16, 16)
+        assert np.all((a == 0) | (a == 1))
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("category", CATEGORIES)
 def test_objects_nonempty_and_in_margin(category):
     for seed in range(100):
-        obj = gen_object(category, seed, 16)
-        occ = np.argwhere(obj.grid.values > 0)
+        occ = np.argwhere(gen_object(category, seed, 16) > 0)
         assert occ.size > 0, f"{category} seed {seed} empty"
         assert occ.min() >= 1
         assert occ.max() <= 14
@@ -55,11 +53,11 @@ def test_objects_nonempty_and_in_margin(category):
 def test_small_side_objects_nonempty():
     for category in CATEGORIES:
         for seed in range(20):
-            assert gen_object(category, seed, 8).grid.occupancy() > 0
+            assert gen_object(category, seed, 8).any()
 
 
 def test_distinct_seeds_differ():
-    grids = [gen_object("chair", s, 16).grid.values for s in range(5)]
+    grids = [gen_object("chair", s, 16) for s in range(5)]
     assert any(not np.array_equal(grids[0], g) for g in grids[1:])
 
 
@@ -67,12 +65,11 @@ def test_distinct_seeds_differ():
 
 def test_center_voxel_projects_to_image_center():
     side = 16
-    obj = gen_object("box", 0, side)
-    obj.grid.values[:] = 0
-    obj.grid.values[side // 2, side // 2, side // 2] = 1
-    views = render_views(obj, default_poses(8), out_size=32)
+    grid = np.zeros((side, side, side), dtype=np.float32)
+    grid[side // 2, side // 2, side // 2] = 1
+    views = render_views(grid, 8, out_size=32)
     for k in range(8):
-        sil = views.images[k, 0]
+        sil = views[k, 0]
         fg = np.argwhere(sil > 0)
         assert fg.size > 0
         center = fg.mean(axis=0)
@@ -80,45 +77,36 @@ def test_center_voxel_projects_to_image_center():
 
 
 def test_every_projected_center_is_foreground():
-    poses = default_poses(6)
     for i in range(10):
-        obj = gen_object(CATEGORIES[i % len(CATEGORIES)], 100 + i, 16)
-        views = render_views(obj, poses, out_size=48)
-        for k, pose in enumerate(poses):
-            px = project_centers(obj, pose, 48)
-            sil = views.images[k, 0]
-            assert np.all(sil[px[:, 0], px[:, 1]] == 1.0)
+        grid = gen_object(CATEGORIES[i % len(CATEGORIES)], 100 + i, 16)
+        views = render_views(grid, 6, out_size=48, elevation_deg=30.0)
+        for k, (rows, cols, _) in enumerate(_project(grid, 6, 30.0, 48)):
+            assert np.all(views[k, 0][rows, cols] == 1.0)
 
 
 def test_opposite_azimuths_mirror_silhouettes():
     # object mirror-symmetric across the azimuth-0 depth axis (y)
     side = 16
-    obj = gen_object("box", 3, side)
     vals = np.zeros((side, side, side), dtype=np.float32)
     vals[4:12, 5:11, 3:13] = 1  # y indices 5..10 symmetric under y -> 15-y
     vals[6:10, 5:11, 10:13] = 0  # keep it non-trivial, still y-symmetric
-    obj.grid.values = vals
-    poses = [CameraPose(0, 0.0), CameraPose(1, 180.0)]
-    views = render_views(obj, poses, out_size=64)
-    front, back = views.images[0, 0], views.images[1, 0]
+    views = render_views(vals, 2, out_size=64)  # azimuths 0 and 180
+    front, back = views[0, 0], views[1, 0]
     assert np.array_equal(back, front[:, ::-1])
 
 
 def test_depth_channel_in_unit_range_and_nearest():
-    obj = gen_object("table", 5, 16)
-    views = render_views(obj, default_poses(4), out_size=48)
-    dep = views.images[:, 1]
-    sil = views.images[:, 0]
+    views = render_views(gen_object("table", 5, 16), 4, out_size=48)
+    dep = views[:, 1]
+    sil = views[:, 0]
     assert np.all(dep >= 0) and np.all(dep <= 1)
     assert np.all(dep[sil == 0] == 0)
     assert np.all(dep[sil == 1] > 0)
 
 
 def test_render_deterministic():
-    obj = gen_object("ring", 2, 16)
-    a = render_views(obj, default_poses(4), 32).images
-    b = render_views(obj, default_poses(4), 32).images
-    assert np.array_equal(a, b)
+    grid = gen_object("ring", 2, 16)
+    assert np.array_equal(render_views(grid, 4, 32), render_views(grid, 4, 32))
 
 
 # --- occlusion ---
@@ -235,12 +223,11 @@ def test_splits_too_few():
 # --- manifests and datasets ---
 
 def test_manifest_roundtrip():
-    manifest = DatasetManifest(16, 32, 24, 30.0, [
-        ManifestEntry("obj0000", "box", 11, "train"),
-        ManifestEntry("obj0001", "ring", 12, "test"),
+    dataset = Dataset(16, 32, 24, 30.0, [
+        DatasetObject("obj0000", "box", 11, "train", None, None),
+        DatasetObject("obj0001", "ring", 12, "test", None, None),
     ])
-    back = manifest_from_text(manifest_to_text(manifest))
-    assert back == manifest
+    assert manifest_from_text(manifest_to_text(dataset)) == dataset
 
 
 def test_build_dataset_deterministic_and_split():

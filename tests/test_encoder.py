@@ -106,11 +106,16 @@ def naive_backbone(model, img):
     return pooled @ head.weight.data + head.bias.data
 
 
+def embed(model, img):
+    """Backbone embedding of one [C, H, W] image."""
+    return model.backbone(Tensor(img[None], dtype=model.cfg.np_dtype)).data[0]
+
+
 def test_zero_image_matches_bias_only_forward():
     cfg = small_cfg()
     model = MultiViewReconstructor(cfg, seed=3)
     img = np.zeros((cfg.image_channels, cfg.image_size, cfg.image_size))
-    got = model.embed_view(img).data
+    got = embed(model, img)
     want = naive_backbone(model, img)
     np.testing.assert_allclose(got, want, atol=1e-12)
     # first stage of a zero image is exactly the bias map
@@ -126,7 +131,7 @@ def test_backbone_matches_naive_conv_oracle():
     model = MultiViewReconstructor(cfg, seed=4)
     img = np.random.default_rng(5).random(
         (cfg.image_channels, cfg.image_size, cfg.image_size))
-    np.testing.assert_allclose(model.embed_view(img).data,
+    np.testing.assert_allclose(embed(model, img),
                                naive_backbone(model, img), atol=1e-10)
 
 
@@ -135,8 +140,8 @@ def test_identical_images_identical_embeddings():
     model = MultiViewReconstructor(cfg, seed=5)
     img = np.random.default_rng(6).random(
         (cfg.image_channels, cfg.image_size, cfg.image_size)).astype(np.float32)
-    a = model.embed_view(img).data
-    b = model.embed_view(img.copy()).data
+    a = embed(model, img)
+    b = embed(model, img.copy())
     assert np.array_equal(a, b)
 
 
@@ -145,15 +150,15 @@ def test_embedding_grad_wrt_input_image():
     model = MultiViewReconstructor(cfg, seed=6)
     img = np.random.default_rng(7).random(
         (cfg.image_channels, cfg.image_size, cfg.image_size))
-    t = Tensor(img, requires_grad=True)
-    model.embed_view(t).sum().backward()
+    t = Tensor(img[None], requires_grad=True)
+    model.backbone(t).sum().backward()
 
     def forward():
         with ad.no_grad():
-            return model.embed_view(Tensor(img)).sum().item()
+            return model.backbone(Tensor(img[None])).sum().item()
 
     numeric = central_diff(forward, img)
-    assert rel_err(t.grad, numeric) < 1e-4
+    assert rel_err(t.grad[0], numeric) < 1e-4
 
 
 # --- permutation behaviour ---

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import mvrecon
 from mvrecon.config import tiny_model_config
 from mvrecon.datagen import CATEGORIES, build_dataset
 from mvrecon.errors import MissingViews, TooFewObjects
@@ -10,7 +15,6 @@ from mvrecon.evaluation import (
     occlusion_csv,
     occlusion_markdown,
     occlusion_sweep,
-    per_category_markdown,
     report_csv,
     report_markdown,
 )
@@ -134,8 +138,6 @@ def test_report_renderings(dataset):
     occ_csv = occlusion_csv(report.occlusion)
     assert occ_csv.splitlines()[0] == "box_size,iou,fscore"
     assert len(occ_csv.strip().splitlines()) == 3
-    cat_md = per_category_markdown(report, 8)
-    assert "| Category | IoU | F-score |" in cat_md
 
 
 def test_evaluate_does_not_touch_model_params(dataset):
@@ -145,3 +147,28 @@ def test_evaluate_does_not_touch_model_params(dataset):
     for prev, p in zip(before, model.parameters()):
         assert np.array_equal(prev, p.data)
         assert p.grad is None
+
+
+RANDOM_SWEEP = """
+from mvrecon.config import tiny_model_config
+from mvrecon.datagen import CATEGORIES, build_dataset
+from mvrecon.evaluation import occlusion_sweep
+from mvrecon.model import MultiViewReconstructor
+dataset = build_dataset(15, voxel_side=8, image_size=32, seed=2,
+                        categories=CATEGORIES[:3], n_views=12)
+model = MultiViewReconstructor(tiny_model_config(), seed=4)
+for r in occlusion_sweep(model, dataset, sizes=(20, 40), n_views=8, mode="random"):
+    print(repr(r.mean_iou), repr(r.mean_fscore))
+"""
+
+
+def test_random_occlusion_does_not_depend_on_hash_seed():
+    src = os.path.dirname(os.path.dirname(mvrecon.__file__))
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-c", RANDOM_SWEEP], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -49,33 +49,34 @@ def test_zeroed_output_projections_give_constant_half():
     np.testing.assert_allclose(out, np.full_like(out, 0.5), atol=1e-12)
 
 
-def test_locality_with_identity_attention():
-    # zeroed positions + identity attention make the token pathway per-token
-    cfg = tiny_model_config(refiner_layers=1)
+def changed_cubes(block, vol, bumped, tol):
+    """Which of the block's output cubes move when its input changes."""
+    diff = np.abs(block(Tensor(bumped)).data - block(Tensor(vol)).data)
+    return np.any(partition_tokens(Tensor(diff), block.cube_side).data[0] > tol, axis=-1)
+
+
+def bump_cube_five(vol):
+    bumped = vol.copy()
+    bumped[0, 5, 1, 6] += 0.5  # a voxel of cube (1, 0, 1), token 5
+    return bumped
+
+
+def test_locality_with_identity_attention(monkeypatch):
+    # with attention replaced by the identity, each cube is refined alone
+    monkeypatch.setattr(ad, "softmax", lambda a, axis=-1: Tensor(
+        np.broadcast_to(np.eye(a.shape[-1], dtype=a.dtype), a.shape).copy()))
     block = CubeAttentionBlock(np.random.default_rng(6), cube_side=4, grid_side=8,
                                layers=1, heads=4, mlp_ratio=2, dtype=np.float64)
-    block.positional.data[:] = 0.0
-    rng = np.random.default_rng(7)
-    tokens = rng.standard_normal((1, 8, 64))
-    base = block.token_path(Tensor(tokens), identity_attention=True).data
-    bumped = tokens.copy()
-    bumped[0, 3] += rng.standard_normal(64)
-    moved = block.token_path(Tensor(bumped), identity_attention=True).data
-    changed = np.any(np.abs(moved - base) > 1e-12, axis=-1)
-    np.testing.assert_array_equal(changed[0],
-                                  [False, False, False, True, False, False, False, False])
+    vol = np.random.default_rng(7).random((1, 8, 8, 8))
+    changed = changed_cubes(block, vol, bump_cube_five(vol), 1e-12)
+    np.testing.assert_array_equal(changed, np.arange(8) == 5)
 
 
 def test_mixing_without_identity_attention():
     block = CubeAttentionBlock(np.random.default_rng(8), cube_side=4, grid_side=8,
                                layers=1, heads=4, mlp_ratio=2, dtype=np.float64)
-    rng = np.random.default_rng(9)
-    tokens = rng.standard_normal((1, 8, 64))
-    base = block.token_path(Tensor(tokens)).data
-    bumped = tokens.copy()
-    bumped[0, 3] += 1.0
-    moved = block.token_path(Tensor(bumped)).data
-    changed = np.any(np.abs(moved - base) > 1e-9, axis=-1)
+    vol = np.random.default_rng(9).random((1, 8, 8, 8))
+    changed = changed_cubes(block, vol, bump_cube_five(vol), 1e-9)
     assert changed.sum() == 8  # softmax attention spreads the perturbation
 
 

@@ -22,7 +22,7 @@ def tiny_dataset():
 
 def make_cfg(**overrides):
     base = dict(model=tiny_model_config(), batch_size=4, views_per_sample=3,
-                views_pool=8, epochs=2, seed=0, lr_init=0.01)
+                epochs=2, seed=0, lr_init=0.01)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -47,8 +47,8 @@ def test_view_sampling_without_replacement(tiny_dataset):
 
 
 def test_view_sampling_missing_views(tiny_dataset):
-    # config allows 9 views, but the rendered objects only carry 8
-    cfg = make_cfg(views_per_sample=9, views_pool=24)
+    # config asks for 9 views, but the rendered objects only carry 8
+    cfg = make_cfg(views_per_sample=9)
     with pytest.raises(MissingViews):
         sample_batch(tiny_dataset.split("train")[:1], cfg, data_rng(0))
 

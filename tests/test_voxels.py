@@ -8,9 +8,7 @@ from mvrecon.errors import EmptyVolume, NonDivisibleCube, ShapeMismatch
 from mvrecon.voxels import (
     BINARY,
     CONTINUOUS,
-    CubeTokenization,
     VoxelGrid,
-    assemble_cubes,
     assemble_tokens,
     fscore_points,
     loss_mse,
@@ -19,7 +17,6 @@ from mvrecon.voxels import (
     metric_fscore,
     metric_iou,
     occupied_points,
-    partition_cubes,
     partition_tokens,
 )
 
@@ -84,24 +81,31 @@ def fscore_allpairs(pred_pts, true_pts, tau):
 
 # --- partitioning ---
 
+def partition(values, cube):
+    """partition_tokens on one [V, V, V] grid -> [(V/c)^3, c^3] array."""
+    return partition_tokens(Tensor(values[None]), cube).data[0]
+
+
+def assemble(tokens, cube, side):
+    return assemble_tokens(Tensor(tokens[None]), cube, side).data[0]
+
+
 def test_partition_paper_scale_counts():
     g = random_grid(0, side=32)
-    tok4 = partition_cubes(g, 4)
-    assert tok4.tokens.shape == (512, 64)
-    tok8 = partition_cubes(g, 8)
-    assert tok8.tokens.shape == (64, 512)
+    assert partition(g.values, 4).shape == (512, 64)
+    assert partition(g.values, 8).shape == (64, 512)
 
 
 def test_partition_single_cube_is_flat_grid():
     g = random_grid(1, side=4)
-    tok = partition_cubes(g, 4)
-    assert tok.tokens.shape == (1, 64)
-    np.testing.assert_array_equal(tok.tokens[0], g.values.reshape(-1))
+    tokens = partition(g.values, 4)
+    assert tokens.shape == (1, 64)
+    np.testing.assert_array_equal(tokens[0], g.values.reshape(-1))
 
 
 def test_partition_non_divisible():
     with pytest.raises(NonDivisibleCube):
-        partition_cubes(random_grid(2, side=8), 3)
+        partition(random_grid(2, side=8).values, 3)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(32, 4), (32, 8), (8, 2), (16, 4)]))
@@ -109,15 +113,13 @@ def test_partition_non_divisible():
 def test_assemble_inverts_partition(seed, vc):
     side, cube = vc
     g = random_grid(seed, side=side)
-    back = assemble_cubes(partition_cubes(g, cube))
-    assert np.array_equal(back.values, g.values)
+    assert np.array_equal(assemble(partition(g.values, cube), cube, side), g.values)
 
 
 def test_token_zero_maps_to_corner_cube():
-    g = VoxelGrid.zeros(8)
-    tok = partition_cubes(g, 4)
-    tok.tokens[0] = 1.0
-    out = assemble_cubes(CubeTokenization(4, 8, tok.tokens)).values
+    tokens = partition(np.zeros((8, 8, 8)), 4)
+    tokens[0] = 1.0
+    out = assemble(tokens, 4, 8)
     changed = np.argwhere(out != 0)
     assert changed.size > 0
     assert changed.max() < 4  # every changed voxel inside cube (0,0,0)
@@ -127,25 +129,29 @@ def test_token_zero_maps_to_corner_cube():
 def test_cube_index_ordering_by_enumeration():
     side, cube = 8, 4
     vals = np.arange(side ** 3, dtype=np.float64).reshape(side, side, side)
-    tok = partition_cubes(VoxelGrid(side, vals / vals.max()), cube)
+    tokens = partition(vals, cube)
     n = side // cube
     for ci in range(n):
         for cj in range(n):
             for ck in range(n):
-                token = tok.tokens[(ci * n + cj) * n + ck]
+                token = tokens[(ci * n + cj) * n + ck]
                 block = vals[ci * cube:(ci + 1) * cube,
                              cj * cube:(cj + 1) * cube,
-                             ck * cube:(ck + 1) * cube] / vals.max()
+                             ck * cube:(ck + 1) * cube]
                 np.testing.assert_array_equal(token, block.reshape(-1))
 
 
 def test_tensor_partition_matches_numpy():
-    g = random_grid(7, side=8)
-    t = Tensor(g.values[None], dtype=np.float64)
-    tok = partition_tokens(t, 2)
-    np.testing.assert_array_equal(tok.data[0], partition_cubes(g, 2).tokens)
-    back = assemble_tokens(tok, 2, 8)
-    np.testing.assert_array_equal(back.data[0], g.values)
+    # a batch partitions item by item, each as numpy slicing would cut it
+    vals = np.stack([random_grid(7 + i, side=8).values for i in range(3)])
+    tok = partition_tokens(Tensor(vals, dtype=np.float64), 2)
+    assert tok.shape == (3, 64, 8)
+    for b in range(3):
+        for index in range(64):
+            ci, cj, ck = np.unravel_index(index, (4, 4, 4))
+            block = vals[b, 2 * ci:2 * ci + 2, 2 * cj:2 * cj + 2, 2 * ck:2 * ck + 2]
+            np.testing.assert_array_equal(tok.data[b, index], block.reshape(-1))
+    np.testing.assert_array_equal(assemble_tokens(tok, 2, 8).data, vals)
 
 
 # --- losses ---

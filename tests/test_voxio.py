@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvrecon.errors import DimMismatch, MalformedHeader, TruncatedRLE
+import mvrecon
+from mvrecon.errors import BadRunValue, DimMismatch, MalformedHeader, TruncatedRLE
 from mvrecon.voxels import BINARY, CONTINUOUS, VoxelGrid
 from mvrecon.voxio import (
     read_binvox,
@@ -105,6 +110,11 @@ def test_binvox_dim_mismatch():
         read_binvox(b"#binvox 1\ndim 2 2\ndata\n" + bytes((0, 8)))
 
 
+def test_binvox_run_value_outside_zero_one():
+    with pytest.raises(BadRunValue):
+        read_binvox(b"#binvox 1\ndim 2 2 2\ndata\n\x02\x08")
+
+
 def test_binvox_long_run_splitting():
     g = VoxelGrid(8, np.ones((8, 8, 8), dtype=np.float32), BINARY)  # 512 > 255
     data = write_binvox(g)
@@ -171,3 +181,32 @@ def test_pgm_uint8_exact():
 def test_pgm_bad_magic():
     with pytest.raises(MalformedHeader):
         read_pgm(b"P2\n2 2\n255\n0 0 0 0")
+
+
+MALFORMED_PGM_HEADERS = [
+    b"#",                      # comment with no newline
+    b"P5\n# comment",
+    b"P5 2",                   # header ends early
+    b"P5 x 2 255\n\0\0",
+    b"P5 2 -1 255\n\0\0",
+    b"P5 2 2 2.5e2\n\0\0\0\0",
+]
+
+
+def test_pgm_malformed_headers_raise_in_bounded_time():
+    # a subprocess with a timeout, so a parser that loops fails instead of hanging
+    script = (
+        "import ast, sys\n"
+        "from mvrecon.errors import MalformedHeader\n"
+        "from mvrecon.voxio import read_pgm\n"
+        "for data in ast.literal_eval(sys.argv[1]):\n"
+        "    try:\n"
+        "        read_pgm(data)\n"
+        "    except MalformedHeader:\n"
+        "        continue\n"
+        "    sys.exit(f'{data!r} did not raise MalformedHeader')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mvrecon.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, repr(MALFORMED_PGM_HEADERS)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr

@@ -1,16 +1,18 @@
-"""Binary checkpoints: parameter table + training metadata + RNG state.
+"""Binary checkpoints: the model's parameters and nothing else.
 
-Layout (all integers little-endian):
+Layout, version 2 (all integers little-endian):
 
     magic     8s   b"MVRCKPT\\0"
     version   u32
     confhash  32s  sha256 of the canonical model-config text
-    epoch     u64
-    iteration u64
-    rng_len   u32, rng_json bytes, rng_crc u32
     n_params  u32
     records:  name_len u16, name, ndim u8, dims u32*, dtype u8,
               payload_len u64, payload, crc u32
+
+Records follow ``model.named_params()``; a name is the parameter's
+attribute path, such as ``encoder.blocks.0.layers.1.attn.q.weight``.
+A checkpoint stores no optimizer, data-order or RNG state: it restores
+weights, not a run.  A file of any other version raises ``VersionMismatch``.
 
 Every record carries a CRC over its name, shape, dtype, and payload, so a
 flipped byte surfaces as ``CorruptRecord`` instead of silent weight drift.
@@ -18,10 +20,8 @@ flipped byte surfaces as ``CorruptRecord`` instead of silent weight drift.
 
 from __future__ import annotations
 
-import json
 import struct
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,16 +29,9 @@ from .config import config_hash
 from .errors import ConfigHashMismatch, CorruptRecord, VersionMismatch
 
 MAGIC = b"MVRCKPT\x00"
-VERSION = 1
+VERSION = 2
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
-
-
-@dataclass
-class CheckpointMeta:
-    epoch: int
-    iteration: int
-    rng_state: dict | None
 
 
 class _Reader:
@@ -73,30 +66,24 @@ def _record_bytes(name: str, array: np.ndarray) -> bytes:
     return head + payload + struct.pack("<I", crc)
 
 
-def checkpoint_bytes(model, epoch: int = 0, iteration: int = 0,
-                     rng_state: dict | None = None) -> bytes:
+def checkpoint_bytes(model) -> bytes:
     params = list(model.named_params())
-    rng_json = json.dumps(rng_state, sort_keys=True).encode() if rng_state else b""
     out = bytearray()
     out += MAGIC
     out += struct.pack("<I", VERSION)
     out += bytes.fromhex(config_hash(model.cfg))
-    out += struct.pack("<QQ", epoch, iteration)
-    out += struct.pack("<I", len(rng_json)) + rng_json
-    out += struct.pack("<I", zlib.crc32(rng_json))
     out += struct.pack("<I", len(params))
     for name, p in params:
         out += _record_bytes(name, p.data)
     return bytes(out)
 
 
-def save_checkpoint(path, model, epoch: int = 0, iteration: int = 0,
-                    rng_state: dict | None = None) -> None:
+def save_checkpoint(path, model) -> None:
     with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(model, epoch, iteration, rng_state))
+        fh.write(checkpoint_bytes(model))
 
 
-def load_checkpoint_bytes(data: bytes, model) -> CheckpointMeta:
+def load_checkpoint_bytes(data: bytes, model) -> None:
     r = _Reader(data)
     if r.take(8) != MAGIC:
         raise VersionMismatch("not a checkpoint file")
@@ -106,15 +93,8 @@ def load_checkpoint_bytes(data: bytes, model) -> CheckpointMeta:
     conf = r.take(32).hex()
     if conf != config_hash(model.cfg):
         raise ConfigHashMismatch("checkpoint was written for a different config")
-    epoch, iteration = r.unpack("QQ")
-    (rng_len,) = r.unpack("I")
-    rng_json = r.take(rng_len)
-    (rng_crc,) = r.unpack("I")
-    if zlib.crc32(rng_json) != rng_crc:
-        raise CorruptRecord("rng state checksum mismatch")
-    rng_state = json.loads(rng_json.decode()) if rng_len else None
     (n_params,) = r.unpack("I")
-    table = model.param_table()
+    table = dict(model.named_params())
     if n_params != len(table):
         raise CorruptRecord(f"checkpoint has {n_params} records, model has {len(table)}")
     for _ in range(n_params):
@@ -152,10 +132,9 @@ def load_checkpoint_bytes(data: bytes, model) -> CheckpointMeta:
         expected.grad = None
     if r.pos != len(data):
         raise CorruptRecord("trailing bytes after the last record")
-    return CheckpointMeta(epoch, iteration, rng_state)
 
 
-def load_checkpoint(path, model) -> CheckpointMeta:
+def load_checkpoint(path, model) -> None:
     with open(path, "rb") as fh:
-        return load_checkpoint_bytes(fh.read(), model)
+        load_checkpoint_bytes(fh.read(), model)
 

@@ -126,8 +126,7 @@ def cmd_train(args) -> int:
     result = train(model, dataset, cfg, log_every=args.log_every,
                    progress=progress)
     ckpt_path = os.path.join(args.out, "checkpoint.ckpt")
-    save_checkpoint(ckpt_path, model, epoch=result.epochs_run,
-                    iteration=result.iterations_run, rng_state=result.rng_state)
+    save_checkpoint(ckpt_path, model)
     with open(os.path.join(args.out, "loss_curve.csv"), "w") as fh:
         fh.write(loss_curve_csv(result))
     cfg_text = config_to_text(cfg)

@@ -12,7 +12,10 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .errors import BadConfig
+
 DTYPES = {"float32": np.float32, "float64": np.float64}
+_AUTO_ZERO = ("encoder_heads", "decoder_heads")  # 0 picks a count from the width
 
 
 @dataclass(frozen=True)
@@ -67,30 +70,37 @@ class ModelConfig:
 
     def validate(self) -> None:
         if self.dtype not in DTYPES:
-            raise ValueError(f"unknown dtype {self.dtype!r}")
+            raise BadConfig(f"unknown dtype {self.dtype!r}")
+        for f in fields(self):  # before any of the divisions below
+            if f.type not in ("int", "tuple[int, ...]"):
+                continue
+            value = getattr(self, f.name)
+            least = 0 if f.name in _AUTO_ZERO else 1
+            if any(v < least for v in (value if isinstance(value, tuple) else (value,))):
+                raise BadConfig(f"model.{f.name} = {value} must be at least {least}")
         if self.embed_dim % (1 << (self.encoder_blocks - 1)) != 0:
-            raise ValueError(
+            raise BadConfig(
                 f"embed_dim {self.embed_dim} not divisible by "
                 f"2^{self.encoder_blocks - 1}")
         if self.image_size < (1 << self.backbone_stages):
-            raise ValueError("image smaller than the backbone downsampling")
+            raise BadConfig("image smaller than the backbone downsampling")
         if self.voxel_side % self.decoder_cube != 0:
-            raise ValueError("decoder cube must divide the voxel side")
+            raise BadConfig("decoder cube must divide the voxel side")
         if len(self.refiner_cubes) != len(self.refiner_heads):
-            raise ValueError("refiner cube/head lists differ in length")
+            raise BadConfig("refiner cube/head lists differ in length")
         for i, c in enumerate(self.refiner_cubes):
             if self.voxel_side % c != 0:
-                raise ValueError(f"refiner cube {c} must divide voxel side")
+                raise BadConfig(f"refiner cube {c} must divide voxel side")
             if i > 0 and self.refiner_cubes[i - 1] != 2 * c:
-                raise ValueError("refiner cube sides must halve per block")
+                raise BadConfig("refiner cube sides must halve per block")
         for w, h in zip(self.encoder_widths, self.encoder_head_counts()):
             if w % h != 0:
-                raise ValueError(f"{h} heads do not divide encoder width {w}")
+                raise BadConfig(f"{h} heads do not divide encoder width {w}")
         if self.feature_width % self.decoder_head_count() != 0:
-            raise ValueError("decoder heads do not divide the feature width")
+            raise BadConfig("decoder heads do not divide the feature width")
         for c, h in zip(self.refiner_cubes, self.refiner_heads):
             if (c ** 3) % h != 0:
-                raise ValueError(f"{h} heads do not divide cube width {c ** 3}")
+                raise BadConfig(f"{h} heads do not divide cube width {c ** 3}")
 
 
 def paper_model_config(**overrides) -> ModelConfig:
@@ -156,9 +166,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.loss_mode not in ("mse", "ssim", "total"):
-            raise ValueError(f"unknown loss mode {self.loss_mode!r}")
+            raise BadConfig(f"unknown loss mode {self.loss_mode!r}")
         if self.lr_floor > self.lr_init:
-            raise ValueError("lr floor above the initial rate")
+            raise BadConfig("lr floor above the initial rate")
 
     def learning_rate(self, epoch: int) -> float:
         lr = self.lr_init * self.lr_decay_factor ** (epoch // self.lr_decay_epochs)
@@ -167,21 +177,27 @@ class TrainConfig:
 
 # --- flat key=value config files ---
 
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
 def _format_value(v) -> str:
     if isinstance(v, tuple):
         return ",".join(str(x) for x in v)
     return str(v)
 
 
-def _parse_value(text: str, ftype):
+def _parse_value(text: str, ftype: str):
+    """``text`` as a value of the annotated field type ``ftype``."""
     text = text.strip()
-    if ftype is bool:
-        return text.lower() in ("1", "true", "yes")
-    if ftype is int:
+    if ftype == "bool":
+        if text.lower() not in _BOOLS:
+            raise ValueError("a bool is one of true/false, yes/no, 1/0")
+        return _BOOLS[text.lower()]
+    if ftype == "int":
         return int(text)
-    if ftype is float:
+    if ftype == "float":
         return float(text)
-    if ftype is str:
+    if ftype == "str":
         return text
     # tuples of ints
     return tuple(int(x) for x in text.split(",") if x.strip())
@@ -199,38 +215,26 @@ def config_to_text(cfg: TrainConfig) -> str:
 
 
 def config_from_text(text: str) -> TrainConfig:
-    model_fields = {f.name: f for f in fields(ModelConfig)}
-    train_fields = {f.name: f for f in fields(TrainConfig) if f.name != "model"}
-    model_kwargs, train_kwargs = {}, {}
+    known = {"model": {f.name: f.type for f in fields(ModelConfig)},
+             "train": {f.name: f.type for f in fields(TrainConfig) if f.name != "model"}}
+    kwargs: dict[str, dict] = {"model": {}, "train": {}}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"bad config line: {raw!r}")
+            raise BadConfig(f"bad config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.startswith("model."):
-            name = key[len("model."):]
-            if name not in model_fields:
-                raise ValueError(f"unknown model field {name!r}")
-            model_kwargs[name] = _parse_value(value, _field_type(model_fields[name]))
-        elif key.startswith("train."):
-            name = key[len("train."):]
-            if name not in train_fields:
-                raise ValueError(f"unknown train field {name!r}")
-            train_kwargs[name] = _parse_value(value, _field_type(train_fields[name]))
-        else:
-            raise ValueError(f"config keys must start with model. or train.: {key!r}")
-    return TrainConfig(model=ModelConfig(**model_kwargs), **train_kwargs)
-
-
-def _field_type(f):
-    t = f.type
-    if isinstance(t, str):  # postponed annotations
-        return {"int": int, "float": float, "bool": bool, "str": str}.get(t, tuple)
-    if t in (int, float, bool, str):
-        return t
-    return tuple
+        section, _, name = key.partition(".")
+        if section not in known:
+            raise BadConfig(f"config keys must start with model. or train.: {key!r}")
+        if name not in known[section]:
+            raise BadConfig(f"unknown {section} field {name!r}")
+        try:
+            kwargs[section][name] = _parse_value(value, known[section][name])
+        except ValueError as exc:
+            raise BadConfig(f"{key} = {value!r}: {exc}") from None
+    return TrainConfig(model=ModelConfig(**kwargs["model"]), **kwargs["train"])
 
 
 def config_hash(cfg: ModelConfig) -> str:

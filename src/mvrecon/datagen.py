@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import voxio  # looked up per call, so wrappers set on voxio see every read and write
-from .errors import BoxLargerThanImage, TooFewObjects
+from .errors import BoxLargerThanImage, MalformedHeader, TooFewObjects
 from .voxels import BINARY, VoxelGrid
 
 CATEGORIES = (
@@ -395,15 +395,21 @@ def manifest_from_text(text: str) -> Dataset:
             if len(parts) == 2:
                 header[parts[0]] = parts[1]
             continue
-        object_id, category, seed, split = line.split()
-        objects.append(DatasetObject(object_id, category, int(seed), split, None, None))
-    return Dataset(
-        voxel_side=int(header["voxel_side"]),
-        image_size=int(header["image_size"]),
-        n_views=int(header["n_views"]),
-        elevation_deg=float(header.get("elevation_deg", DEFAULT_ELEVATION_DEG)),
-        objects=objects,
-    )
+        try:
+            object_id, category, seed, split = line.split()
+            objects.append(DatasetObject(object_id, category, int(seed), split, None, None))
+        except ValueError:
+            raise MalformedHeader(f"manifest line {raw!r} is not 'id category seed split'") from None
+    try:
+        return Dataset(
+            voxel_side=int(header["voxel_side"]),
+            image_size=int(header["image_size"]),
+            n_views=int(header["n_views"]),
+            elevation_deg=float(header.get("elevation_deg", DEFAULT_ELEVATION_DEG)),
+            objects=objects,
+        )
+    except (KeyError, ValueError) as exc:
+        raise MalformedHeader(f"bad manifest header: {exc!r}") from None
 
 
 def _quantize(images: np.ndarray) -> np.ndarray:

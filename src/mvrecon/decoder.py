@@ -11,11 +11,11 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import EmptyViewList, WidthMismatch
-from .layers import EMBED_STD, FeedForward, MultiHeadAttention, prefixed
+from .layers import EMBED_STD, FeedForward, MultiHeadAttention, Module
 from .voxels import assemble_tokens
 
 
-class VolumeDecoder:
+class VolumeDecoder(Module):
     def __init__(self, rng, cfg: ModelConfig):
         dtype = cfg.np_dtype
         self.cfg = cfg
@@ -44,8 +44,3 @@ class VolumeDecoder:
         attended = self.attn(queries, keyvalue=features)
         cube_values = ad.sigmoid(self.mlp(attended))  # [B, g, c^3]
         return assemble_tokens(cube_values, self.cfg.decoder_cube, self.cfg.voxel_side)
-
-    def named_params(self):
-        yield "cube_queries", self.cube_queries
-        yield from prefixed("attn", self.attn)
-        yield from prefixed("mlp", self.mlp)

@@ -14,10 +14,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import EmptyViewList, OddWidth, TooManyViews, WidthMismatch
-from .layers import EMBED_STD, AttentionLayer, Conv2d, LayerNorm, Linear, prefixed
+from .layers import EMBED_STD, AttentionLayer, Conv2d, LayerNorm, Linear, Module
 
 
-class ViewBackbone:
+class ViewBackbone(Module):
     """Small conv tower: stride-2 stages with channel doubling, then a
     global average pool and a linear head to the embedding width."""
 
@@ -46,13 +46,8 @@ class ViewBackbone:
         pooled = x.mean(axis=(2, 3))
         return self.head(pooled)
 
-    def named_params(self):
-        for i, conv in enumerate(self.convs):
-            yield from prefixed(f"conv{i}", conv)
-        yield from prefixed("head", self.head)
 
-
-class PatchAttentionBlock:
+class PatchAttentionBlock(Module):
     """A stack of attention layers at a fixed width, optionally followed by
     a learned projection that halves the width for the next block."""
 
@@ -77,14 +72,8 @@ class PatchAttentionBlock:
         reduced = self.reduce(x) if self.reduce is not None else None
         return x, reduced
 
-    def named_params(self):
-        for i, layer in enumerate(self.layers):
-            yield from prefixed(f"layer{i}", layer)
-        if self.reduce is not None:
-            yield from prefixed("reduce", self.reduce)
 
-
-class MultiViewEncoder:
+class MultiViewEncoder(Module):
     """Coarse-to-fine patch attention over the set of view tokens."""
 
     def __init__(self, rng, cfg: ModelConfig):
@@ -133,10 +122,3 @@ class MultiViewEncoder:
             x = reduced if reduced is not None else out
         fused = ad.concat(collected, axis=-1)
         return self.final_norm(fused)
-
-    def named_params(self):
-        if self.positional is not None:
-            yield "positional", self.positional
-        for j, block in enumerate(self.blocks):
-            yield from prefixed(f"block{j}", block)
-        yield from prefixed("final_norm", self.final_norm)

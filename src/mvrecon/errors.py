@@ -77,6 +77,12 @@ class TooFewObjects(MvreconError):
     """Split ratios would leave an empty split."""
 
 
+# --- configuration ---
+
+class BadConfig(MvreconError, ValueError):
+    """A config value or line is malformed or out of range."""
+
+
 # --- training / checkpoints ---
 
 class DivergedLoss(MvreconError):

@@ -1,8 +1,12 @@
 """Parameterized layers built on the autodiff ops.
 
-Layers hold their weights as ``Tensor`` leaves and expose them through
-``named_params()`` so the model can build a flat, stably-ordered parameter
-table for the optimizer and for checkpoints.
+Every layer, and the model, is a ``Module`` that declares each parameter
+once, as an attribute set in ``__init__``.  ``Module.named_params`` walks
+the attributes in the order ``__init__`` assigned them: a ``Tensor`` is a
+parameter; a ``Module`` is a child whose names take the attribute as prefix
+(``attn.q.weight``); a list gives children named ``attr.i``
+(``blocks.0.layers.1``); ``None`` and anything else are skipped.  That
+order and those names are what the optimizer steps and checkpoints store.
 """
 
 from __future__ import annotations
@@ -18,7 +22,36 @@ from .errors import WidthMismatch
 EMBED_STD = 0.02  # learned embeddings and the decoder query bank
 
 
-class Linear:
+class Module:
+    """Base class whose parameters are found by the walk described above."""
+
+    def named_params(self):
+        for name, value in vars(self).items():
+            yield from _named(name, value)
+
+    def parameters(self) -> list[Tensor]:
+        return [p for _, p in self.named_params()]
+
+    def num_params(self) -> int:
+        return sum(p.size for p in self.parameters())
+
+    def zero_grads(self) -> None:
+        for p in self.parameters():
+            p.grad = None
+
+
+def _named(name: str, value):
+    if isinstance(value, Tensor):
+        yield name, value
+    elif isinstance(value, Module):
+        for sub, p in value.named_params():
+            yield f"{name}.{sub}", p
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _named(f"{name}.{i}", item)
+
+
+class Linear(Module):
     """Dense layer; weights default to fan-in-scaled Gaussian init."""
 
     def __init__(self, rng, in_dim: int, out_dim: int, std: float | None = None,
@@ -32,12 +65,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.add(ad.matmul(x, self.weight), self.bias)
 
-    def named_params(self):
-        yield "weight", self.weight
-        yield "bias", self.bias
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim: int, dtype=np.float32, eps: float = 1e-5):
         self.gain = Tensor(np.ones(dim), requires_grad=True, dtype=dtype)
         self.bias = Tensor(np.zeros(dim), requires_grad=True, dtype=dtype)
@@ -46,12 +75,8 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gain, self.bias, self.eps)
 
-    def named_params(self):
-        yield "gain", self.gain
-        yield "bias", self.bias
 
-
-class Conv2d:
+class Conv2d(Module):
     """k x k convolution via patch extraction and one matmul."""
 
     def __init__(self, rng, in_channels: int, out_channels: int, kernel: int = 3,
@@ -72,12 +97,8 @@ class Conv2d:
         y = ad.add(ad.matmul(cols, w), self.bias)  # [B, OH, OW, C_out]
         return y.transpose(0, 3, 1, 2)
 
-    def named_params(self):
-        yield "weight", self.weight
-        yield "bias", self.bias
 
-
-class FeedForward:
+class FeedForward(Module):
     """Two-layer MLP with a GELU between."""
 
     def __init__(self, rng, dim: int, hidden: int, out_dim: int | None = None,
@@ -89,14 +110,8 @@ class FeedForward:
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(ad.gelu(self.fc1(x)))
 
-    def named_params(self):
-        for name, p in self.fc1.named_params():
-            yield f"fc1.{name}", p
-        for name, p in self.fc2.named_params():
-            yield f"fc2.{name}", p
 
-
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Scaled dot-product attention with per-head splitting.
 
     ``query`` and ``keyvalue`` are [B, N, dim]; self-attention when
@@ -140,14 +155,8 @@ class MultiHeadAttention:
         merged = mixed.transpose(0, 2, 1, 3).reshape(bsz, n_q, self.dim)
         return self.out(merged)
 
-    def named_params(self):
-        for part_name, part in (("q", self.q), ("k", self.k),
-                                ("v", self.v), ("out", self.out)):
-            for name, p in part.named_params():
-                yield f"{part_name}.{name}", p
 
-
-class AttentionLayer:
+class AttentionLayer(Module):
     """Pre-norm attention layer.
 
     The attention path always carries a residual; the MLP path optionally
@@ -166,18 +175,3 @@ class AttentionLayer:
         attended = ad.add(x, self.attn(self.norm_attn(x), trace=trace))
         fed = self.mlp(self.norm_mlp(attended))
         return ad.add(attended, fed) if self.mlp_residual else fed
-
-    def named_params(self):
-        for name, p in self.norm_attn.named_params():
-            yield f"norm_attn.{name}", p
-        for name, p in self.attn.named_params():
-            yield f"attn.{name}", p
-        for name, p in self.norm_mlp.named_params():
-            yield f"norm_mlp.{name}", p
-        for name, p in self.mlp.named_params():
-            yield f"mlp.{name}", p
-
-
-def prefixed(prefix: str, layer):
-    for name, p in layer.named_params():
-        yield f"{prefix}.{name}", p

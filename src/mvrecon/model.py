@@ -12,6 +12,7 @@ from .config import ModelConfig
 from .decoder import VolumeDecoder
 from .encoder import MultiViewEncoder, ViewBackbone
 from .errors import EmptyViewList, ShapeMismatch, TooManyViews
+from .layers import Module
 from .refiner import VolumeRefiner
 from .voxels import CONTINUOUS, VoxelGrid
 
@@ -23,7 +24,7 @@ class ModelOutput:
     features: Tensor  # fused view features, [B, N, feature_width]
 
 
-class MultiViewReconstructor:
+class MultiViewReconstructor(Module):
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
         rng = np.random.default_rng([int(seed), 0x5eed])
@@ -75,35 +76,3 @@ class MultiViewReconstructor:
         """[B, N, C, H, W] -> [B, V, V, V] continuous volumes (no grad)."""
         with ad.no_grad():
             return self.forward(views).refined.data
-
-    # --- parameter registry ---
-
-    def named_params(self):
-        for name, p in self.backbone.named_params():
-            yield f"backbone.{name}", p
-        for name, p in self.encoder.named_params():
-            yield f"encoder.{name}", p
-        for name, p in self.decoder.named_params():
-            yield f"decoder.{name}", p
-        if self.refiner is not None:
-            for name, p in self.refiner.named_params():
-                yield f"refiner.{name}", p
-
-    def param_table(self) -> dict[str, Tensor]:
-        table = {}
-        for name, p in self.named_params():
-            if name in table:
-                raise ValueError(f"duplicate parameter name {name}")
-            table[name] = p
-        return table
-
-    def parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_params()]
-
-    def num_params(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def zero_grads(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-

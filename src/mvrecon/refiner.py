@@ -15,11 +15,11 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import NonDivisibleCube, WidthMismatch
-from .layers import EMBED_STD, AttentionLayer, Linear, prefixed
+from .layers import EMBED_STD, AttentionLayer, Linear, Module
 from .voxels import assemble_tokens, partition_tokens
 
 
-class CubeAttentionBlock:
+class CubeAttentionBlock(Module):
     def __init__(self, rng, cube_side: int, grid_side: int, layers: int, heads: int,
                  mlp_ratio: int, dtype=np.float32):
         if grid_side % cube_side != 0:
@@ -44,15 +44,8 @@ class CubeAttentionBlock:
             x = layer(x)
         return assemble_tokens(self.proj_out(x), self.cube_side, self.grid_side)
 
-    def named_params(self):
-        yield from prefixed("proj_in", self.proj_in)
-        yield "positional", self.positional
-        for i, layer in enumerate(self.layers):
-            yield from prefixed(f"layer{i}", layer)
-        yield from prefixed("proj_out", self.proj_out)
 
-
-class VolumeRefiner:
+class VolumeRefiner(Module):
     def __init__(self, rng, cfg: ModelConfig):
         dtype = cfg.np_dtype
         self.cfg = cfg
@@ -76,7 +69,3 @@ class VolumeRefiner:
             # averaged residual keeps the output inside (0, 1)
             refined = ad.scale(ad.add(refined, volume), 0.5)
         return refined
-
-    def named_params(self):
-        for i, block in enumerate(self.blocks):
-            yield from prefixed(f"block{i}", block)

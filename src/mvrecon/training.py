@@ -19,9 +19,7 @@ from .voxels import LOSS_FUNCTIONS
 class TrainResult:
     losses: list[float] = field(default_factory=list)
     lrs: list[float] = field(default_factory=list)
-    epochs_run: int = 0
     iterations_run: int = 0
-    rng_state: dict | None = None
 
 
 def data_rng(seed: int) -> np.random.Generator:
@@ -82,7 +80,6 @@ def train(model: MultiViewReconstructor, dataset: Dataset, cfg: TrainConfig,
         raise TooFewObjects("train split is empty")
     rng = data_rng(cfg.seed)
     result = TrainResult()
-    done = False
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate(epoch)
         order = rng.permutation(len(train_objs))
@@ -101,12 +98,7 @@ def train(model: MultiViewReconstructor, dataset: Dataset, cfg: TrainConfig,
             if log_every and result.iterations_run % log_every == 0 and progress:
                 progress(result.iterations_run, value, lr)
             if cfg.max_iterations and result.iterations_run >= cfg.max_iterations:
-                done = True
-                break
-        result.epochs_run = epoch + 1
-        if done:
-            break
-    result.rng_state = rng.bit_generator.state
+                return result
     return result
 
 

@@ -19,7 +19,7 @@ def random_images(seed, batch, views, cfg):
     return rng.random(shape).astype(cfg.np_dtype)
 
 
-def check_param_grads(param_table, forward, seed=0, entries=2, tol=1e-4, h=1e-6):
+def check_param_grads(params, forward, seed=0, entries=2, tol=1e-4, h=1e-6):
     """FD-check a few entries of every parameter group against backward().
 
     ``forward`` builds the scalar loss from the current parameter values;
@@ -36,7 +36,7 @@ def check_param_grads(param_table, forward, seed=0, entries=2, tol=1e-4, h=1e-6)
             return forward().item()
 
     failures = []
-    for name, p in param_table.items():
+    for name, p in params.items():
         if p.grad is None:
             failures.append(f"{name}: no gradient populated")
             continue

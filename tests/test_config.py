@@ -1,0 +1,66 @@
+import pytest
+
+from mvrecon.config import TrainConfig, config_from_text, config_to_text, tiny_model_config
+from mvrecon.errors import BadConfig, MvreconError
+
+BASE = config_to_text(TrainConfig(model=tiny_model_config()))
+
+
+def test_text_roundtrip():
+    cfg = TrainConfig(model=tiny_model_config(use_refiner=False), batch_size=3)
+    assert config_from_text(config_to_text(cfg)) == cfg
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("true", True), ("Yes", True), ("1", True),
+    ("FALSE", False), ("no", False), ("0", False),
+])
+def test_bool_spellings(text, expected):
+    cfg = config_from_text(BASE + f"model.use_refiner = {text}\n")
+    assert cfg.model.use_refiner is expected
+
+
+@pytest.mark.parametrize("text", ["ture", "", "2", "on", "nope"])
+def test_misspelt_bool_is_rejected(text):
+    with pytest.raises(BadConfig, match="use_refiner"):
+        config_from_text(BASE + f"model.use_refiner = {text}\n")
+
+
+@pytest.mark.parametrize("line", [
+    "model.decoder_cube = 0",
+    "model.refiner_heads = 4,0",
+    "model.encoder_blocks = 0",
+    "model.voxel_side = -8",
+    "model.refiner_cubes = 4,-2",
+    "model.encoder_heads = -1",
+    "model.decoder_heads = -4",
+])
+def test_non_positive_extent_or_head_count_is_rejected(line):
+    with pytest.raises(BadConfig, match="must be at least"):
+        config_from_text(BASE + line + "\n")
+
+
+def test_zero_head_count_picks_one_from_the_width():
+    cfg = config_from_text(BASE + "model.encoder_heads = 0\nmodel.decoder_heads = 0\n")
+    assert cfg.model.encoder_head_counts() == [1, 1, 1]
+    assert cfg.model.decoder_head_count() == 1
+
+
+@pytest.mark.parametrize("line", [
+    "model.voxel_side = eight",
+    "train.lr_init = fast",
+    "model.refiner_cubes = 4,x",
+    "no equals sign",
+    "model.nope = 1",
+    "other.seed = 1",
+    "train.loss_mode = l1",
+    "model.dtype = float16",
+])
+def test_malformed_line_raises_bad_config(line):
+    with pytest.raises(BadConfig):
+        config_from_text(BASE + line + "\n")
+
+
+def test_bad_config_is_also_a_value_error():
+    # the CLI reports a bad config by catching ValueError
+    assert issubclass(BadConfig, MvreconError) and issubclass(BadConfig, ValueError)

@@ -15,7 +15,7 @@ from mvrecon.datagen import (
     render_views,
     scaled_box_size,
 )
-from mvrecon.errors import BoxLargerThanImage, TooFewObjects
+from mvrecon.errors import BoxLargerThanImage, MalformedHeader, TooFewObjects
 
 
 # --- generation ---
@@ -228,6 +228,22 @@ def test_manifest_roundtrip():
         DatasetObject("obj0001", "ring", 12, "test", None, None),
     ])
     assert manifest_from_text(manifest_to_text(dataset)) == dataset
+
+
+MANIFEST_HEADER = "# voxel_side 16\n# image_size 32\n# n_views 24\n"
+
+
+@pytest.mark.parametrize("text", [
+    "# voxel_side 16\n# n_views 24\nobj0000 box 11 train\n",
+    "# voxel_side 16\n# image_size big\n# n_views 24\n",
+    MANIFEST_HEADER + "obj0000 box\n",
+    MANIFEST_HEADER + "obj0000 box 11 train extra\n",
+    MANIFEST_HEADER + "obj0000 box eleven train\n",
+], ids=["no-image-size", "non-numeric-header", "two-fields", "five-fields",
+        "non-numeric-seed"])
+def test_malformed_manifest_raises_malformed_header(text):
+    with pytest.raises(MalformedHeader):
+        manifest_from_text(text)
 
 
 def test_build_dataset_deterministic_and_split():

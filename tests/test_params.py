@@ -1,0 +1,61 @@
+"""The parameter registry that ``Module.named_params`` walks."""
+
+import numpy as np
+import pytest
+
+from mvrecon.autodiff import Tensor
+from mvrecon.checkpoint import checkpoint_bytes, load_checkpoint_bytes
+from mvrecon.config import desk_model_config, tiny_model_config
+from mvrecon.layers import Linear
+from mvrecon.model import MultiViewReconstructor
+
+
+def names_of(module):
+    return [name for name, _ in module.named_params()]
+
+
+@pytest.mark.parametrize("make,count", [(tiny_model_config, 194_076),
+                                        (desk_model_config, 7_051_872)])
+def test_registry_names_and_counts(make, count):
+    net = MultiViewReconstructor(make(), seed=0)
+    names = names_of(net)
+    assert len(names) == len(set(names)) == 200
+    assert net.num_params() == count
+    assert names[0] == "backbone.convs.0.weight"
+    assert "encoder.blocks.0.layers.1.attn.q.weight" in names
+    assert names[-1] == "refiner.blocks.1.proj_out.bias"
+
+
+@pytest.mark.parametrize("flag,prefix", [("use_refiner", "refiner."),
+                                         ("use_positional_embeddings", "encoder.positional")])
+def test_switched_off_part_drops_exactly_its_names(flag, prefix):
+    full = names_of(MultiViewReconstructor(tiny_model_config(), seed=0))
+    part = names_of(MultiViewReconstructor(tiny_model_config(**{flag: False}), seed=0))
+    assert part == [name for name in full if not name.startswith(prefix)]
+    assert len(part) < len(full)
+
+
+class GatedLinear(Linear):
+    """A Linear with one more parameter, declared only here."""
+
+    def __init__(self, rng, in_dim: int, out_dim: int):
+        super().__init__(rng, in_dim, out_dim)
+        self.gate = Tensor(rng.normal(size=out_dim), requires_grad=True, dtype=np.float32)
+
+
+def gated_model(seed):
+    net = MultiViewReconstructor(tiny_model_config(), seed=seed)
+    net.backbone.head = GatedLinear(np.random.default_rng(seed), *net.backbone.head.weight.shape)
+    return net
+
+
+def test_added_tensor_attribute_is_registered_and_checkpointed():
+    source = gated_model(1)
+    names = names_of(source)
+    at = names.index("backbone.head.gate")
+    assert names[at - 2:at] == ["backbone.head.weight", "backbone.head.bias"]
+    target = gated_model(2)
+    assert not np.array_equal(target.backbone.head.gate.data, source.backbone.head.gate.data)
+    load_checkpoint_bytes(checkpoint_bytes(source), target)
+    for (name, p), (_, q) in zip(source.named_params(), target.named_params()):
+        assert np.array_equal(p.data, q.data), name

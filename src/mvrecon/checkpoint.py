@@ -16,6 +16,8 @@ weights, not a run.  A file of any other version raises ``VersionMismatch``.
 
 Every record carries a CRC over its name, shape, dtype, and payload, so a
 flipped byte surfaces as ``CorruptRecord`` instead of silent weight drift.
+Loading checks every record before it assigns any weight: a file that fails
+a check raises and leaves the model as it was.
 """
 
 from __future__ import annotations
@@ -31,15 +33,14 @@ from .errors import ConfigHashMismatch, CorruptRecord, VersionMismatch
 MAGIC = b"MVRCKPT\x00"
 VERSION = 2
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
 class _Reader:
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)  # slices are views, not copies
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise CorruptRecord("checkpoint truncated")
         out = self.data[self.pos:self.pos + n]
@@ -48,6 +49,13 @@ class _Reader:
 
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
+
+
+def _record_crc(name_b, dims, dtype_code: int, payload) -> int:
+    crc = zlib.crc32(name_b)
+    crc = zlib.crc32(struct.pack(f"<{len(dims)}I", *dims), crc)
+    crc = zlib.crc32(bytes([dtype_code]), crc)
+    return zlib.crc32(payload, crc)
 
 
 def _record_bytes(name: str, array: np.ndarray) -> bytes:
@@ -59,10 +67,7 @@ def _record_bytes(name: str, array: np.ndarray) -> bytes:
     head += struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
     head += struct.pack("<B", dtype_code)
     head += struct.pack("<Q", len(payload))
-    crc = zlib.crc32(name_b)
-    crc = zlib.crc32(struct.pack(f"<{len(dims)}I", *dims), crc)
-    crc = zlib.crc32(bytes([dtype_code]), crc)
-    crc = zlib.crc32(payload, crc)
+    crc = _record_crc(name_b, dims, dtype_code, payload)
     return head + payload + struct.pack("<I", crc)
 
 
@@ -97,41 +102,42 @@ def load_checkpoint_bytes(data: bytes, model) -> None:
     table = dict(model.named_params())
     if n_params != len(table):
         raise CorruptRecord(f"checkpoint has {n_params} records, model has {len(table)}")
+    staged = {}  # name -> read-only view into ``data``
     for _ in range(n_params):
         (name_len,) = r.unpack("H")
-        name_b = r.take(name_len)
+        name_b = bytes(r.take(name_len))
         (ndim,) = r.unpack("B")
         dims = r.unpack(f"{ndim}I") if ndim else ()
         (dtype_code,) = r.unpack("B")
         (payload_len,) = r.unpack("Q")
         payload = r.take(payload_len)
         (crc,) = r.unpack("I")
-        check = zlib.crc32(name_b)
-        check = zlib.crc32(struct.pack(f"<{ndim}I", *dims), check)
-        check = zlib.crc32(bytes([dtype_code]), check)
-        check = zlib.crc32(payload, check)
         try:
             name = name_b.decode()
         except UnicodeDecodeError:
             raise CorruptRecord(f"record name {name_b!r} is not UTF-8") from None
-        if check != crc:
+        if _record_crc(name_b, dims, dtype_code, payload) != crc:
             raise CorruptRecord(f"record {name!r} checksum mismatch")
         if name not in table:
             raise CorruptRecord(f"unknown parameter {name!r}")
-        if dtype_code not in _CODE_DTYPES:
-            raise CorruptRecord(f"record {name!r} has unknown dtype code {dtype_code}")
-        dtype = _CODE_DTYPES[dtype_code]
-        expected = table[name]
-        if tuple(dims) != expected.shape:
+        if name in staged:
+            raise CorruptRecord(f"parameter {name!r} appears twice")
+        param = table[name]
+        if dtype_code != _DTYPE_CODES[param.dtype]:
             raise CorruptRecord(
-                f"record {name!r} shape {dims} vs model {expected.shape}")
-        if payload_len != int(np.prod(dims, dtype=np.int64)) * dtype.itemsize:
+                f"record {name!r} dtype code {dtype_code} vs model {param.dtype}")
+        if tuple(dims) != param.shape:
+            raise CorruptRecord(
+                f"record {name!r} shape {dims} vs model {param.shape}")
+        if payload_len != param.data.nbytes:
             raise CorruptRecord(f"record {name!r} payload length mismatch")
-        values = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype)
-        expected.data = values.reshape(dims)
-        expected.grad = None
+        staged[name] = np.frombuffer(payload, dtype=param.dtype.newbyteorder("<"))
     if r.pos != len(data):
         raise CorruptRecord("trailing bytes after the last record")
+    for name, values in staged.items():
+        param = table[name]
+        param.data = values.astype(param.dtype).reshape(param.shape)
+        param.grad = None
 
 
 def load_checkpoint(path, model) -> None:

@@ -1,8 +1,10 @@
 """Evaluation: per-view-count metric tables and the occlusion sweep.
 
 View selection is deterministic (the first k poses of the ring) so the
-emitted tables are reproducible.  Metrics average per object; a
-per-category breakdown rides along.
+emitted tables are reproducible.  Volumes come from the model's
+``reconstruct_batch``, which runs objects in fixed chunks, so an object's
+volume, and its score, do not depend on which other objects are evaluated
+with it.  Metrics average per object; a per-category breakdown rides along.
 """
 
 from __future__ import annotations
@@ -52,24 +54,18 @@ class EvalReport:
 
 
 def reconstruct_objects(model: MultiViewReconstructor, objects: list[DatasetObject],
-                        n_views: int, batch_size: int = 8,
-                        view_transform=None) -> np.ndarray:
+                        n_views: int, view_transform=None) -> np.ndarray:
     """Reconstruct each object from its first ``n_views`` poses."""
-    volumes = []
-    for start in range(0, len(objects), batch_size):
-        chunk = objects[start:start + batch_size]
-        views = []
-        for obj in chunk:
-            if n_views > obj.views.shape[0]:
-                raise MissingViews(
-                    f"asked for {n_views} views, {obj.object_id} has "
-                    f"{obj.views.shape[0]}")
-            selected = obj.views[:n_views]
-            if view_transform is not None:
-                selected = view_transform(obj, selected)
-            views.append(selected)
-        volumes.append(model.reconstruct_batch(np.stack(views)))
-    return np.concatenate(volumes, axis=0)
+    views = []
+    for obj in objects:
+        if n_views > obj.views.shape[0]:
+            raise MissingViews(
+                f"asked for {n_views} views, {obj.object_id} has {obj.views.shape[0]}")
+        selected = obj.views[:n_views]
+        if view_transform is not None:
+            selected = view_transform(obj, selected)
+        views.append(selected)
+    return model.reconstruct_batch(views)
 
 
 def _score_objects(objects: list[DatasetObject], volumes: np.ndarray,
@@ -92,7 +88,7 @@ def _score_objects(objects: list[DatasetObject], volumes: np.ndarray,
 
 def evaluate(model: MultiViewReconstructor, dataset: Dataset, split: str = "test",
              view_counts=DEFAULT_VIEW_COUNTS, threshold: float = DEFAULT_THRESHOLD,
-             tau: float | None = None, batch_size: int = 8) -> EvalReport:
+             tau: float | None = None) -> EvalReport:
     objects = dataset.split(split)
     if not objects:
         raise TooFewObjects(f"split {split!r} is empty")
@@ -100,7 +96,7 @@ def evaluate(model: MultiViewReconstructor, dataset: Dataset, split: str = "test
         tau = 1.0 / dataset.voxel_side
     report = EvalReport(split, threshold, tau, len(objects))
     for k in view_counts:
-        volumes = reconstruct_objects(model, objects, k, batch_size)
+        volumes = reconstruct_objects(model, objects, k)
         iou, f, cats = _score_objects(objects, volumes, threshold, tau)
         report.view_counts.append(ViewCountResult(k, iou, f, cats))
     return report
@@ -110,7 +106,7 @@ def occlusion_sweep(model: MultiViewReconstructor, dataset: Dataset,
                     sizes=OCCLUSION_BOX_SIZES, split: str = "test",
                     n_views: int = 12, mode: str = "center",
                     threshold: float = DEFAULT_THRESHOLD, tau: float | None = None,
-                    batch_size: int = 8, seed: int = 0) -> list[OcclusionResult]:
+                    seed: int = 0) -> list[OcclusionResult]:
     objects = dataset.split(split)
     if not objects:
         raise TooFewObjects(f"split {split!r} is empty")
@@ -121,7 +117,7 @@ def occlusion_sweep(model: MultiViewReconstructor, dataset: Dataset,
         def blocked(obj, views, _box=box):
             return occlude(views, _box, mode=mode,
                            seed=seed * 100_003 + obj.seed)
-        volumes = reconstruct_objects(model, objects, n_views, batch_size,
+        volumes = reconstruct_objects(model, objects, n_views,
                                       view_transform=blocked if box else None)
         iou, f, _ = _score_objects(objects, volumes, threshold, tau)
         results.append(OcclusionResult(box, iou, f))

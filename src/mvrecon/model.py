@@ -16,12 +16,17 @@ from .layers import Module
 from .refiner import VolumeRefiner
 from .voxels import CONTINUOUS, VoxelGrid
 
+# Objects per reconstruction forward.  float32 GEMM blocking depends on the
+# batch shape, so an object's volume would differ in its last bits with the
+# number of objects it shares a forward with.  Every volume is computed in a
+# batch of exactly this many, so each row's bits are independent of the rest.
+RECONSTRUCT_CHUNK = 8
+
 
 @dataclass
 class ModelOutput:
     coarse: Tensor    # decoder volume, [B, V, V, V] in (0, 1)
     refined: Tensor   # final volume (same tensor as coarse when no refiner)
-    features: Tensor  # fused view features, [B, N, feature_width]
 
 
 class MultiViewReconstructor(Module):
@@ -59,20 +64,31 @@ class MultiViewReconstructor(Module):
         features = self.encode(images, trace=trace)
         coarse = self.decoder(features)
         refined = self.refiner(coarse) if self.refiner is not None else coarse
-        return ModelOutput(coarse=coarse, refined=refined, features=features)
+        return ModelOutput(coarse=coarse, refined=refined)
 
     __call__ = forward
 
     def reconstruct(self, views: np.ndarray) -> VoxelGrid:
         """[N, C, H, W] views of one object -> continuous voxel grid."""
-        with ad.no_grad():
-            out = self.forward(np.asarray(views)[None])
-        values = out.refined.data[0]
-        # sigmoid output is strictly inside (0, 1) but guard float round-off
-        return VoxelGrid(self.cfg.voxel_side,
-                         np.clip(values, 0.0, 1.0), CONTINUOUS)
+        return VoxelGrid(self.cfg.voxel_side, self.reconstruct_batch([views])[0],
+                         CONTINUOUS)
 
-    def reconstruct_batch(self, views: np.ndarray) -> np.ndarray:
-        """[B, N, C, H, W] -> [B, V, V, V] continuous volumes (no grad)."""
-        with ad.no_grad():
-            return self.forward(views).refined.data
+    def reconstruct_batch(self, views) -> np.ndarray:
+        """Per-object [N, C, H, W] views (a sequence, or a [B, N, C, H, W]
+        array) -> [B, V, V, V] continuous volumes, without grad.
+
+        Objects run ``RECONSTRUCT_CHUNK`` at a time; the last chunk is padded
+        with zero views, and only the real rows are returned.
+        """
+        volumes = np.empty((len(views),) + (self.cfg.voxel_side,) * 3,
+                           dtype=self.cfg.np_dtype)
+        for start in range(0, len(views), RECONSTRUCT_CHUNK):
+            chunk = views[start:start + RECONSTRUCT_CHUNK]
+            batch = np.zeros((RECONSTRUCT_CHUNK,) + np.shape(chunk[0]),
+                             dtype=self.cfg.np_dtype)
+            batch[:len(chunk)] = chunk
+            with ad.no_grad():
+                refined = self.forward(batch).refined.data
+            # sigmoid output is strictly inside (0, 1) but guard float round-off
+            volumes[start:start + len(chunk)] = np.clip(refined[:len(chunk)], 0.0, 1.0)
+        return volumes

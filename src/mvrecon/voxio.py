@@ -5,10 +5,6 @@ ground truth.  In the file, voxel (x, y, z) lives at index
 ``x*d*d + z*d + y`` (y fastest, then z, then x), so arrays are transposed
 between our native (x, y, z) order and the wire order on read/write.
 
-VOXRAW: one ASCII header line ``VOXRAW <side> <dtype>`` followed by raw
-little-endian values in native row-major order; exact roundtrip for
-continuous grids.
-
 PGM: binary P5, maxval 255, used for rendered view channels and heatmaps.
 """
 
@@ -17,11 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadRunValue, DimMismatch, MalformedHeader, TruncatedRLE
-from .voxels import BINARY, CONTINUOUS, VoxelGrid
+from .voxels import BINARY, VoxelGrid
 
 _BINVOX_MAGIC = b"#binvox 1"
-_VOXRAW_MAGIC = "VOXRAW"
-_VOXRAW_DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
 # --- binvox ---
@@ -115,41 +109,6 @@ def _rle_decode(payload: bytes, expected: int) -> np.ndarray:
     if total != expected:
         raise TruncatedRLE(f"payload expands to {total} voxels, expected {expected}")
     return np.repeat(values, counts)
-
-
-# --- VOXRAW ---
-
-def write_voxraw(grid: VoxelGrid) -> bytes:
-    dtype = grid.values.dtype
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"write_voxraw: unsupported dtype {dtype}")
-    header = f"{_VOXRAW_MAGIC} {grid.side} {dtype.name}\n".encode()
-    body = np.ascontiguousarray(grid.values, dtype=dtype.newbyteorder("<")).tobytes()
-    return header + body
-
-
-def read_voxraw(data: bytes) -> VoxelGrid:
-    nl = data.find(b"\n")
-    if nl < 0:
-        raise MalformedHeader("missing header line")
-    try:
-        magic, side_s, dtype_s = data[:nl].decode("ascii").split()
-    except (UnicodeDecodeError, ValueError):
-        raise MalformedHeader(f"bad header: {data[:nl]!r}") from None
-    if magic != _VOXRAW_MAGIC:
-        raise MalformedHeader(f"bad magic {magic!r}")
-    if dtype_s not in _VOXRAW_DTYPES:
-        raise MalformedHeader(f"unknown dtype {dtype_s!r}")
-    side = int(side_s)
-    dtype = _VOXRAW_DTYPES[dtype_s]
-    body = data[nl + 1:]
-    expected = side ** 3 * np.dtype(dtype).itemsize
-    if len(body) != expected:
-        raise MalformedHeader(
-            f"payload is {len(body)} bytes, header implies {expected}")
-    values = np.frombuffer(body, dtype=np.dtype(dtype).newbyteorder("<"))
-    values = values.astype(dtype).reshape(side, side, side)
-    return VoxelGrid(side, values, CONTINUOUS)
 
 
 # --- PGM images ---

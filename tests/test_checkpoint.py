@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mvrecon.checkpoint import (
+    _record_bytes,
     checkpoint_bytes,
     load_checkpoint,
     load_checkpoint_bytes,
@@ -44,10 +45,27 @@ def test_tampered_byte_is_detected(tiny_model):
         load_checkpoint_bytes(bytes(data), tiny_model)
 
 
+def assert_load_fails_unchanged(data, model):
+    before = [p.data.copy() for p in model.parameters()]
+    with pytest.raises(CorruptRecord):
+        load_checkpoint_bytes(data, model)
+    for prev, p in zip(before, model.parameters()):
+        assert np.array_equal(prev, p.data)
+
+
 def test_truncated_checkpoint_is_detected(tiny_model):
     data = checkpoint_bytes(tiny_model)
-    with pytest.raises(CorruptRecord):
-        load_checkpoint_bytes(data[:-10], tiny_model)
+    other = MultiViewReconstructor(tiny_model.cfg, seed=2)
+    assert_load_fails_unchanged(data[:-10], other)
+
+
+def test_repeated_record_is_detected(tiny_model):
+    # the first record twice and the second not at all: the count still fits
+    header = checkpoint_bytes(tiny_model)[:48]  # magic, version, hash, count
+    records = [_record_bytes(name, p.data) for name, p in tiny_model.named_params()]
+    records[1] = records[0]
+    other = MultiViewReconstructor(tiny_model.cfg, seed=2)
+    assert_load_fails_unchanged(header + b"".join(records), other)
 
 
 def test_version_mismatch(tiny_model):

@@ -15,6 +15,7 @@ from mvrecon.evaluation import (
     occlusion_csv,
     occlusion_markdown,
     occlusion_sweep,
+    reconstruct_objects,
     report_csv,
     report_markdown,
 )
@@ -35,7 +36,7 @@ class CyclingStub:
         self.cursor = 0
 
     def reconstruct_batch(self, views):
-        n = views.shape[0]
+        n = len(views)
         out = [self.volumes[(self.cursor + i) % len(self.volumes)]
                for i in range(n)]
         self.cursor = (self.cursor + n) % len(self.volumes)
@@ -48,7 +49,7 @@ class ConstantStub:
         self.side = side
 
     def reconstruct_batch(self, views):
-        return np.full((views.shape[0],) + (self.side,) * 3, self.value,
+        return np.full((len(views),) + (self.side,) * 3, self.value,
                        dtype=np.float32)
 
 
@@ -138,6 +139,33 @@ def test_report_renderings(dataset):
     occ_csv = occlusion_csv(report.occlusion)
     assert occ_csv.splitlines()[0] == "box_size,iou,fscore"
     assert len(occ_csv.strip().splitlines()) == 3
+
+
+@pytest.fixture(scope="module")
+def two_chunks():
+    """A tiny model and 12 test objects: one full chunk and one padded."""
+    dataset = build_dataset(60, 8, 32, n_views=12)
+    objects = dataset.split("test")
+    assert len(objects) == 12
+    model = MultiViewReconstructor(tiny_model_config(), seed=1)
+    return model, objects, reconstruct_objects(model, objects, 12)
+
+
+@pytest.mark.parametrize("size", [1, 3, 9])
+def test_volumes_do_not_depend_on_the_other_objects(two_chunks, size):
+    model, objects, whole = two_chunks
+    rng = np.random.default_rng(size)
+    for _ in range(2):
+        pick = rng.permutation(len(objects))[:size]
+        volumes = reconstruct_objects(model, [objects[i] for i in pick], 12)
+        assert np.array_equal(volumes, whole[pick])
+
+
+def test_single_reconstruct_matches_evaluated_volume(two_chunks):
+    model, objects, whole = two_chunks
+    for i in (0, 11):
+        grid = model.reconstruct(objects[i].views[:12])
+        assert np.array_equal(grid.values, whole[i])
 
 
 def test_evaluate_does_not_touch_model_params(dataset):

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 import mvrecon
 from mvrecon.errors import BadRunValue, DimMismatch, MalformedHeader, TruncatedRLE
-from mvrecon.voxels import BINARY, CONTINUOUS, VoxelGrid
+from mvrecon.voxels import BINARY, VoxelGrid
 from mvrecon.voxio import (
     read_binvox,
     read_pgm,
-    read_voxraw,
     write_binvox,
     write_pgm,
-    write_voxraw,
 )
 
 
@@ -120,43 +118,6 @@ def test_binvox_long_run_splitting():
     data = write_binvox(g)
     back = read_binvox(data)
     assert np.array_equal(back.values, g.values)
-
-
-# --- VOXRAW ---
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_voxraw_roundtrip_exact(dtype):
-    rng = np.random.default_rng(3)
-    g = VoxelGrid(8, rng.random((8, 8, 8)).astype(dtype), CONTINUOUS)
-    back = read_voxraw(write_voxraw(g))
-    assert back.values.dtype == dtype
-    assert np.array_equal(back.values, g.values)
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_voxraw_random_roundtrips(seed):
-    rng = np.random.default_rng(seed)
-    g = VoxelGrid(6, rng.random((6, 6, 6)).astype(np.float32), CONTINUOUS)
-    assert np.array_equal(read_voxraw(write_voxraw(g)).values, g.values)
-
-
-def test_voxraw_bad_magic():
-    with pytest.raises(MalformedHeader):
-        read_voxraw(b"RAWVOX 4 float32\n" + b"\x00" * (64 * 4))
-
-
-def test_voxraw_length_mismatch():
-    g = VoxelGrid.zeros(4)
-    data = write_voxraw(g)
-    with pytest.raises(MalformedHeader):
-        read_voxraw(data[:-4])
-    with pytest.raises(MalformedHeader):
-        read_voxraw(data + b"\x00\x00\x00\x00")
-
-
-def test_voxraw_unknown_dtype():
-    with pytest.raises(MalformedHeader):
-        read_voxraw(b"VOXRAW 2 float16\n" + b"\x00" * 16)
 
 
 # --- PGM ---

@@ -12,12 +12,15 @@ axes broadcast like numpy.
 
 Every forward op validates that finite inputs produced finite outputs;
 overflow raises :class:`NumericalOverflow` instead of propagating inf/NaN.
+
+This module is only the graph engine; the parameter update rule lives in
+``training.py``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -111,40 +114,6 @@ class Tensor:
     def backward(self) -> None:
         backward(self)
 
-    # --- operator sugar ---
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / other)
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other, self.dtype), self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # --- reductions / movement as methods ---
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -215,69 +184,51 @@ def _suffix_shape(op: str, sa: tuple, sb: tuple) -> tuple:
     raise ShapeMismatch(f"{op}: shapes {sa} and {sb} only broadcast over leading axes")
 
 
-def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient over the leading axes added by suffix broadcasting."""
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum gradient ``g`` down to ``shape``: first the leading axes that
+    broadcasting added, one at a time, then every size-1 axis it repeated."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
     return g
 
 
 # --- elementwise ---
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
+def _binary(op: str, fn, a: Tensor, b, grads) -> Tensor:
+    """``fn(a, b)`` with suffix broadcasting.  ``grads(g, x, y)`` gives both
+    parent gradients at full shape; the VJP sums each back to its parent."""
+    b = _as_tensor(b, a.dtype)
+    _check_dtypes(op, a, b)
+    _suffix_shape(op, a.shape, b.shape)
+
+    def vjp(g):
+        ga, gb = grads(g, a.data, b.data)
+        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+
+    return _make(fn(a.data, b.data), op, (a, b), vjp)
+
+
 def add(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a.dtype)
-    _check_dtypes("add", a, b)
-    _suffix_shape("add", a.shape, b.shape)
-    data = a.data + b.data
-
-    def vjp(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
-
-    return _make(data, "add", (a, b), vjp)
+    return _binary("add", np.add, a, b, lambda g, x, y: (g, g))
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 def sub(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a.dtype)
-    _check_dtypes("sub", a, b)
-    _suffix_shape("sub", a.shape, b.shape)
-    data = a.data - b.data
-
-    def vjp(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
-
-    return _make(data, "sub", (a, b), vjp)
+    return _binary("sub", np.subtract, a, b, lambda g, x, y: (g, -g))
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 def mul(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a.dtype)
-    _check_dtypes("mul", a, b)
-    _suffix_shape("mul", a.shape, b.shape)
-    data = a.data * b.data
-
-    def vjp(g):
-        return _reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)
-
-    return _make(data, "mul", (a, b), vjp)
+    return _binary("mul", np.multiply, a, b, lambda g, x, y: (g * y, g * x))
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 def div(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
-    _check_dtypes("div", a, b)
-    _suffix_shape("div", a.shape, b.shape)
     if np.any(b.data == 0):
         raise DivideByZero("div: zero denominator")
-    data = a.data / b.data
-
-    def vjp(g):
-        ga = g / b.data
-        gb = -g * a.data / (b.data * b.data)
-        return _reduce_to(ga, a.shape), _reduce_to(gb, b.shape)
-
-    return _make(data, "div", (a, b), vjp)
+    return _binary("div", np.divide, a, b, lambda g, x, y: (g / y, -g * x / (y * y)))
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
@@ -308,9 +259,8 @@ def gelu(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     # stable two-branch form: never exponentiates a positive argument
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    data = data.astype(a.dtype, copy=False)
+    e = np.exp(-np.abs(x))
+    data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(a.dtype, copy=False)
 
     def vjp(g):
         return (g * data * (1.0 - data),)
@@ -367,20 +317,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     ts = list(tensors)
-    if not ts:
-        raise ShapeMismatch("concat: empty tensor list")
+    try:
+        data = np.concatenate([t.data for t in ts], axis=axis)
+    except ValueError as e:
+        raise ShapeMismatch(f"concat: {[t.shape for t in ts]} on axis {axis}: {e}") from None
     _check_dtypes("concat", *ts)
-    nd = ts[0].ndim
-    axis = axis % nd
-    base = list(ts[0].shape)
-    for t in ts[1:]:
-        if t.ndim != nd:
-            raise ShapeMismatch("concat: rank mismatch")
-        for ax in range(nd):
-            if ax != axis and t.shape[ax] != base[ax]:
-                raise ShapeMismatch(
-                    f"concat: non-concat extents differ: {t.shape} vs {tuple(base)}")
-    data = np.concatenate([t.data for t in ts], axis=axis)
     offsets = np.cumsum([t.shape[axis] for t in ts])[:-1]
 
     def vjp(g):
@@ -390,12 +331,10 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    axis = axis % a.ndim
-    if start < 0 or start + length > a.shape[axis]:
+    if not -a.ndim <= axis < a.ndim or start < 0 or start + length > a.shape[axis]:
         raise ShapeMismatch(
             f"narrow: [{start}:{start + length}) out of range for axis {axis} of {a.shape}")
-    idx = tuple(slice(None) if ax != axis else slice(start, start + length)
-                for ax in range(a.ndim))
+    idx = (slice(None),) * (axis % a.ndim) + (slice(start, start + length),)
     data = np.ascontiguousarray(a.data[idx])
 
     def vjp(g):
@@ -434,17 +373,11 @@ def transpose(a: Tensor, axes: Optional[tuple] = None) -> Tensor:
 
 def expand(a: Tensor, shape: tuple) -> Tensor:
     """Explicit broadcast: prepend axes and/or repeat size-1 axes."""
-    if len(shape) < a.ndim:
-        raise ShapeMismatch(f"expand: target {shape} has lower rank than {a.shape}")
-    lead = len(shape) - a.ndim
-    for ax, (have, want) in enumerate(zip(a.shape, shape[lead:])):
-        if have != want and have != 1:
-            raise ShapeMismatch(
-                f"expand: axis {ax} of {a.shape} cannot expand to {shape}")
     try:
         data = np.ascontiguousarray(np.broadcast_to(a.data, shape))
     except ValueError as e:
         raise ShapeMismatch(f"expand: {a.shape} -> {shape}: {e}") from None
+    lead = len(shape) - a.ndim
     expanded = tuple(lead + ax for ax, (have, want) in
                      enumerate(zip(a.shape, shape[lead:])) if have == 1 and want != 1)
 
@@ -489,19 +422,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _reduce_batch(ga, a.shape), _reduce_batch(gb, b.shape)
+        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return _make(data, "matmul", (a, b), vjp)
-
-
-def _reduce_batch(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Undo numpy batch-broadcasting of the leading (non-matrix) axes."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax in range(g.ndim - 2):
-        if shape[ax] == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
 
 
 def _sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -509,13 +432,8 @@ def _sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = np.asarray(data, dtype=a.dtype)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=True),)
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        axes = tuple(ax % a.ndim for ax in axes)
-        if not keepdims:
-            for ax in sorted(axes):
-                g = np.expand_dims(g, ax)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=True),)
 
     return _make(data, "sum", (a,), vjp)
@@ -611,19 +529,3 @@ def backward(loss: Tensor) -> None:
                 grads[id(parent)] = pg if acc is None else acc + pg
         elif node.requires_grad:
             node.grad = g if node.grad is None else node.grad + g
-
-
-# --- optimizer primitive ---
-
-def sgd_step(params: Iterable[Tensor], grads: Iterable[np.ndarray], lr: float) -> list[Tensor]:
-    """In-place p <- p - lr * g for each (param, grad) pair."""
-    params = list(params)
-    grads = list(grads)
-    if len(params) != len(grads):
-        raise ShapeMismatch(f"sgd_step: {len(params)} params vs {len(grads)} grads")
-    for p, g in zip(params, grads):
-        g = np.asarray(g, dtype=p.dtype)
-        if g.shape != p.shape:
-            raise ShapeMismatch(f"sgd_step: grad {g.shape} vs param {p.shape}")
-        p.data -= p.dtype.type(lr) * g
-    return params

@@ -30,6 +30,7 @@ from .datagen import (
     load_dataset,
     save_dataset,
 )
+from .errors import BadConfig
 from .evaluation import (
     DEFAULT_VIEW_COUNTS,
     evaluate,
@@ -77,9 +78,12 @@ def cmd_synth(args) -> int:
     for c in categories:
         if c not in CATEGORIES:
             raise SystemExit(f"unknown category {c!r} (choose from {CATEGORIES})")
-    dataset = build_dataset(args.objects, args.voxel_side, args.image_size,
-                            seed=args.seed, categories=categories,
-                            n_views=args.views)
+    try:
+        dataset = build_dataset(args.objects, args.voxel_side, args.image_size,
+                                seed=args.seed, categories=categories,
+                                n_views=args.views)
+    except BadConfig as exc:
+        raise SystemExit(f"bad config: {exc}") from None
     save_dataset(dataset, args.out)
     counts = {s: len(dataset.split(s)) for s in ("train", "val", "test")}
     print(f"wrote {args.objects} objects to {args.out} "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import voxio  # looked up per call, so wrappers set on voxio see every read and write
-from .errors import BoxLargerThanImage, MalformedHeader, TooFewObjects
+from .errors import BadConfig, BoxLargerThanImage, DimMismatch, MalformedHeader, TooFewObjects
 from .voxels import BINARY, VoxelGrid
 
 CATEGORIES = (
@@ -191,9 +191,9 @@ def gen_object(category: str, seed: int, side: int) -> np.ndarray:
     """Deterministic float32 binary [V, V, V] grid of the given family,
     inside a 1-voxel margin."""
     if category not in _GENERATORS:
-        raise ValueError(f"unknown category {category!r}")
+        raise BadConfig(f"unknown category {category!r}")
     if side < 8:
-        raise ValueError("side must be at least 8")
+        raise BadConfig(f"voxel side {side} is below the minimum of 8")
     rng = _object_rng(category, seed, side)
     vol = np.zeros((side, side, side), dtype=np.float32)
     _GENERATORS[category](rng, vol, side)
@@ -458,16 +458,25 @@ def save_dataset(dataset: Dataset, root) -> None:
 
 
 def load_dataset(root) -> Dataset:
+    """The dataset under ``root``; every file must match the manifest's sizes."""
     with open(os.path.join(root, "manifest.txt")) as fh:
         dataset = manifest_from_text(fh.read())
+    image_shape = (dataset.image_size, dataset.image_size)
     for obj in dataset.objects:
-        with open(os.path.join(root, "voxels", f"{obj.object_id}.binvox"), "rb") as fh:
-            obj.grid = voxio.read_binvox(fh.read()).values.astype(np.float32)
+        path = os.path.join(root, "voxels", f"{obj.object_id}.binvox")
+        with open(path, "rb") as fh:
+            grid = voxio.read_binvox(fh.read())
+        if grid.side != dataset.voxel_side:
+            raise DimMismatch(f"{path}: side {grid.side}, expected {dataset.voxel_side}")
+        obj.grid = grid.values.astype(np.float32)
         view_dir = os.path.join(root, "views", obj.object_id)
-        obj.views = np.zeros((dataset.n_views, 2, dataset.image_size,
-                              dataset.image_size), dtype=np.float32)
+        obj.views = np.zeros((dataset.n_views, 2) + image_shape, dtype=np.float32)
         for k in range(dataset.n_views):
             for ch, tag in ((0, "sil"), (1, "dep")):
-                with open(os.path.join(view_dir, f"v{k:02d}_{tag}.pgm"), "rb") as fh:
-                    obj.views[k, ch] = voxio.read_pgm(fh.read())
+                path = os.path.join(view_dir, f"v{k:02d}_{tag}.pgm")
+                with open(path, "rb") as fh:
+                    image = voxio.read_pgm(fh.read())
+                if image.shape != image_shape:
+                    raise DimMismatch(f"{path}: image {image.shape}, expected {image_shape}")
+                obj.views[k, ch] = image
     return dataset

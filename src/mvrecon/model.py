@@ -78,8 +78,13 @@ class MultiViewReconstructor(Module):
         array) -> [B, V, V, V] continuous volumes, without grad.
 
         Objects run ``RECONSTRUCT_CHUNK`` at a time; the last chunk is padded
-        with zero views, and only the real rows are returned.
+        with zero views, and only the real rows are returned.  Every object
+        must have the same [N, C, H, W] views.
         """
+        for i, obj_views in enumerate(views):
+            if np.shape(obj_views) != np.shape(views[0]):
+                raise ShapeMismatch(f"object {i} has views {np.shape(obj_views)}, "
+                                    f"object 0 has {np.shape(views[0])}")
         volumes = np.empty((len(views),) + (self.cfg.voxel_side,) * 3,
                            dtype=self.cfg.np_dtype)
         for start in range(0, len(views), RECONSTRUCT_CHUNK):

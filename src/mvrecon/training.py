@@ -7,10 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import sgd_step
+from .autodiff import Tensor
 from .config import TrainConfig
 from .datagen import Dataset, DatasetObject
-from .errors import DivergedLoss, MissingViews, NumericalOverflow, TooFewObjects
+from .errors import (DivergedLoss, MissingViews, NumericalOverflow, ShapeMismatch,
+                     TooFewObjects)
 from .model import MultiViewReconstructor
 from .voxels import LOSS_FUNCTIONS
 
@@ -39,6 +40,17 @@ def sample_batch(objects: list[DatasetObject], cfg: TrainConfig,
         images.append(obj.views[picked])
         grids.append(obj.grid)
     return np.stack(images), np.stack(grids)
+
+
+def sgd_step(params: list[Tensor], grads: list[np.ndarray], lr: float) -> None:
+    """In-place p <- p - lr * g for each (param, grad) pair."""
+    if len(params) != len(grads):
+        raise ShapeMismatch(f"sgd_step: {len(params)} params vs {len(grads)} grads")
+    for p, g in zip(params, grads):
+        g = np.asarray(g, dtype=p.dtype)
+        if g.shape != p.shape:
+            raise ShapeMismatch(f"sgd_step: grad {g.shape} vs param {p.shape}")
+        p.data -= p.dtype.type(lr) * g
 
 
 def train_step(model: MultiViewReconstructor, images: np.ndarray,

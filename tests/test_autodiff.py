@@ -13,6 +13,7 @@ from mvrecon.errors import (
     NumericalOverflow,
     ShapeMismatch,
 )
+from mvrecon.training import sgd_step
 
 from fd import central_diff, rel_err
 
@@ -42,24 +43,24 @@ def check_op_grads(build, arrays, tol=1e-6, h=1e-5):
 def test_matmul_identity():
     a = Tensor([[1.0, 0.0], [0.0, 1.0]])
     b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-    np.testing.assert_array_equal((a @ b).data, b.data)
+    np.testing.assert_array_equal(ad.matmul(a, b).data, b.data)
 
 
 def test_matmul_hand_case():
-    out = Tensor([[1.0, 2.0]]) @ Tensor([[3.0], [4.0]])
+    out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
     np.testing.assert_array_equal(out.data, [[11.0]])
 
 
 def test_matmul_grad_hand_case():
     a = t64([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
     b = t64([[1.0, 1.0], [1.0, 1.0]])
-    (a @ b).sum().backward()
+    ad.matmul(a, b).sum().backward()
     np.testing.assert_allclose(a.grad, [[2.0, 2.0], [2.0, 2.0]], atol=1e-12)
 
 
 def test_matmul_shape_error():
     with pytest.raises(ShapeMismatch):
-        Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
+        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -67,14 +68,18 @@ def test_matmul_grad_fd(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 2))
-    check_op_grads(lambda x, y: (x @ y).sum(), [a, b])
+    check_op_grads(lambda x, y: ad.matmul(x, y).sum(), [a, b])
 
 
 def test_matmul_batched_broadcast_grad():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((2, 3, 4))
     b = rng.standard_normal((4, 5))
-    check_op_grads(lambda x, y: (x @ y).sum(), [a, b])
+    check_op_grads(lambda x, y: ad.matmul(x, y).sum(), [a, b])
+    # a size-1 batch axis repeated by numpy, and a batch axis b lacks
+    a = rng.standard_normal((1, 3, 4))
+    b = rng.standard_normal((2, 2, 4, 5))
+    check_op_grads(lambda x, y: ad.matmul(x, y).sum(), [a, b])
 
 
 # --- elementwise suite ---
@@ -235,6 +240,27 @@ def test_split_concat_roundtrip(seed, w1, w2):
     np.testing.assert_array_equal(ad.narrow(joined, -1, w1, w2).data, b.data)
 
 
+@pytest.mark.parametrize("tensors, axis", [
+    ([], -1),
+    ([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3, 1)))], -1),
+    ([Tensor(np.ones((2, 3)))], 5),
+], ids=["empty", "rank-mismatch", "axis-out-of-range"])
+def test_concat_errors_are_shape_mismatch(tensors, axis):
+    with pytest.raises(ShapeMismatch):
+        ad.concat(tensors, axis=axis)
+
+
+def test_narrow_axis_out_of_range():
+    with pytest.raises(ShapeMismatch):
+        ad.narrow(Tensor(np.ones((2, 3))), 5, 0, 1)
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 5), (3,)], ids=["extent", "lower-rank"])
+def test_expand_errors_are_shape_mismatch(shape):
+    with pytest.raises(ShapeMismatch):
+        ad.expand(Tensor(np.ones((2, 3))), shape)
+
+
 def test_reshape_transpose_inverses():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 3, 4))
@@ -308,7 +334,7 @@ def test_backward_twice_bitwise_identical():
     def run():
         x.grad = None
         w.grad = None
-        ad.gelu(x @ w).sum().backward()
+        ad.gelu(ad.matmul(x, w)).sum().backward()
         return x.grad.copy(), w.grad.copy()
 
     gx1, gw1 = run()
@@ -335,14 +361,14 @@ def test_no_grad_suppresses_graph():
 
 def test_sgd_step_basic():
     p = Tensor(np.array([1.0], dtype=np.float64), requires_grad=True)
-    ad.sgd_step([p], [np.array([2.0])], lr=0.1)
+    sgd_step([p], [np.array([2.0])], lr=0.1)
     np.testing.assert_allclose(p.data, [0.8], atol=1e-15)
 
 
 def test_sgd_step_zero_lr():
     p = Tensor(np.array([1.5, -2.0]), requires_grad=True)
     before = p.data.copy()
-    ad.sgd_step([p], [np.ones(2, dtype=np.float32)], lr=0.0)
+    sgd_step([p], [np.ones(2, dtype=np.float32)], lr=0.0)
     np.testing.assert_array_equal(p.data, before)
 
 
@@ -351,13 +377,19 @@ def test_sgd_two_steps_vs_summed_identical_grads():
     g = np.array([0.25], dtype=np.float64)
     p1 = Tensor(np.array([1.0], dtype=np.float64), requires_grad=True)
     p2 = Tensor(np.array([1.0], dtype=np.float64), requires_grad=True)
-    ad.sgd_step([p1], [g], lr=0.5)
-    ad.sgd_step([p1], [g], lr=0.5)
-    ad.sgd_step([p2], [g + g], lr=0.5)
+    sgd_step([p1], [g], lr=0.5)
+    sgd_step([p1], [g], lr=0.5)
+    sgd_step([p2], [g + g], lr=0.5)
     np.testing.assert_array_equal(p1.data, p2.data)
+
+
+def test_sgd_count_error():
+    p = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ShapeMismatch):
+        sgd_step([p], [np.ones(3), np.ones(3)], lr=0.1)
 
 
 def test_sgd_shape_error():
     p = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ShapeMismatch):
-        ad.sgd_step([p], [np.ones(4)], lr=0.1)
+        sgd_step([p], [np.ones(4)], lr=0.1)

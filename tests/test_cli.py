@@ -114,3 +114,9 @@ def test_train_rejects_bad_set(workspace, tmp_path, override):
     with pytest.raises(SystemExit, match="bad config"):
         main(["train", "--data", workspace["data"], "--out", str(tmp_path / "r"),
               "--preset", "tiny", "--set", override])
+
+
+def test_synth_rejects_small_voxel_side(tmp_path):
+    with pytest.raises(SystemExit, match="^bad config: voxel side 4"):
+        main(["synth", "--out", str(tmp_path / "d"), "--objects", "10",
+              "--voxel-side", "4"])

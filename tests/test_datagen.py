@@ -8,14 +8,24 @@ from mvrecon.datagen import (
     _project,
     build_dataset,
     gen_object,
+    load_dataset,
     make_splits,
     manifest_from_text,
     manifest_to_text,
     occlude,
     render_views,
+    save_dataset,
     scaled_box_size,
 )
-from mvrecon.errors import BoxLargerThanImage, MalformedHeader, TooFewObjects
+from mvrecon.errors import (
+    BadConfig,
+    BoxLargerThanImage,
+    DimMismatch,
+    MalformedHeader,
+    TooFewObjects,
+)
+from mvrecon.voxels import BINARY, VoxelGrid
+from mvrecon.voxio import write_binvox, write_pgm
 
 
 # --- generation ---
@@ -54,6 +64,12 @@ def test_small_side_objects_nonempty():
     for category in CATEGORIES:
         for seed in range(20):
             assert gen_object(category, seed, 8).any()
+
+
+@pytest.mark.parametrize("category, side", [("box", 4), ("sphere", 16)])
+def test_bad_generation_request_is_bad_config(category, side):
+    with pytest.raises(BadConfig):
+        gen_object(category, 0, side)
 
 
 def test_distinct_seeds_differ():
@@ -259,3 +275,22 @@ def test_build_dataset_deterministic_and_split():
     names = {s: len(ds1.split(s)) for s in ("train", "val", "test")}
     assert sum(names.values()) == 18
     assert min(names.values()) >= 1
+
+
+def _saved_dataset(root):
+    save_dataset(build_dataset(10, 8, 32, n_views=2, categories=("box",)), root)
+    return root
+
+
+def test_load_dataset_rejects_view_of_wrong_size(tmp_path):
+    path = _saved_dataset(tmp_path) / "views" / "obj0003" / "v01_dep.pgm"
+    path.write_bytes(write_pgm(np.zeros((16, 16))))
+    with pytest.raises(DimMismatch, match="obj0003.v01_dep.pgm"):
+        load_dataset(tmp_path)
+
+
+def test_load_dataset_rejects_grid_of_wrong_side(tmp_path):
+    path = _saved_dataset(tmp_path) / "voxels" / "obj0004.binvox"
+    path.write_bytes(write_binvox(VoxelGrid(16, gen_object("box", 0, 16), BINARY)))
+    with pytest.raises(DimMismatch, match="obj0004.binvox"):
+        load_dataset(tmp_path)

@@ -8,7 +8,7 @@ import pytest
 import mvrecon
 from mvrecon.config import tiny_model_config
 from mvrecon.datagen import CATEGORIES, build_dataset
-from mvrecon.errors import MissingViews, TooFewObjects
+from mvrecon.errors import MissingViews, ShapeMismatch, TooFewObjects
 from mvrecon.evaluation import (
     DEFAULT_VIEW_COUNTS,
     evaluate,
@@ -166,6 +166,13 @@ def test_single_reconstruct_matches_evaluated_volume(two_chunks):
     for i in (0, 11):
         grid = model.reconstruct(objects[i].views[:12])
         assert np.array_equal(grid.values, whole[i])
+
+
+def test_reconstruct_batch_rejects_mixed_view_counts(two_chunks):
+    model, objects, _ = two_chunks
+    views = [objects[0].views[:3], objects[1].views[:2]]
+    with pytest.raises(ShapeMismatch, match="object 1 has views"):
+        model.reconstruct_batch(views)
 
 
 def test_evaluate_does_not_touch_model_params(dataset):

@@ -3,7 +3,9 @@
 Subcommands: synth (build a dataset), train, eval, occlusion, rollout,
 reconstruct (view images -> binvox).
 Every run directory gets a flat key=value config file and a run manifest
-recording the config, seed, git description, and outputs.
+recording the config, seed, git description, and outputs.  A bad config
+exits with ``bad config: ...`` and any other package error with
+``error: ...``, one line each.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .datagen import (
     load_dataset,
     save_dataset,
 )
-from .errors import BadConfig
+from .errors import BadConfig, MvreconError
 from .evaluation import (
     DEFAULT_VIEW_COUNTS,
     evaluate,
@@ -68,7 +70,10 @@ def _write_run_manifest(run_dir: str, cfg_text: str, seed: int,
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    values = tuple(int(x) for x in text.split(",") if x.strip())
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
 # --- synth ---
@@ -78,12 +83,8 @@ def cmd_synth(args) -> int:
     for c in categories:
         if c not in CATEGORIES:
             raise SystemExit(f"unknown category {c!r} (choose from {CATEGORIES})")
-    try:
-        dataset = build_dataset(args.objects, args.voxel_side, args.image_size,
-                                seed=args.seed, categories=categories,
-                                n_views=args.views)
-    except BadConfig as exc:
-        raise SystemExit(f"bad config: {exc}") from None
+    dataset = build_dataset(args.objects, args.voxel_side, args.image_size,
+                            seed=args.seed, categories=categories, n_views=args.views)
     save_dataset(dataset, args.out)
     counts = {s: len(dataset.split(s)) for s in ("train", "val", "test")}
     print(f"wrote {args.objects} objects to {args.out} "
@@ -101,10 +102,7 @@ def _train_config(args) -> TrainConfig:
             text = fh.read()
     else:
         text = config_to_text(TrainConfig(model=MODEL_PRESETS[args.preset]()))
-    try:
-        return config_from_text("\n".join([text, *args.set]))
-    except ValueError as exc:
-        raise SystemExit(f"bad config: {exc}") from None
+    return config_from_text("\n".join([text, *args.set]))
 
 
 def cmd_train(args) -> int:
@@ -166,8 +164,7 @@ def _load_model(checkpoint_path: str, config_path: str | None) -> MultiViewRecon
 def cmd_eval(args) -> int:
     model = _load_model(args.checkpoint, args.config)
     dataset = load_dataset(args.data)
-    view_counts = _ints(args.view_counts) if args.view_counts else DEFAULT_VIEW_COUNTS
-    report = evaluate(model, dataset, split=args.split, view_counts=view_counts,
+    report = evaluate(model, dataset, split=args.split, view_counts=args.view_counts,
                       threshold=args.threshold, tau=args.tau)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "eval.csv"), "w") as fh:
@@ -184,8 +181,7 @@ def cmd_eval(args) -> int:
 def cmd_occlusion(args) -> int:
     model = _load_model(args.checkpoint, args.config)
     dataset = load_dataset(args.data)
-    sizes = _ints(args.sizes) if args.sizes else OCCLUSION_BOX_SIZES
-    results = occlusion_sweep(model, dataset, sizes=sizes, split=args.split,
+    results = occlusion_sweep(model, dataset, sizes=args.sizes, split=args.split,
                               n_views=args.views, threshold=args.threshold,
                               tau=args.tau)
     os.makedirs(args.out, exist_ok=True)
@@ -270,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--view-counts", default="",
+    p.add_argument("--view-counts", type=_ints, default=DEFAULT_VIEW_COUNTS,
                    help="comma-separated, default 1,2,3,4,5,8,12,18,20")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--tau", type=float, default=None)
@@ -283,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--views", type=int, default=12)
-    p.add_argument("--sizes", default="", help="comma-separated box sizes")
+    p.add_argument("--sizes", type=_ints, default=OCCLUSION_BOX_SIZES,
+                   help="comma-separated box sizes")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--tau", type=float, default=None)
     p.set_defaults(func=cmd_occlusion)
@@ -311,7 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BadConfig as exc:
+        raise SystemExit(f"bad config: {exc}") from None
+    except MvreconError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":

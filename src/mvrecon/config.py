@@ -1,8 +1,11 @@
 """Architecture and training configuration.
 
-``ModelConfig`` pins every constant the model needs; presets cover the
-full-scale layout (32^3 volumes, 768-wide embeddings), a desk-scale layout
-that trains in minutes on a CPU, and a tiny layout used by gradient checks.
+``ModelConfig`` holds the scales a preset varies: image and volume size,
+embedding width, layer and head counts, the refiner's cube sides, whether
+the refiner runs, and the float dtype.  Presets cover the full-scale layout
+(32^3 volumes, 768-wide embeddings), a desk-scale layout that trains in
+minutes on a CPU, and a tiny layout used by gradient checks.  What every
+layout shares is a module constant below, not a field.
 """
 
 from __future__ import annotations
@@ -17,28 +20,26 @@ from .errors import BadConfig
 DTYPES = {"float32": np.float32, "float64": np.float64}
 _AUTO_ZERO = ("encoder_heads", "decoder_heads")  # 0 picks a count from the width
 
+IMAGE_CHANNELS = 2   # silhouette and depth
+BACKBONE_STAGES = 4  # stride-2 conv stages in the view backbone
+MAX_VIEWS = 24       # rows of the encoder's view positional table
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     voxel_side: int = 32
     image_size: int = 224
-    image_channels: int = 2
     embed_dim: int = 768
     encoder_blocks: int = 3          # attention blocks at halving widths
     encoder_layers: int = 4          # attention layers per block
     encoder_heads: int = 0           # 0 = width // 64, at least 1
     backbone_channels: int = 16      # first conv stage; doubles per stage
-    backbone_stages: int = 4
-    mlp_ratio: int = 4
-    use_positional_embeddings: bool = True
-    max_views: int = 24
     decoder_cube: int = 4
     decoder_heads: int = 0           # 0 = width // 64, at least 1
     refiner_cubes: tuple[int, ...] = (8, 4)
     refiner_layers: int = 6
     refiner_heads: tuple[int, ...] = (8, 4)
     use_refiner: bool = True
-    refiner_input_residual: bool = False
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -82,7 +83,7 @@ class ModelConfig:
             raise BadConfig(
                 f"embed_dim {self.embed_dim} not divisible by "
                 f"2^{self.encoder_blocks - 1}")
-        if self.image_size < (1 << self.backbone_stages):
+        if self.image_size < (1 << BACKBONE_STAGES):
             raise BadConfig("image smaller than the backbone downsampling")
         if self.voxel_side % self.decoder_cube != 0:
             raise BadConfig("decoder cube must divide the voxel side")

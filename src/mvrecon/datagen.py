@@ -25,7 +25,7 @@ CATEGORIES = (
 )
 
 SPLITS = ("train", "val", "test")
-DEFAULT_RATIOS = (0.7, 0.1, 0.2)
+SPLIT_RATIOS = (0.7, 0.1, 0.2)
 DEFAULT_ELEVATION_DEG = 30.0
 DEFAULT_N_VIEWS = 24
 OCCLUSION_REFERENCE_SIZE = 224  # box sizes are quoted at this image size
@@ -255,30 +255,29 @@ def render_views(grid: np.ndarray, n_views: int = DEFAULT_N_VIEWS, out_size: int
 
 # --- occlusion ---
 
-def scaled_box_size(box: int, image_size: int,
-                    reference: int = OCCLUSION_REFERENCE_SIZE) -> int:
+def scaled_box_size(box: int, image_size: int) -> int:
     if box == 0:
         return 0
-    return max(1, round(box * image_size / reference))
+    return max(1, round(box * image_size / OCCLUSION_REFERENCE_SIZE))
 
 
-def occlude(images: np.ndarray, box: int, mode: str = "center", seed: int = 0,
-            reference: int = OCCLUSION_REFERENCE_SIZE) -> np.ndarray:
+def occlude(images: np.ndarray, box: int, mode: str = "center",
+            seed: int = 0) -> np.ndarray:
     """Overwrite a box x box patch with background on the odd-indexed views.
 
-    ``box`` is quoted at the reference image size and scales proportionally.
+    ``box`` is quoted at ``OCCLUSION_REFERENCE_SIZE`` and scales with the image.
     Views are numbered from 1, so array indices 0, 2, 4, ... are hit.  The
     box is centered on the silhouette bounding box (mode="center") or
     placed seeded-randomly inside it (mode="random"), then clamped so it
     stays within the image.
     """
     if mode not in ("center", "random"):
-        raise ValueError(f"unknown occlusion mode {mode!r}")
+        raise BadConfig(f"unknown occlusion mode {mode!r}")
     out = np.array(images, copy=True)
     if box == 0:
         return out
     h, w = out.shape[-2], out.shape[-1]
-    size = scaled_box_size(box, w, reference)
+    size = scaled_box_size(box, w)
     if size > min(h, w):
         raise BoxLargerThanImage(f"box {size} exceeds image {h}x{w}")
     rng = np.random.default_rng([int(seed), 0x0cc1])
@@ -312,16 +311,13 @@ def _largest_remainder(want: list[float], total: int) -> list[int]:
     return counts
 
 
-def make_splits(entries: list[tuple[str, str]], ratios=DEFAULT_RATIOS,
-                seed: int = 0) -> dict[str, str]:
+def make_splits(entries: list[tuple[str, str]], seed: int = 0) -> dict[str, str]:
     """(object_id, category) pairs -> {object_id: split}.
 
     Seeded shuffle, stratified per category: each category's counts stay
     within one object of its exact quota, and fractional remainders carry
-    across categories so the global ratios hold too.
+    across categories so the global ``SPLIT_RATIOS`` hold too.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("split ratios must sum to 1")
     rng = np.random.default_rng([int(seed), 0x5311])
     by_category: dict[str, list[str]] = {}
     for object_id, category in entries:
@@ -332,7 +328,7 @@ def make_splits(entries: list[tuple[str, str]], ratios=DEFAULT_RATIOS,
         ids = sorted(by_category[category])
         order = rng.permutation(len(ids))
         n = len(ids)
-        want = [r * n + c for r, c in zip(ratios, carry)]
+        want = [r * n + c for r, c in zip(SPLIT_RATIOS, carry)]
         counts = _largest_remainder(want, n)
         carry = [w - got for w, got in zip(want, counts)]
         bounds = np.cumsum(counts)
@@ -418,18 +414,18 @@ def _quantize(images: np.ndarray) -> np.ndarray:
 
 
 def build_dataset(n_objects: int, voxel_side: int, image_size: int, seed: int = 0,
-                  categories: tuple[str, ...] = CATEGORIES,
-                  ratios=DEFAULT_RATIOS, n_views: int = DEFAULT_N_VIEWS,
+                  categories: tuple[str, ...] = CATEGORIES, n_views: int = DEFAULT_N_VIEWS,
                   elevation_deg: float = DEFAULT_ELEVATION_DEG) -> Dataset:
     """Generate, render, and split a dataset entirely in memory."""
+    if n_views < 1:
+        raise BadConfig(f"{n_views} views per object; need at least 1")
     objects = []
     for i in range(n_objects):
         category = categories[i % len(categories)]
         obj_seed = seed * 1_000_003 + i
         objects.append(DatasetObject(f"obj{i:04d}", category, obj_seed, "",
                                      gen_object(category, obj_seed, voxel_side), None))
-    assignment = make_splits([(o.object_id, o.category) for o in objects],
-                             ratios=ratios, seed=seed)
+    assignment = make_splits([(o.object_id, o.category) for o in objects], seed=seed)
     for obj in objects:
         obj.split = assignment[obj.object_id]
         obj.views = _quantize(render_views(obj.grid, n_views, image_size, elevation_deg))

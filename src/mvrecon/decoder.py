@@ -11,7 +11,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import EmptyViewList, WidthMismatch
-from .layers import EMBED_STD, FeedForward, MultiHeadAttention, Module
+from .layers import EMBED_STD, MLP_RATIO, FeedForward, MultiHeadAttention, Module
 from .voxels import assemble_tokens
 
 
@@ -26,7 +26,7 @@ class VolumeDecoder(Module):
             requires_grad=True, dtype=dtype)
         self.attn = MultiHeadAttention(rng, width, cfg.decoder_head_count(),
                                        dtype=dtype)
-        self.mlp = FeedForward(rng, width, width * cfg.mlp_ratio,
+        self.mlp = FeedForward(rng, width, width * MLP_RATIO,
                                out_dim=cfg.decoder_cube ** 3, dtype=dtype)
 
     def __call__(self, features: Tensor) -> Tensor:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import ModelConfig
+from .config import BACKBONE_STAGES, IMAGE_CHANNELS, MAX_VIEWS, ModelConfig
 from .errors import EmptyViewList, OddWidth, TooManyViews, WidthMismatch
 from .layers import EMBED_STD, AttentionLayer, Conv2d, LayerNorm, Linear, Module
 
@@ -24,22 +24,20 @@ class ViewBackbone(Module):
     def __init__(self, rng, cfg: ModelConfig):
         dtype = cfg.np_dtype
         self.convs = []
-        ch_in = cfg.image_channels
+        ch_in = IMAGE_CHANNELS
         ch_out = cfg.backbone_channels
-        for _ in range(cfg.backbone_stages):
+        for _ in range(BACKBONE_STAGES):
             self.convs.append(Conv2d(rng, ch_in, ch_out, dtype=dtype))
             ch_in, ch_out = ch_out, ch_out * 2
         self.head = Linear(rng, ch_in, cfg.embed_dim, dtype=dtype)
         self.image_size = cfg.image_size
-        self.image_channels = cfg.image_channels
 
     def __call__(self, images: Tensor) -> Tensor:
         """[B, C, H, W] images -> [B, d] embeddings."""
-        if images.ndim != 4 or images.shape[1] != self.image_channels \
-                or images.shape[2] != self.image_size or images.shape[3] != self.image_size:
-            raise WidthMismatch(
-                f"backbone expects [B, {self.image_channels}, {self.image_size}, "
-                f"{self.image_size}], got {images.shape}")
+        expected = (IMAGE_CHANNELS, self.image_size, self.image_size)
+        if images.ndim != 4 or images.shape[1:] != expected:
+            raise WidthMismatch(f"backbone expects [B, {IMAGE_CHANNELS}, "
+                                f"{self.image_size}, {self.image_size}], got {images.shape}")
         x = images
         for conv in self.convs:
             x = ad.gelu(conv(x))
@@ -51,11 +49,10 @@ class PatchAttentionBlock(Module):
     """A stack of attention layers at a fixed width, optionally followed by
     a learned projection that halves the width for the next block."""
 
-    def __init__(self, rng, width: int, layers: int, heads: int, mlp_ratio: int,
-                 reduce: bool, dtype=np.float32):
+    def __init__(self, rng, width: int, layers: int, heads: int, reduce: bool,
+                 dtype=np.float32):
         self.width = width
-        self.layers = [AttentionLayer(rng, width, heads, mlp_ratio,
-                                      mlp_residual=False, dtype=dtype)
+        self.layers = [AttentionLayer(rng, width, heads, mlp_residual=False, dtype=dtype)
                        for _ in range(layers)]
         if reduce:
             if width % 2 != 0:
@@ -79,20 +76,15 @@ class MultiViewEncoder(Module):
     def __init__(self, rng, cfg: ModelConfig):
         dtype = cfg.np_dtype
         self.cfg = cfg
-        if cfg.use_positional_embeddings:
-            self.positional = Tensor(
-                rng.normal(0.0, EMBED_STD, (cfg.max_views, cfg.embed_dim)),
-                requires_grad=True, dtype=dtype)
-        else:
-            self.positional = None
+        self.positional = Tensor(rng.normal(0.0, EMBED_STD, (MAX_VIEWS, cfg.embed_dim)),
+                                 requires_grad=True, dtype=dtype)
         widths = cfg.encoder_widths
         heads = cfg.encoder_head_counts()
         self.blocks = []
         for j, (w, h) in enumerate(zip(widths, heads)):
             last = j == len(widths) - 1
             self.blocks.append(PatchAttentionBlock(
-                rng, w, cfg.encoder_layers, h, cfg.mlp_ratio,
-                reduce=not last, dtype=dtype))
+                rng, w, cfg.encoder_layers, h, reduce=not last, dtype=dtype))
         self.final_norm = LayerNorm(cfg.feature_width, dtype=dtype)
 
     def __call__(self, tokens: Tensor, trace: list | None = None) -> Tensor:
@@ -104,14 +96,12 @@ class MultiViewEncoder(Module):
         n_views = tokens.shape[1]
         if n_views < 1:
             raise EmptyViewList("need at least one view")
-        if n_views > self.cfg.max_views:
-            raise TooManyViews(f"{n_views} views exceed the limit {self.cfg.max_views}")
+        if n_views > MAX_VIEWS:
+            raise TooManyViews(f"{n_views} views exceed the limit {MAX_VIEWS}")
         if tokens.shape[-1] != self.cfg.embed_dim:
             raise WidthMismatch(
                 f"tokens are {tokens.shape[-1]} wide, expected {self.cfg.embed_dim}")
-        x = tokens
-        if self.positional is not None:
-            x = ad.add(x, ad.narrow(self.positional, 0, 0, n_views))
+        x = ad.add(tokens, ad.narrow(self.positional, 0, 0, n_views))
         collected = []
         for block in self.blocks:
             block_trace: list | None = [] if trace is not None else None

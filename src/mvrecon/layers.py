@@ -7,6 +7,8 @@ parameter; a ``Module`` is a child whose names take the attribute as prefix
 (``attn.q.weight``); a list gives children named ``attr.i``
 (``blocks.0.layers.1``); ``None`` and anything else are skipped.  That
 order and those names are what the optimizer steps and checkpoints store.
+
+Every MLP in the model is ``MLP_RATIO`` times as wide as its input.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .autodiff import Tensor
 from .errors import WidthMismatch
 
 EMBED_STD = 0.02  # learned embeddings and the decoder query bank
+MLP_RATIO = 4     # hidden width of every MLP, in multiples of its input width
 
 
 class Module:
@@ -52,13 +55,10 @@ def _named(name: str, value):
 
 
 class Linear(Module):
-    """Dense layer; weights default to fan-in-scaled Gaussian init."""
+    """Dense layer with fan-in-scaled Gaussian init."""
 
-    def __init__(self, rng, in_dim: int, out_dim: int, std: float | None = None,
-                 dtype=np.float32):
-        if std is None:
-            std = 1.0 / math.sqrt(in_dim)
-        self.weight = Tensor(rng.normal(0.0, std, (in_dim, out_dim)),
+    def __init__(self, rng, in_dim: int, out_dim: int, dtype=np.float32):
+        self.weight = Tensor(rng.normal(0.0, 1.0 / math.sqrt(in_dim), (in_dim, out_dim)),
                              requires_grad=True, dtype=dtype)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True, dtype=dtype)
 
@@ -163,12 +163,11 @@ class AttentionLayer(Module):
     does (the encoder omits it, the refiner keeps it).
     """
 
-    def __init__(self, rng, dim: int, heads: int, mlp_ratio: int,
-                 mlp_residual: bool, dtype=np.float32):
+    def __init__(self, rng, dim: int, heads: int, mlp_residual: bool, dtype=np.float32):
         self.norm_attn = LayerNorm(dim, dtype=dtype)
         self.attn = MultiHeadAttention(rng, dim, heads, dtype=dtype)
         self.norm_mlp = LayerNorm(dim, dtype=dtype)
-        self.mlp = FeedForward(rng, dim, dim * mlp_ratio, dtype=dtype)
+        self.mlp = FeedForward(rng, dim, dim * MLP_RATIO, dtype=dtype)
         self.mlp_residual = mlp_residual
 
     def __call__(self, x: Tensor, trace: list | None = None) -> Tensor:

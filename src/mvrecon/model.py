@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import ModelConfig
+from .config import MAX_VIEWS, ModelConfig
 from .decoder import VolumeDecoder
 from .encoder import MultiViewEncoder, ViewBackbone
 from .errors import EmptyViewList, ShapeMismatch, TooManyViews
@@ -53,8 +53,8 @@ class MultiViewReconstructor(Module):
         bsz, n_views = t.shape[0], t.shape[1]
         if n_views < 1:
             raise EmptyViewList("encode needs at least one view")
-        if n_views > self.cfg.max_views:
-            raise TooManyViews(f"{n_views} views exceed limit {self.cfg.max_views}")
+        if n_views > MAX_VIEWS:
+            raise TooManyViews(f"{n_views} views exceed limit {MAX_VIEWS}")
         flat = t.reshape((bsz * n_views,) + t.shape[2:])
         embedded = self.backbone(flat)
         tokens = embedded.reshape(bsz, n_views, self.cfg.embed_dim)

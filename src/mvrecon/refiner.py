@@ -21,7 +21,7 @@ from .voxels import assemble_tokens, partition_tokens
 
 class CubeAttentionBlock(Module):
     def __init__(self, rng, cube_side: int, grid_side: int, layers: int, heads: int,
-                 mlp_ratio: int, dtype=np.float32):
+                 dtype=np.float32):
         if grid_side % cube_side != 0:
             raise NonDivisibleCube(
                 f"cube side {cube_side} does not divide grid side {grid_side}")
@@ -32,8 +32,7 @@ class CubeAttentionBlock(Module):
         self.proj_in = Linear(rng, width, width, dtype=dtype)
         self.positional = Tensor(rng.normal(0.0, EMBED_STD, (n_tokens, width)),
                                  requires_grad=True, dtype=dtype)
-        self.layers = [AttentionLayer(rng, width, heads, mlp_ratio,
-                                      mlp_residual=True, dtype=dtype)
+        self.layers = [AttentionLayer(rng, width, heads, mlp_residual=True, dtype=dtype)
                        for _ in range(layers)]
         self.proj_out = Linear(rng, width, width, dtype=dtype)
 
@@ -50,8 +49,8 @@ class VolumeRefiner(Module):
         dtype = cfg.np_dtype
         self.cfg = cfg
         self.blocks = [
-            CubeAttentionBlock(rng, cube, cfg.voxel_side, cfg.refiner_layers,
-                               heads, cfg.mlp_ratio, dtype=dtype)
+            CubeAttentionBlock(rng, cube, cfg.voxel_side, cfg.refiner_layers, heads,
+                               dtype=dtype)
             for cube, heads in zip(cfg.refiner_cubes, cfg.refiner_heads)
         ]
 
@@ -64,8 +63,4 @@ class VolumeRefiner(Module):
         x = volume
         for block in self.blocks:
             x = block(x)
-        refined = ad.sigmoid(x)
-        if self.cfg.refiner_input_residual:
-            # averaged residual keeps the output inside (0, 1)
-            refined = ad.scale(ad.add(refined, volume), 0.5)
-        return refined
+        return ad.sigmoid(x)

@@ -1,14 +1,15 @@
 """Voxel grids: the cube partition, reconstruction losses, and metrics.
 
 Grids are cubic occupancy fields stored as ``(V, V, V)`` float arrays in C
-order, axes ``(x, y, z)`` with z fastest.  Losses are built from autodiff
-ops so they can train the model; metrics are plain numpy.
+order, axes ``(x, y, z)`` with z fastest.  Losses take arrays or Tensors
+and are built from autodiff ops so they can train the model; metrics take
+arrays and are plain numpy.  ``VoxelGrid`` is the record that ``reconstruct``
+returns and the binvox files hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -47,10 +48,6 @@ class VoxelGrid:
             if np.any(self.values < 0) or np.any(self.values > 1):
                 raise ValueError("continuous grid values must lie in [0, 1]")
 
-    @classmethod
-    def zeros(cls, side: int, kind: str = CONTINUOUS, dtype=np.float32) -> "VoxelGrid":
-        return cls(side, np.zeros((side,) * 3, dtype=dtype), kind)
-
     def binarize(self, threshold: float = DEFAULT_THRESHOLD) -> "VoxelGrid":
         return VoxelGrid(self.side, (self.values >= threshold).astype(np.float32), BINARY)
 
@@ -88,36 +85,10 @@ def assemble_tokens(tokens: Tensor, cube_side: int, grid_side: int) -> Tensor:
 
 # --- losses (autodiff) ---
 
-GridLike = Union[VoxelGrid, np.ndarray, Tensor]
-
-
-def _loss_operand(x: GridLike, like_dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    if isinstance(x, VoxelGrid):
-        x = x.values
-    return Tensor(np.asarray(x, dtype=like_dtype))
-
-
-def _float_dtype(x: GridLike):
-    if isinstance(x, Tensor):
-        return x.dtype
-    if isinstance(x, VoxelGrid):
-        x = x.values
-    dt = np.asarray(x).dtype
-    return dt if dt in (np.float32, np.float64) else np.dtype(np.float32)
-
-
-def _loss_pair(y: GridLike, y_pred: GridLike) -> tuple[Tensor, Tensor]:
-    # graph tensors cannot be recast, so their dtype wins
-    if isinstance(y_pred, Tensor):
-        dtype = y_pred.dtype
-    elif isinstance(y, Tensor):
-        dtype = y.dtype
-    else:
-        dtype = np.promote_types(_float_dtype(y), _float_dtype(y_pred))
-    yt = _loss_operand(y, dtype)
-    pt = _loss_operand(y_pred, dtype)
+def _loss_pair(y, y_pred) -> tuple[Tensor, Tensor]:
+    # an array target takes the prediction's dtype
+    pt = y_pred if isinstance(y_pred, Tensor) else Tensor(y_pred)
+    yt = y if isinstance(y, Tensor) else Tensor(y, dtype=pt.dtype)
     if yt.shape != pt.shape:
         raise ShapeMismatch(f"loss: shapes {yt.shape} vs {pt.shape}")
     if yt.ndim == 3:
@@ -127,15 +98,14 @@ def _loss_pair(y: GridLike, y_pred: GridLike) -> tuple[Tensor, Tensor]:
     return yt, pt
 
 
-def loss_mse(y: GridLike, y_pred: GridLike) -> Tensor:
+def loss_mse(y, y_pred) -> Tensor:
     """Mean squared voxel error, averaged over the batch."""
     yt, pt = _loss_pair(y, y_pred)
     diff = ad.sub(yt, pt)
     return ad.mul(diff, diff).mean()
 
 
-def loss_ssim3d(y: GridLike, y_pred: GridLike,
-                c1: float = SSIM_C1, c2: float = SSIM_C2) -> Tensor:
+def loss_ssim3d(y, y_pred, c1: float = SSIM_C1, c2: float = SSIM_C2) -> Tensor:
     """One minus the volume-level structural similarity, batch mean.
 
     Statistics (means, variances, covariance) are taken over the whole
@@ -163,7 +133,7 @@ def loss_ssim3d(y: GridLike, y_pred: GridLike,
     return ad.sub(Tensor(np.asarray(1.0, dtype=ssim.dtype)), ssim.mean())
 
 
-def loss_total(y: GridLike, y_pred: GridLike) -> Tensor:
+def loss_total(y, y_pred) -> Tensor:
     """Sum of the MSE and 3D structural-similarity losses."""
     return ad.add(loss_mse(y, y_pred), loss_ssim3d(y, y_pred))
 
@@ -177,21 +147,10 @@ LOSS_FUNCTIONS = {
 
 # --- metrics (numpy) ---
 
-def _binary_values(grid: GridLike, threshold: float) -> np.ndarray:
-    if isinstance(grid, Tensor):
-        grid = grid.data
-    if isinstance(grid, VoxelGrid):
-        if grid.kind == BINARY:
-            return grid.values.astype(bool)
-        grid = grid.values
-    return np.asarray(grid) >= threshold
-
-
-def metric_iou(y: GridLike, y_pred: GridLike,
+def metric_iou(y: np.ndarray, y_pred: np.ndarray,
                threshold: float = DEFAULT_THRESHOLD) -> float:
     """Intersection over union of the binarized volumes (1.0 if both empty)."""
-    a = _binary_values(y, threshold)
-    b = _binary_values(y_pred, threshold)
+    a, b = np.asarray(y) >= threshold, np.asarray(y_pred) >= threshold
     if a.shape != b.shape:
         raise ShapeMismatch(f"metric_iou: {a.shape} vs {b.shape}")
     union = np.count_nonzero(a | b)
@@ -220,15 +179,14 @@ def fscore_points(pred_pts: np.ndarray, true_pts: np.ndarray, tau: float) -> flo
     return 2.0 * precision * recall / (precision + recall)
 
 
-def metric_fscore(y: GridLike, y_pred: GridLike,
+def metric_fscore(y: np.ndarray, y_pred: np.ndarray,
                   threshold: float = DEFAULT_THRESHOLD,
                   tau: float | None = None) -> float:
     """F-score over occupied-voxel center point sets.
 
     ``tau`` defaults to one voxel pitch in unit-cube coordinates (1/V).
     """
-    a = _binary_values(y, threshold)
-    b = _binary_values(y_pred, threshold)
+    a, b = np.asarray(y) >= threshold, np.asarray(y_pred) >= threshold
     if a.shape != b.shape:
         raise ShapeMismatch(f"metric_fscore: {a.shape} vs {b.shape}")
     if tau is None:

@@ -20,17 +20,12 @@ _BINVOX_MAGIC = b"#binvox 1"
 
 # --- binvox ---
 
-def write_binvox(grid: VoxelGrid, translate=(0.0, 0.0, 0.0), scale: float = 1.0) -> bytes:
+def write_binvox(grid: VoxelGrid) -> bytes:
+    """A binary grid as binvox bytes, at the origin with unit scale."""
     if grid.kind != BINARY:
         raise ValueError("write_binvox: grid must be binary")
     d = grid.side
-    header = (
-        _BINVOX_MAGIC + b"\n"
-        + f"dim {d} {d} {d}\n".encode()
-        + f"translate {translate[0]:g} {translate[1]:g} {translate[2]:g}\n".encode()
-        + f"scale {scale:g}\n".encode()
-        + b"data\n"
-    )
+    header = _BINVOX_MAGIC + f"\ndim {d} {d} {d}\ntranslate 0 0 0\nscale 1\ndata\n".encode()
     flat = np.ascontiguousarray(grid.values.transpose(0, 2, 1)).reshape(-1)
     flat = (flat != 0).astype(np.uint8)
     return header + _rle_encode(flat)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from mvrecon import autodiff as ad
-from mvrecon.config import tiny_model_config
+from mvrecon.config import IMAGE_CHANNELS, tiny_model_config
 
 from fd import central_diff_sample
 
@@ -15,7 +15,7 @@ def tiny64(**overrides):
 
 def random_images(seed, batch, views, cfg):
     rng = np.random.default_rng(seed)
-    shape = (batch, views, cfg.image_channels, cfg.image_size, cfg.image_size)
+    shape = (batch, views, IMAGE_CHANNELS, cfg.image_size, cfg.image_size)
     return rng.random(shape).astype(cfg.np_dtype)
 
 

@@ -109,7 +109,11 @@ def test_train_rejects_mismatched_geometry(workspace, tmp_path):
 
 
 @pytest.mark.parametrize("override", ["train.views_pool=8", "model.voxel_side=x",
-                                      "voxel_side=8", "train.max_iterations"])
+                                      "voxel_side=8", "train.max_iterations",
+                                      "model.mlp_ratio=4", "model.max_views=24",
+                                      "model.image_channels=2", "model.backbone_stages=4",
+                                      "model.use_positional_embeddings=true",
+                                      "model.refiner_input_residual=false"])
 def test_train_rejects_bad_set(workspace, tmp_path, override):
     with pytest.raises(SystemExit, match="bad config"):
         main(["train", "--data", workspace["data"], "--out", str(tmp_path / "r"),
@@ -120,3 +124,41 @@ def test_synth_rejects_small_voxel_side(tmp_path):
     with pytest.raises(SystemExit, match="^bad config: voxel side 4"):
         main(["synth", "--out", str(tmp_path / "d"), "--objects", "10",
               "--voxel-side", "4"])
+
+
+@pytest.mark.parametrize("objects,views,message", [
+    ("10", "0", "^bad config: 0 views per object"),
+    ("2", "2", "^error: split 'val' would be empty$"),
+])
+def test_synth_bad_request_is_one_line_error(tmp_path, objects, views, message):
+    with pytest.raises(SystemExit, match=message):
+        main(["synth", "--out", str(tmp_path / "d"), "--objects", objects,
+              "--voxel-side", "8", "--image-size", "16", "--views", views])
+
+
+def test_eval_beyond_the_dataset_views_is_one_line_error(workspace, tmp_path):
+    with pytest.raises(SystemExit, match="^error: asked for 30 views"):
+        main(["eval", "--checkpoint", os.path.join(workspace["run"], "checkpoint.ckpt"),
+              "--data", workspace["data"], "--out", str(tmp_path / "eval"),
+              "--view-counts", "1,30"])
+
+
+def test_eval_with_another_config_is_one_line_error(workspace, tmp_path):
+    config = open(os.path.join(workspace["run"], "config.txt")).read()
+    other = tmp_path / "config.txt"
+    other.write_text(config.replace("model.refiner_layers = 2", "model.refiner_layers = 1"))
+    with pytest.raises(SystemExit, match="^error: checkpoint was written for a different"):
+        main(["eval", "--checkpoint", os.path.join(workspace["run"], "checkpoint.ckpt"),
+              "--config", str(other), "--data", workspace["data"],
+              "--out", str(tmp_path / "eval")])
+
+
+@pytest.mark.parametrize("flags", [["eval", "--view-counts", "1,x"],
+                                   ["occlusion", "--sizes", "10,a"],
+                                   ["occlusion", "--sizes", ","]])
+def test_bad_int_list_is_a_usage_error(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([flags[0], "--checkpoint", "c.ckpt", "--data", "d", "--out", str(tmp_path),
+              *flags[1:]])
+    assert exc.value.code == 2
+    assert f"argument {flags[1]}: invalid" in capsys.readouterr().err

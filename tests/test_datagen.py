@@ -145,7 +145,7 @@ def test_occlusion_zero_box_is_identity():
 
 def test_occlusion_full_cover_blanks_odd_views_only():
     views = make_views(n=2, size=32)
-    out = occlude(views, 224, reference=224)  # scales to the full image
+    out = occlude(views, 224)  # scales to the full image
     assert np.all(out[0] == 0)
     assert np.array_equal(out[1], views[1])
 
@@ -194,6 +194,11 @@ def test_occlusion_too_large():
     views = make_views(n=2, size=16)
     with pytest.raises(BoxLargerThanImage):
         occlude(views, 448)  # scales to 32 > 16
+
+
+def test_occlusion_unknown_mode_is_bad_config():
+    with pytest.raises(BadConfig, match="unknown occlusion mode 'diagonal'"):
+        occlude(make_views(n=2, size=16), 30, mode="diagonal")
 
 
 # --- splits ---

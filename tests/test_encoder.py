@@ -6,7 +6,7 @@ from scipy.special import erf
 
 from mvrecon import autodiff as ad
 from mvrecon.autodiff import Tensor
-from mvrecon.config import ModelConfig, paper_model_config, tiny_model_config
+from mvrecon.config import IMAGE_CHANNELS, ModelConfig, paper_model_config, tiny_model_config
 from mvrecon.errors import EmptyViewList, TooManyViews, WidthMismatch
 from mvrecon.model import MultiViewReconstructor
 
@@ -17,7 +17,7 @@ from modelutil import check_param_grads, random_images, tiny64
 def small_cfg(**overrides):
     base = dict(
         voxel_side=8, image_size=16, embed_dim=8, encoder_layers=1,
-        encoder_heads=2, backbone_stages=2, backbone_channels=3,
+        encoder_heads=2, backbone_channels=3,
         decoder_heads=2, refiner_cubes=(4, 2), refiner_layers=1,
         refiner_heads=(4, 2), dtype="float64",
     )
@@ -67,10 +67,10 @@ def test_single_view_attention_is_finite():
 
 
 def test_view_count_errors():
-    cfg = tiny_model_config(max_views=4)
+    cfg = tiny_model_config()
     model = MultiViewReconstructor(cfg, seed=0)
     with pytest.raises(TooManyViews):
-        model.encode(random_images(0, 1, 5, cfg))
+        model.encode(random_images(0, 1, 25, cfg))
     with pytest.raises(EmptyViewList):
         model.encode(np.zeros((1, 0, 2, 32, 32), dtype=np.float32))
 
@@ -114,7 +114,7 @@ def embed(model, img):
 def test_zero_image_matches_bias_only_forward():
     cfg = small_cfg()
     model = MultiViewReconstructor(cfg, seed=3)
-    img = np.zeros((cfg.image_channels, cfg.image_size, cfg.image_size))
+    img = np.zeros((IMAGE_CHANNELS, cfg.image_size, cfg.image_size))
     got = embed(model, img)
     want = naive_backbone(model, img)
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -130,7 +130,7 @@ def test_backbone_matches_naive_conv_oracle():
     cfg = small_cfg()
     model = MultiViewReconstructor(cfg, seed=4)
     img = np.random.default_rng(5).random(
-        (cfg.image_channels, cfg.image_size, cfg.image_size))
+        (IMAGE_CHANNELS, cfg.image_size, cfg.image_size))
     np.testing.assert_allclose(embed(model, img),
                                naive_backbone(model, img), atol=1e-10)
 
@@ -139,7 +139,7 @@ def test_identical_images_identical_embeddings():
     cfg = tiny_model_config()
     model = MultiViewReconstructor(cfg, seed=5)
     img = np.random.default_rng(6).random(
-        (cfg.image_channels, cfg.image_size, cfg.image_size)).astype(np.float32)
+        (IMAGE_CHANNELS, cfg.image_size, cfg.image_size)).astype(np.float32)
     a = embed(model, img)
     b = embed(model, img.copy())
     assert np.array_equal(a, b)
@@ -149,7 +149,7 @@ def test_embedding_grad_wrt_input_image():
     cfg = small_cfg()
     model = MultiViewReconstructor(cfg, seed=6)
     img = np.random.default_rng(7).random(
-        (cfg.image_channels, cfg.image_size, cfg.image_size))
+        (IMAGE_CHANNELS, cfg.image_size, cfg.image_size))
     t = Tensor(img[None], requires_grad=True)
     model.backbone(t).sum().backward()
 
@@ -164,8 +164,9 @@ def test_embedding_grad_wrt_input_image():
 # --- permutation behaviour ---
 
 def test_permutation_equivariance_without_positions():
-    cfg = tiny_model_config(use_positional_embeddings=False)
+    cfg = tiny_model_config()
     model = MultiViewReconstructor(cfg, seed=7)
+    model.encoder.positional.data[...] = 0.0  # x + 0 is bitwise x
     images = random_images(8, 2, 6, cfg)
     feats = model.encode(images).data
     rng = np.random.default_rng(9)
@@ -176,7 +177,7 @@ def test_permutation_equivariance_without_positions():
 
 
 def test_positions_break_permutation_equivariance():
-    cfg = tiny_model_config(use_positional_embeddings=True)
+    cfg = tiny_model_config()
     model = MultiViewReconstructor(cfg, seed=8)
     images = random_images(10, 1, 4, cfg)
     feats = model.encode(images).data

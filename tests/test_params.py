@@ -26,8 +26,7 @@ def test_registry_names_and_counts(make, count):
     assert names[-1] == "refiner.blocks.1.proj_out.bias"
 
 
-@pytest.mark.parametrize("flag,prefix", [("use_refiner", "refiner."),
-                                         ("use_positional_embeddings", "encoder.positional")])
+@pytest.mark.parametrize("flag,prefix", [("use_refiner", "refiner.")])
 def test_switched_off_part_drops_exactly_its_names(flag, prefix):
     full = names_of(MultiViewReconstructor(tiny_model_config(), seed=0))
     part = names_of(MultiViewReconstructor(tiny_model_config(**{flag: False}), seed=0))

@@ -66,7 +66,7 @@ def test_locality_with_identity_attention(monkeypatch):
     monkeypatch.setattr(ad, "softmax", lambda a, axis=-1: Tensor(
         np.broadcast_to(np.eye(a.shape[-1], dtype=a.dtype), a.shape).copy()))
     block = CubeAttentionBlock(np.random.default_rng(6), cube_side=4, grid_side=8,
-                               layers=1, heads=4, mlp_ratio=2, dtype=np.float64)
+                               layers=1, heads=4, dtype=np.float64)
     vol = np.random.default_rng(7).random((1, 8, 8, 8))
     changed = changed_cubes(block, vol, bump_cube_five(vol), 1e-12)
     np.testing.assert_array_equal(changed, np.arange(8) == 5)
@@ -74,7 +74,7 @@ def test_locality_with_identity_attention(monkeypatch):
 
 def test_mixing_without_identity_attention():
     block = CubeAttentionBlock(np.random.default_rng(8), cube_side=4, grid_side=8,
-                               layers=1, heads=4, mlp_ratio=2, dtype=np.float64)
+                               layers=1, heads=4, dtype=np.float64)
     vol = np.random.default_rng(9).random((1, 8, 8, 8))
     changed = changed_cubes(block, vol, bump_cube_five(vol), 1e-9)
     assert changed.sum() == 8  # softmax attention spreads the perturbation
@@ -83,7 +83,7 @@ def test_mixing_without_identity_attention():
 def test_non_divisible_cube_rejected():
     with pytest.raises(NonDivisibleCube):
         CubeAttentionBlock(np.random.default_rng(10), cube_side=3, grid_side=8,
-                           layers=1, heads=1, mlp_ratio=2)
+                           layers=1, heads=1)
 
 
 def test_wrong_volume_side_rejected():
@@ -91,13 +91,6 @@ def test_wrong_volume_side_rejected():
     refiner = VolumeRefiner(np.random.default_rng(11), cfg)
     with pytest.raises(WidthMismatch):
         refiner(rand_volume(12, 16))
-
-
-def test_input_residual_variant_stays_in_unit_interval():
-    cfg = tiny_model_config(refiner_input_residual=True)
-    refiner = VolumeRefiner(np.random.default_rng(13), cfg)
-    out = refiner(rand_volume(14, cfg.voxel_side)).data
-    assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
 def test_refiner_param_grads_vs_fd():

@@ -26,8 +26,12 @@ from fd import central_diff, rel_err
 def random_grid(seed, side=8, kind=CONTINUOUS, dtype=np.float64):
     rng = np.random.default_rng(seed)
     if kind == BINARY:
-        return VoxelGrid(side, (rng.random((side,) * 3) < 0.4).astype(np.float32), BINARY)
-    return VoxelGrid(side, rng.random((side,) * 3).astype(dtype), CONTINUOUS)
+        return (rng.random((side,) * 3) < 0.4).astype(np.float32)
+    return rng.random((side,) * 3).astype(dtype)
+
+
+def zeros(side):
+    return np.zeros((side,) * 3, dtype=np.float32)
 
 
 # --- oracles ---
@@ -92,20 +96,20 @@ def assemble(tokens, cube, side):
 
 def test_partition_paper_scale_counts():
     g = random_grid(0, side=32)
-    assert partition(g.values, 4).shape == (512, 64)
-    assert partition(g.values, 8).shape == (64, 512)
+    assert partition(g, 4).shape == (512, 64)
+    assert partition(g, 8).shape == (64, 512)
 
 
 def test_partition_single_cube_is_flat_grid():
     g = random_grid(1, side=4)
-    tokens = partition(g.values, 4)
+    tokens = partition(g, 4)
     assert tokens.shape == (1, 64)
-    np.testing.assert_array_equal(tokens[0], g.values.reshape(-1))
+    np.testing.assert_array_equal(tokens[0], g.reshape(-1))
 
 
 def test_partition_non_divisible():
     with pytest.raises(NonDivisibleCube):
-        partition(random_grid(2, side=8).values, 3)
+        partition(random_grid(2, side=8), 3)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(32, 4), (32, 8), (8, 2), (16, 4)]))
@@ -113,7 +117,7 @@ def test_partition_non_divisible():
 def test_assemble_inverts_partition(seed, vc):
     side, cube = vc
     g = random_grid(seed, side=side)
-    assert np.array_equal(assemble(partition(g.values, cube), cube, side), g.values)
+    assert np.array_equal(assemble(partition(g, cube), cube, side), g)
 
 
 def test_token_zero_maps_to_corner_cube():
@@ -143,7 +147,7 @@ def test_cube_index_ordering_by_enumeration():
 
 def test_tensor_partition_matches_numpy():
     # a batch partitions item by item, each as numpy slicing would cut it
-    vals = np.stack([random_grid(7 + i, side=8).values for i in range(3)])
+    vals = np.stack([random_grid(7 + i, side=8) for i in range(3)])
     tok = partition_tokens(Tensor(vals, dtype=np.float64), 2)
     assert tok.shape == (3, 64, 8)
     for b in range(3):
@@ -163,15 +167,13 @@ def test_mse_identical_is_zero():
 
 def test_mse_ones_vs_zeros():
     side = 6
-    ones = VoxelGrid(side, np.ones((side,) * 3), CONTINUOUS)
-    zeros = VoxelGrid.zeros(side)
-    assert loss_mse(ones, zeros).item() == pytest.approx(1.0, abs=1e-12)
+    assert loss_mse(np.ones((side,) * 3), zeros(side)).item() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_mse_matches_loop_oracle(seed):
     y, p = random_grid(seed), random_grid(seed + 100)
-    assert abs(loss_mse(y, p).item() - mse_loop(y.values, p.values)) < 1e-12
+    assert abs(loss_mse(y, p).item() - mse_loop(y, p)) < 1e-12
 
 
 def test_ssim_identical_is_zero():
@@ -181,14 +183,14 @@ def test_ssim_identical_is_zero():
 
 def test_ssim_equal_constants_is_zero():
     side = 6
-    half = VoxelGrid(side, np.full((side,) * 3, 0.5), CONTINUOUS)
+    half = np.full((side,) * 3, 0.5)
     assert abs(loss_ssim3d(half, half).item()) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_ssim_matches_direct_oracle(seed):
     y, p = random_grid(seed), random_grid(seed + 50)
-    assert abs(loss_ssim3d(y, p).item() - ssim_loss_direct(y.values, p.values)) < 1e-10
+    assert abs(loss_ssim3d(y, p).item() - ssim_loss_direct(y, p)) < 1e-10
 
 
 def test_ssim_range():
@@ -222,8 +224,8 @@ def test_total_gradient_vs_fd():
 
 
 def test_batched_losses_average_per_volume():
-    y = np.stack([random_grid(i).values for i in range(3)])
-    p = np.stack([random_grid(i + 9).values for i in range(3)])
+    y = np.stack([random_grid(i) for i in range(3)])
+    p = np.stack([random_grid(i + 9) for i in range(3)])
     batched = loss_ssim3d(Tensor(y), Tensor(p)).item()
     singles = [loss_ssim3d(Tensor(y[i]), Tensor(p[i])).item() for i in range(3)]
     assert batched == pytest.approx(np.mean(singles), abs=1e-6)
@@ -238,32 +240,32 @@ def test_loss_shape_mismatch():
 
 def test_iou_exact_match():
     g = random_grid(8, kind=BINARY)
-    pred = VoxelGrid(g.side, g.values * 0.9, CONTINUOUS)  # binarizes back to g
+    pred = g * 0.9  # binarizes back to g
     assert metric_iou(g, pred, threshold=0.5) == 1.0
 
 
 def test_iou_disjoint():
     side = 4
-    a = VoxelGrid.zeros(side, BINARY)
-    b = VoxelGrid.zeros(side, BINARY)
-    a.values[0, 0, 0] = 1
-    b.values[1, 1, 1] = 1
+    a = zeros(side)
+    b = zeros(side)
+    a[0, 0, 0] = 1
+    b[1, 1, 1] = 1
     assert metric_iou(a, b, 0.5) == 0.0
 
 
 def test_iou_small_enumeration():
     side = 4
-    a = VoxelGrid.zeros(side, BINARY)
-    b = VoxelGrid.zeros(side, BINARY)
-    a.values[0, 0, 0] = a.values[0, 0, 1] = 1
-    b.values[0, 0, 1] = b.values[0, 0, 2] = 1
+    a = zeros(side)
+    b = zeros(side)
+    a[0, 0, 0] = a[0, 0, 1] = 1
+    b[0, 0, 1] = b[0, 0, 2] = 1
     assert metric_iou(a, b, 0.5) == pytest.approx(1 / 3)
-    assert metric_iou(a, b, 0.5) == pytest.approx(iou_loop(a.values, b.values))
+    assert metric_iou(a, b, 0.5) == pytest.approx(iou_loop(a, b))
 
 
 def test_iou_empty_vs_empty_convention():
     side = 4
-    assert metric_iou(VoxelGrid.zeros(side, BINARY), VoxelGrid.zeros(side), 0.5) == 1.0
+    assert metric_iou(zeros(side), zeros(side), 0.5) == 1.0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -271,30 +273,29 @@ def test_iou_matches_loop_and_symmetry(seed):
     a = random_grid(seed, side=6, kind=BINARY)
     b = random_grid(seed + 77, side=6, kind=BINARY)
     got = metric_iou(a, b, 0.5)
-    assert got == pytest.approx(iou_loop(a.values, b.values))
+    assert got == pytest.approx(iou_loop(a, b))
     assert got == pytest.approx(metric_iou(b, a, 0.5))
 
 
 def test_iou_self_is_one_for_any_threshold():
     g = random_grid(21, kind=BINARY)
     for t in (0.1, 0.3, 0.5, 0.9):
-        assert metric_iou(g, VoxelGrid(g.side, g.values.astype(np.float32)), t) == 1.0
+        assert metric_iou(g, g.copy(), t) == 1.0
 
 
 # --- F-score ---
 
 def test_fscore_identical():
     g = random_grid(9, kind=BINARY)
-    assert metric_fscore(g, VoxelGrid(g.side, g.values.astype(np.float32)),
-                         threshold=0.5) == 1.0
+    assert metric_fscore(g, g.copy(), threshold=0.5) == 1.0
 
 
 def test_fscore_far_apart_is_zero():
     side = 16
-    a = VoxelGrid.zeros(side, BINARY)
-    b = VoxelGrid.zeros(side, BINARY)
-    a.values[0, 0, 0] = 1
-    b.values[15, 15, 15] = 1
+    a = zeros(side)
+    b = zeros(side)
+    a[0, 0, 0] = 1
+    b[15, 15, 15] = 1
     assert metric_fscore(a, b, 0.5, tau=1.0 / side) == 0.0
 
 
@@ -309,17 +310,17 @@ def test_fscore_three_point_toy_vs_allpairs():
 def test_fscore_symmetric(seed):
     a = random_grid(seed, side=6, kind=BINARY)
     b = random_grid(seed + 13, side=6, kind=BINARY)
-    if a.occupancy() == 0 or b.occupancy() == 0:
+    if not a.any() or not b.any():
         pytest.skip("degenerate draw")
-    f_ab = metric_fscore(a, VoxelGrid(b.side, b.values.astype(np.float32)), 0.5)
-    f_ba = metric_fscore(b, VoxelGrid(a.side, a.values.astype(np.float32)), 0.5)
+    f_ab = metric_fscore(a, b, 0.5)
+    f_ba = metric_fscore(b, a, 0.5)
     assert f_ab == pytest.approx(f_ba)
 
 
 def test_fscore_empty_is_error():
     side = 4
-    empty = VoxelGrid.zeros(side, BINARY)
-    full = VoxelGrid(side, np.ones((side,) * 3, dtype=np.float32), BINARY)
+    empty = zeros(side)
+    full = np.ones((side,) * 3, dtype=np.float32)
     with pytest.raises(EmptyVolume):
         metric_fscore(full, empty, 0.5)
     with pytest.raises(EmptyVolume):
@@ -328,9 +329,9 @@ def test_fscore_empty_is_error():
 
 def test_occupied_points_are_voxel_centers():
     side = 4
-    g = VoxelGrid.zeros(side, BINARY)
-    g.values[1, 2, 3] = 1
-    np.testing.assert_allclose(occupied_points(g.values),
+    g = zeros(side)
+    g[1, 2, 3] = 1
+    np.testing.assert_allclose(occupied_points(g),
                                [[1.5 / 4, 2.5 / 4, 3.5 / 4]])
 
 

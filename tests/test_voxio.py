@@ -40,7 +40,7 @@ def decode_binvox_reference(data: bytes) -> np.ndarray:
 # --- binvox ---
 
 def test_binvox_empty_grid_roundtrip():
-    g = VoxelGrid.zeros(32, BINARY)
+    g = VoxelGrid(32, np.zeros((32,) * 3, dtype=np.float32), BINARY)
     data = write_binvox(g)
     payload = data.split(b"data\n", 1)[1]
     pairs = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 2)
@@ -51,7 +51,7 @@ def test_binvox_empty_grid_roundtrip():
 
 
 def test_binvox_single_voxel_roundtrip():
-    g = VoxelGrid.zeros(16, BINARY)
+    g = VoxelGrid(16, np.zeros((16,) * 3, dtype=np.float32), BINARY)
     g.values[3, 7, 11] = 1
     back = read_binvox(write_binvox(g))
     assert np.array_equal(back.values, g.values)
@@ -72,12 +72,12 @@ def test_binvox_wire_order_matches_public_format():
 
 def test_binvox_header_fields():
     g = rand_binary(0, side=8)
-    data = write_binvox(g, translate=(1.0, 2.0, 3.0), scale=0.5)
+    data = write_binvox(g)
     lines = data.split(b"\n")[:5]
     assert lines[0] == b"#binvox 1"
     assert lines[1] == b"dim 8 8 8"
-    assert lines[2] == b"translate 1 2 3"
-    assert lines[3] == b"scale 0.5"
+    assert lines[2] == b"translate 0 0 0"
+    assert lines[3] == b"scale 1"
     assert lines[4] == b"data"
     assert np.array_equal(read_binvox(data).values, g.values)
 

@@ -1,23 +1,29 @@
-"""Binary checkpoints: the model's parameters and nothing else.
+"""Binary checkpoints: the model's config and parameters, nothing else.
 
-Layout, version 2 (all integers little-endian):
+Layout, version 3 (all integers little-endian):
 
     magic     8s   b"MVRCKPT\\0"
     version   u32
-    confhash  32s  sha256 of the canonical model-config text
+    conf_len  u32
+    config    the model's ``model.key = value`` lines, UTF-8
+    conf_crc  u32  CRC32 of the config text
     n_params  u32
     records:  name_len u16, name, ndim u8, dims u32*, dtype u8,
               payload_len u64, payload, crc u32
 
-Records follow ``model.named_params()``; a name is the parameter's
-attribute path, such as ``encoder.blocks.0.layers.1.attn.q.weight``.
-A checkpoint stores no optimizer, data-order or RNG state: it restores
-weights, not a run.  A file of any other version raises ``VersionMismatch``.
+The config text is what ``config_to_text`` writes for the model, so a
+checkpoint describes its own architecture: ``load_model`` rebuilds the
+model from the file alone.  Records follow ``model.named_params()``; a name
+is the parameter's attribute path, such as
+``encoder.blocks.0.layers.1.attn.q.weight``.  A checkpoint stores no
+optimizer, data-order or RNG state: it restores weights, not a run.  A file
+of any other version raises ``VersionMismatch``.
 
-Every record carries a CRC over its name, shape, dtype, and payload, so a
-flipped byte surfaces as ``CorruptRecord`` instead of silent weight drift.
-Loading checks every record before it assigns any weight: a file that fails
-a check raises and leaves the model as it was.
+The config text and every record carry a CRC (a record's covers its name,
+shape, dtype, and payload), so a flipped byte surfaces as ``CorruptRecord``
+instead of silent weight drift.  Loading checks every record before it
+assigns any weight: a file that fails a check raises and leaves the model
+as it was.
 """
 
 from __future__ import annotations
@@ -27,11 +33,12 @@ import zlib
 
 import numpy as np
 
-from .config import config_hash
-from .errors import ConfigHashMismatch, CorruptRecord, VersionMismatch
+from .config import ModelConfig, config_from_text, model_config_to_text
+from .errors import BadConfig, ConfigMismatch, CorruptRecord, VersionMismatch
+from .model import MultiViewReconstructor
 
 MAGIC = b"MVRCKPT\x00"
-VERSION = 2
+VERSION = 3
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 
@@ -76,7 +83,8 @@ def checkpoint_bytes(model) -> bytes:
     out = bytearray()
     out += MAGIC
     out += struct.pack("<I", VERSION)
-    out += bytes.fromhex(config_hash(model.cfg))
+    conf = model_config_to_text(model.cfg).encode()
+    out += struct.pack("<I", len(conf)) + conf + struct.pack("<I", zlib.crc32(conf))
     out += struct.pack("<I", len(params))
     for name, p in params:
         out += _record_bytes(name, p.data)
@@ -88,16 +96,27 @@ def save_checkpoint(path, model) -> None:
         fh.write(checkpoint_bytes(model))
 
 
-def load_checkpoint_bytes(data: bytes, model) -> None:
-    r = _Reader(data)
+def _read_config(r: _Reader) -> ModelConfig:
     if r.take(8) != MAGIC:
         raise VersionMismatch("not a checkpoint file")
     (version,) = r.unpack("I")
     if version != VERSION:
         raise VersionMismatch(f"checkpoint version {version}, expected {VERSION}")
-    conf = r.take(32).hex()
-    if conf != config_hash(model.cfg):
-        raise ConfigHashMismatch("checkpoint was written for a different config")
+    (conf_len,) = r.unpack("I")
+    conf = r.take(conf_len)
+    (crc,) = r.unpack("I")
+    if zlib.crc32(conf) != crc:
+        raise CorruptRecord("checkpoint config checksum mismatch")
+    try:
+        return config_from_text(bytes(conf).decode()).model
+    except (UnicodeDecodeError, BadConfig) as exc:
+        raise CorruptRecord(f"checkpoint config: {exc}") from None
+
+
+def load_checkpoint_bytes(data: bytes, model) -> None:
+    r = _Reader(data)
+    if _read_config(r) != model.cfg:
+        raise ConfigMismatch("checkpoint was written for a different config")
     (n_params,) = r.unpack("I")
     table = dict(model.named_params())
     if n_params != len(table):
@@ -144,3 +163,11 @@ def load_checkpoint(path, model) -> None:
     with open(path, "rb") as fh:
         load_checkpoint_bytes(fh.read(), model)
 
+
+def load_model(path) -> MultiViewReconstructor:
+    """The model a checkpoint file describes, with the file's weights."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    model = MultiViewReconstructor(_read_config(_Reader(data)))
+    load_checkpoint_bytes(data, model)
+    return model

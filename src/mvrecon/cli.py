@@ -2,10 +2,12 @@
 
 Subcommands: synth (build a dataset), train, eval, occlusion, rollout,
 reconstruct (view images -> binvox).
-Every run directory gets a flat key=value config file and a run manifest
-recording the config, seed, git description, and outputs.  A bad config
-exits with ``bad config: ...`` and any other package error with
-``error: ...``, one line each.
+A training run directory gets its flat key=value config file, a run
+manifest recording the seed, git description, and outputs, and a checkpoint
+that carries the model config, so the other commands need only the
+checkpoint.  A bad config exits with ``bad config: ...``, and any other
+package error or a file that cannot be read or written with ``error: ...``,
+one line each.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_model, save_checkpoint
 from .config import (
     MODEL_PRESETS,
     TrainConfig,
@@ -60,11 +62,9 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def _write_run_manifest(run_dir: str, cfg_text: str, seed: int,
-                        outputs: dict[str, str]) -> None:
+def _write_run_manifest(run_dir: str, seed: int, outputs: dict[str, str]) -> None:
     lines = ["# mvrecon run", f"git {_git_describe()}", f"seed {seed}", ""]
     lines += ["# outputs"] + [f"{k} {v}" for k, v in outputs.items()]
-    lines += ["", "# config"] + cfg_text.strip().splitlines()
     with open(os.path.join(run_dir, "run.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -131,10 +131,9 @@ def cmd_train(args) -> int:
     save_checkpoint(ckpt_path, model)
     with open(os.path.join(args.out, "loss_curve.csv"), "w") as fh:
         fh.write(loss_curve_csv(result))
-    cfg_text = config_to_text(cfg)
     with open(os.path.join(args.out, "config.txt"), "w") as fh:
-        fh.write(cfg_text)
-    _write_run_manifest(args.out, cfg_text, cfg.seed, {
+        fh.write(config_to_text(cfg))
+    _write_run_manifest(args.out, cfg.seed, {
         "checkpoint": "checkpoint.ckpt",
         "loss_curve": "loss_curve.csv",
         "final_loss": f"{result.losses[-1]:.6f}" if result.losses else "nan",
@@ -145,24 +144,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-# --- shared checkpoint loading ---
-
-def _load_model(checkpoint_path: str, config_path: str | None) -> MultiViewReconstructor:
-    if config_path is None:
-        config_path = os.path.join(os.path.dirname(checkpoint_path), "config.txt")
-    if not os.path.exists(config_path):
-        raise SystemExit(f"config file {config_path!r} not found; pass --config")
-    with open(config_path) as fh:
-        cfg = config_from_text(fh.read())
-    model = MultiViewReconstructor(cfg.model, seed=cfg.seed)
-    load_checkpoint(checkpoint_path, model)
-    return model
-
-
 # --- eval ---
 
 def cmd_eval(args) -> int:
-    model = _load_model(args.checkpoint, args.config)
+    model = load_model(args.checkpoint)
     dataset = load_dataset(args.data)
     report = evaluate(model, dataset, split=args.split, view_counts=args.view_counts,
                       threshold=args.threshold, tau=args.tau)
@@ -179,7 +164,7 @@ def cmd_eval(args) -> int:
 # --- occlusion ---
 
 def cmd_occlusion(args) -> int:
-    model = _load_model(args.checkpoint, args.config)
+    model = load_model(args.checkpoint)
     dataset = load_dataset(args.data)
     results = occlusion_sweep(model, dataset, sizes=args.sizes, split=args.split,
                               n_views=args.views, threshold=args.threshold,
@@ -197,7 +182,7 @@ def cmd_occlusion(args) -> int:
 # --- rollout ---
 
 def cmd_rollout(args) -> int:
-    model = _load_model(args.checkpoint, args.config)
+    model = load_model(args.checkpoint)
     dataset = load_dataset(args.data)
     matches = [o for o in dataset.objects if o.object_id == args.object]
     if not matches:
@@ -214,7 +199,7 @@ def cmd_rollout(args) -> int:
 def cmd_reconstruct(args) -> int:
     if len(args.images) % 2 != 0:
         raise SystemExit("--images expects silhouette/depth PGM pairs")
-    model = _load_model(args.checkpoint, args.config)
+    model = load_model(args.checkpoint)
     views = []
     for i in range(0, len(args.images), 2):
         with open(args.images[i], "rb") as fh:
@@ -222,11 +207,10 @@ def cmd_reconstruct(args) -> int:
         with open(args.images[i + 1], "rb") as fh:
             dep = read_pgm(fh.read())
         views.append(np.stack([sil, dep]))
-    grid = model.reconstruct(np.stack(views))
-    binary = grid.binarize(args.threshold)
+    occupied = model.reconstruct(np.stack(views)).values >= args.threshold
     with open(args.out, "wb") as fh:
-        fh.write(write_binvox(binary))
-    print(f"reconstructed {binary.occupancy()} occupied voxels -> {args.out}")
+        fh.write(write_binvox(occupied))
+    print(f"reconstructed {np.count_nonzero(occupied)} occupied voxels -> {args.out}")
     return 0
 
 
@@ -262,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="metric tables for a trained checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="test")
@@ -274,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("occlusion", help="occlusion-robustness sweep")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="test")
@@ -287,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rollout", help="attention-rollout heatmaps as PGM")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--object", required=True)
     p.add_argument("--views", type=int, default=8)
@@ -296,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="silhouette/depth PGMs -> binvox")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--images", nargs="+", required=True,
                    help="alternating silhouette and depth PGM paths")
     p.add_argument("--out", required=True)
@@ -312,7 +292,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BadConfig as exc:
         raise SystemExit(f"bad config: {exc}") from None
-    except MvreconError as exc:
+    except (MvreconError, OSError) as exc:
         raise SystemExit(f"error: {exc}") from None
 
 

@@ -10,7 +10,6 @@ layout shares is a module constant below, not a field.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -204,15 +203,18 @@ def _parse_value(text: str, ftype: str):
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
+def _section_text(section: str, cfg) -> str:
+    return "".join(f"{section}.{f.name} = {_format_value(getattr(cfg, f.name))}\n"
+                   for f in fields(cfg) if f.name != "model")
+
+
+def model_config_to_text(cfg: ModelConfig) -> str:
+    """The ``model.`` lines of a config file; checkpoints store them too."""
+    return _section_text("model", cfg)
+
+
 def config_to_text(cfg: TrainConfig) -> str:
-    lines = []
-    for f in fields(ModelConfig):
-        lines.append(f"model.{f.name} = {_format_value(getattr(cfg.model, f.name))}")
-    for f in fields(TrainConfig):
-        if f.name == "model":
-            continue
-        lines.append(f"train.{f.name} = {_format_value(getattr(cfg, f.name))}")
-    return "\n".join(lines) + "\n"
+    return model_config_to_text(cfg.model) + _section_text("train", cfg)
 
 
 def config_from_text(text: str) -> TrainConfig:
@@ -237,9 +239,3 @@ def config_from_text(text: str) -> TrainConfig:
             raise BadConfig(f"{key} = {value!r}: {exc}") from None
     return TrainConfig(model=ModelConfig(**kwargs["model"]), **kwargs["train"])
 
-
-def config_hash(cfg: ModelConfig) -> str:
-    text = "\n".join(
-        f"{f.name}={_format_value(getattr(cfg, f.name))}"
-        for f in sorted(fields(ModelConfig), key=lambda f: f.name))
-    return hashlib.sha256(text.encode()).hexdigest()

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import voxio  # looked up per call, so wrappers set on voxio see every read and write
 from .errors import BadConfig, BoxLargerThanImage, DimMismatch, MalformedHeader, TooFewObjects
-from .voxels import BINARY, VoxelGrid
 
 CATEGORIES = (
     "box", "box_stack", "lshape", "table", "chair",
@@ -133,9 +132,6 @@ def _gen_lamp(rng, vol, side):
     r_shade = max(2.0, side / 5 + float(rng.integers(0, max(1, side // 8) + 1)))
     sl = slice(z_top - shade_h, z_top)
     vol[:, :, sl][dist[:, :, sl] <= r_shade] = 1.0
-    vol[:, :, side - 2:] = 0.0
-    vol[0, :, :] = vol[-1, :, :] = 0.0
-    vol[:, 0, :] = vol[:, -1, :] = 0.0
 
 
 def _gen_cylinder(rng, vol, side):
@@ -149,8 +145,6 @@ def _gen_cylinder(rng, vol, side):
     band = np.zeros_like(vol, dtype=bool)
     band[:, :, z0:z0 + height] = True
     vol[mask & band] = 1.0
-    vol[0, :, :] = vol[-1, :, :] = 0.0
-    vol[:, 0, :] = vol[:, -1, :] = 0.0
 
 
 def _gen_ring(rng, vol, side):
@@ -163,9 +157,6 @@ def _gen_ring(rng, vol, side):
     dist = np.hypot(xx - side / 2, yy - side / 2)
     mask = (np.abs(dist - r_mid) <= thickness) & (np.abs(zz - z0) <= z_half)
     vol[mask] = 1.0
-    vol[0, :, :] = vol[-1, :, :] = 0.0
-    vol[:, 0, :] = vol[:, -1, :] = 0.0
-    vol[:, :, 0] = vol[:, :, -1] = 0.0
 
 
 def _gen_composite(rng, vol, side):
@@ -197,6 +188,7 @@ def gen_object(category: str, seed: int, side: int) -> np.ndarray:
     rng = _object_rng(category, seed, side)
     vol = np.zeros((side, side, side), dtype=np.float32)
     _GENERATORS[category](rng, vol, side)
+    vol[[0, -1], :, :] = vol[:, [0, -1], :] = vol[:, :, [0, -1]] = 0.0
     if vol.sum() == 0:  # every family is constructed non-empty; guard anyway
         vol[side // 2, side // 2, side // 2] = 1.0
     return vol
@@ -441,9 +433,8 @@ def save_dataset(dataset: Dataset, root) -> None:
     vox_dir = os.path.join(root, "voxels")
     os.makedirs(vox_dir, exist_ok=True)
     for obj in dataset.objects:
-        grid = VoxelGrid(dataset.voxel_side, obj.grid.astype(np.float32), BINARY)
         with open(os.path.join(vox_dir, f"{obj.object_id}.binvox"), "wb") as fh:
-            fh.write(voxio.write_binvox(grid))
+            fh.write(voxio.write_binvox(obj.grid))
         view_dir = os.path.join(root, "views", obj.object_id)
         os.makedirs(view_dir, exist_ok=True)
         for k in range(obj.views.shape[0]):
@@ -462,9 +453,9 @@ def load_dataset(root) -> Dataset:
         path = os.path.join(root, "voxels", f"{obj.object_id}.binvox")
         with open(path, "rb") as fh:
             grid = voxio.read_binvox(fh.read())
-        if grid.side != dataset.voxel_side:
-            raise DimMismatch(f"{path}: side {grid.side}, expected {dataset.voxel_side}")
-        obj.grid = grid.values.astype(np.float32)
+        if grid.shape[0] != dataset.voxel_side:
+            raise DimMismatch(f"{path}: side {grid.shape[0]}, expected {dataset.voxel_side}")
+        obj.grid = grid
         view_dir = os.path.join(root, "views", obj.object_id)
         obj.views = np.zeros((dataset.n_views, 2) + image_shape, dtype=np.float32)
         for k in range(dataset.n_views):

@@ -97,7 +97,7 @@ class VersionMismatch(MvreconError):
     """Checkpoint format version is not supported."""
 
 
-class ConfigHashMismatch(MvreconError):
+class ConfigMismatch(MvreconError):
     """Checkpoint was written for a different model configuration."""
 
 

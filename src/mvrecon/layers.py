@@ -67,31 +67,31 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, dtype=np.float32, eps: float = 1e-5):
+    """Layer norm over the last axis with autodiff's default epsilon, 1e-5."""
+
+    def __init__(self, dim: int, dtype=np.float32):
         self.gain = Tensor(np.ones(dim), requires_grad=True, dtype=dtype)
         self.bias = Tensor(np.zeros(dim), requires_grad=True, dtype=dtype)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gain, self.bias, self.eps)
+        return ad.layer_norm(x, self.gain, self.bias)
 
 
 class Conv2d(Module):
-    """k x k convolution via patch extraction and one matmul."""
+    """3 x 3 convolution at stride 2 with 1 pixel of zero padding, via patch
+    extraction and one matmul; it halves the image (rounding up)."""
 
-    def __init__(self, rng, in_channels: int, out_channels: int, kernel: int = 3,
-                 stride: int = 2, padding: int = 1, dtype=np.float32):
-        fan_in = in_channels * kernel * kernel
-        self.weight = Tensor(rng.normal(0.0, math.sqrt(2.0 / fan_in),
-                                        (out_channels, in_channels, kernel, kernel)),
+    KERNEL, STRIDE, PADDING = 3, 2, 1
+
+    def __init__(self, rng, in_channels: int, out_channels: int, dtype=np.float32):
+        k = self.KERNEL
+        self.weight = Tensor(rng.normal(0.0, math.sqrt(2.0 / (in_channels * k * k)),
+                                        (out_channels, in_channels, k, k)),
                              requires_grad=True, dtype=dtype)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True, dtype=dtype)
-        self.kernel = kernel
-        self.stride = stride
-        self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        cols = ad.im2col(x, self.kernel, self.stride, self.padding)
+        cols = ad.im2col(x, self.KERNEL, self.STRIDE, self.PADDING)
         out_ch = self.weight.shape[0]
         w = self.weight.reshape(out_ch, -1).transpose(1, 0)
         y = ad.add(ad.matmul(cols, w), self.bias)  # [B, OH, OW, C_out]

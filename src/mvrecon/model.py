@@ -14,7 +14,7 @@ from .encoder import MultiViewEncoder, ViewBackbone
 from .errors import EmptyViewList, ShapeMismatch, TooManyViews
 from .layers import Module
 from .refiner import VolumeRefiner
-from .voxels import CONTINUOUS, VoxelGrid
+from .voxels import VoxelGrid
 
 # Objects per reconstruction forward.  float32 GEMM blocking depends on the
 # batch shape, so an object's volume would differ in its last bits with the
@@ -70,8 +70,7 @@ class MultiViewReconstructor(Module):
 
     def reconstruct(self, views: np.ndarray) -> VoxelGrid:
         """[N, C, H, W] views of one object -> continuous voxel grid."""
-        return VoxelGrid(self.cfg.voxel_side, self.reconstruct_batch([views])[0],
-                         CONTINUOUS)
+        return VoxelGrid(self.reconstruct_batch([views])[0])
 
     def reconstruct_batch(self, views) -> np.ndarray:
         """Per-object [N, C, H, W] views (a sequence, or a [B, N, C, H, W]

@@ -3,8 +3,8 @@
 Grids are cubic occupancy fields stored as ``(V, V, V)`` float arrays in C
 order, axes ``(x, y, z)`` with z fastest.  Losses take arrays or Tensors
 and are built from autodiff ops so they can train the model; metrics take
-arrays and are plain numpy.  ``VoxelGrid`` is the record that ``reconstruct``
-returns and the binvox files hold.
+arrays and are plain numpy.  ``VoxelGrid`` is what ``reconstruct`` returns:
+one continuous volume in [0, 1].
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import EmptyVolume, NonDivisibleCube, ShapeMismatch
 
-CONTINUOUS = "continuous"
-BINARY = "binary"
-
 DEFAULT_THRESHOLD = 0.3
 SSIM_C1 = 0.01
 SSIM_C2 = 0.03
@@ -28,32 +25,9 @@ SSIM_C2 = 0.03
 
 @dataclass
 class VoxelGrid:
-    """V^3 occupancy field, either continuous in [0, 1] or binary {0, 1}."""
+    """A reconstructed [V, V, V] occupancy volume with values in [0, 1]."""
 
-    side: int
     values: np.ndarray
-    kind: str = CONTINUOUS
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.values.shape != (self.side,) * 3:
-            raise ShapeMismatch(
-                f"VoxelGrid: values shape {self.values.shape} != side {self.side}")
-        if self.kind not in (CONTINUOUS, BINARY):
-            raise ValueError(f"VoxelGrid: unknown kind {self.kind!r}")
-        if self.kind == BINARY:
-            if not np.all((self.values == 0) | (self.values == 1)):
-                raise ValueError("binary grid may only contain 0 and 1")
-        else:
-            if np.any(self.values < 0) or np.any(self.values > 1):
-                raise ValueError("continuous grid values must lie in [0, 1]")
-
-    def binarize(self, threshold: float = DEFAULT_THRESHOLD) -> "VoxelGrid":
-        return VoxelGrid(self.side, (self.values >= threshold).astype(np.float32), BINARY)
-
-    def occupancy(self) -> int:
-        return int(np.count_nonzero(self.values >= 0.5)) if self.kind == BINARY \
-            else int(np.count_nonzero(self.values))
 
 
 def partition_tokens(x: Tensor, cube_side: int) -> Tensor:

@@ -1,9 +1,11 @@
 """Voxel and image file formats.
 
 binvox: the public run-length-encoded format used for ShapeNet-style
-ground truth.  In the file, voxel (x, y, z) lives at index
-``x*d*d + z*d + y`` (y fastest, then z, then x), so arrays are transposed
-between our native (x, y, z) order and the wire order on read/write.
+ground truth.  ``write_binvox`` takes a [V, V, V] array, nonzero meaning
+occupied, and ``read_binvox`` returns a float32 one of 0s and 1s.  In the
+file, voxel (x, y, z) lives at index ``x*d*d + z*d + y`` (y fastest, then
+z, then x), so arrays are transposed between our native (x, y, z) order and
+the wire order on read/write.
 
 PGM: binary P5, maxval 255, used for rendered view channels and heatmaps.
 """
@@ -12,21 +14,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadRunValue, DimMismatch, MalformedHeader, TruncatedRLE
-from .voxels import BINARY, VoxelGrid
+from .errors import BadRunValue, DimMismatch, MalformedHeader, ShapeMismatch, TruncatedRLE
 
 _BINVOX_MAGIC = b"#binvox 1"
 
 
 # --- binvox ---
 
-def write_binvox(grid: VoxelGrid) -> bytes:
-    """A binary grid as binvox bytes, at the origin with unit scale."""
-    if grid.kind != BINARY:
-        raise ValueError("write_binvox: grid must be binary")
-    d = grid.side
+def write_binvox(grid: np.ndarray) -> bytes:
+    """A [V, V, V] grid as binvox bytes, at the origin with unit scale;
+    a nonzero voxel is occupied."""
+    d = grid.shape[0]
     header = _BINVOX_MAGIC + f"\ndim {d} {d} {d}\ntranslate 0 0 0\nscale 1\ndata\n".encode()
-    flat = np.ascontiguousarray(grid.values.transpose(0, 2, 1)).reshape(-1)
+    flat = np.ascontiguousarray(grid.transpose(0, 2, 1)).reshape(-1)
     flat = (flat != 0).astype(np.uint8)
     return header + _rle_encode(flat)
 
@@ -48,7 +48,8 @@ def _rle_encode(flat: np.ndarray) -> bytes:
     return bytes(out)
 
 
-def read_binvox(data: bytes) -> VoxelGrid:
+def read_binvox(data: bytes) -> np.ndarray:
+    """binvox bytes as a float32 [V, V, V] grid of 0s and 1s."""
     lines, payload = _split_header(data)
     if not lines or not lines[0].startswith(_BINVOX_MAGIC):
         raise MalformedHeader("not a binvox file")
@@ -72,7 +73,7 @@ def read_binvox(data: bytes) -> VoxelGrid:
     d = dims[0]
     flat = _rle_decode(payload, d ** 3)
     values = flat.reshape(d, d, d).transpose(0, 2, 1).astype(np.float32)
-    return VoxelGrid(d, np.ascontiguousarray(values), BINARY)
+    return np.ascontiguousarray(values)
 
 
 def _split_header(data: bytes) -> tuple[list[bytes], bytes]:
@@ -112,7 +113,7 @@ def write_pgm(image: np.ndarray) -> bytes:
     """Grayscale image in [0, 1] (or uint8) to binary P5 bytes."""
     img = np.asarray(image)
     if img.ndim != 2:
-        raise ValueError(f"write_pgm: expected 2-D image, got {img.shape}")
+        raise ShapeMismatch(f"write_pgm: expected 2-D image, got {img.shape}")
     if img.dtype != np.uint8:
         img = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     h, w = img.shape

@@ -6,10 +6,11 @@ from mvrecon.checkpoint import (
     checkpoint_bytes,
     load_checkpoint,
     load_checkpoint_bytes,
+    load_model,
     save_checkpoint,
 )
-from mvrecon.config import config_hash, tiny_model_config
-from mvrecon.errors import ConfigHashMismatch, CorruptRecord, VersionMismatch
+from mvrecon.config import model_config_to_text, tiny_model_config
+from mvrecon.errors import ConfigMismatch, CorruptRecord, VersionMismatch
 from mvrecon.model import MultiViewReconstructor
 
 from modelutil import random_images
@@ -61,7 +62,9 @@ def test_truncated_checkpoint_is_detected(tiny_model):
 
 def test_repeated_record_is_detected(tiny_model):
     # the first record twice and the second not at all: the count still fits
-    header = checkpoint_bytes(tiny_model)[:48]  # magic, version, hash, count
+    text = model_config_to_text(tiny_model.cfg).encode()
+    # magic, version, config length, config text, its CRC, record count
+    header = checkpoint_bytes(tiny_model)[:8 + 4 + 4 + len(text) + 4 + 4]
     records = [_record_bytes(name, p.data) for name, p in tiny_model.named_params()]
     records[1] = records[0]
     other = MultiViewReconstructor(tiny_model.cfg, seed=2)
@@ -70,7 +73,8 @@ def test_repeated_record_is_detected(tiny_model):
 
 def test_version_mismatch(tiny_model):
     data = bytearray(checkpoint_bytes(tiny_model))
-    for version in (1, 99):  # 1: the earlier layout, which carried resume state
+    # 1 carried resume state; 2 carried a hash of the config, not its text
+    for version in (1, 2, 99):
         data[8:12] = version.to_bytes(4, "little")  # version field
         with pytest.raises(VersionMismatch):
             load_checkpoint_bytes(bytes(data), tiny_model)
@@ -78,19 +82,49 @@ def test_version_mismatch(tiny_model):
         load_checkpoint_bytes(b"NOTACKPT" + bytes(data[8:]), tiny_model)
 
 
-def test_config_hash_mismatch(tiny_model, tmp_path):
+def test_config_mismatch(tiny_model, tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, tiny_model)
     other_cfg = tiny_model_config(embed_dim=64)
     other = MultiViewReconstructor(other_cfg, seed=3)
-    with pytest.raises(ConfigHashMismatch):
+    with pytest.raises(ConfigMismatch):
         load_checkpoint(path, other)
 
 
-def test_config_hash_readable_from_header(tiny_model):
-    # magic (8 bytes) and version (4) precede the 32-byte config hash
+def test_config_text_readable_from_header(tiny_model):
+    # magic (8 bytes) and version (4) precede the config length and text
     data = checkpoint_bytes(tiny_model)
-    assert data[12:44].hex() == config_hash(tiny_model.cfg)
+    text = model_config_to_text(tiny_model.cfg).encode()
+    assert int.from_bytes(data[12:16], "little") == len(text)
+    assert data[16:16 + len(text)] == text
+    assert b"model.encoder_heads = 4\n" in text
+
+
+@pytest.mark.parametrize("overrides", [{}, {"dtype": "float64"}, {"use_refiner": False}],
+                         ids=["tiny", "float64", "no_refiner"])
+def test_load_model_rebuilds_the_model_from_the_file(tmp_path, overrides):
+    # int, tuple, bool and str fields all come back from the text
+    model = MultiViewReconstructor(tiny_model_config(**overrides), seed=5)
+    images = random_images(1, 2, 3, model.cfg)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    loaded = load_model(path)
+    assert loaded.cfg == model.cfg
+    assert [n for n, _ in loaded.named_params()] == [n for n, _ in model.named_params()]
+    assert np.array_equal(loaded.forward(images).refined.data,
+                          model.forward(images).refined.data)
+
+
+def test_config_text_is_guarded_by_its_crc(tiny_model):
+    # same length and the same parameter shapes: only the CRC can tell
+    data = checkpoint_bytes(tiny_model)
+    edited = data.replace(b"model.encoder_heads = 4", b"model.encoder_heads = 8", 1)
+    assert edited != data and len(edited) == len(data)
+    eight_heads = MultiViewReconstructor(tiny_model_config(encoder_heads=8))
+    assert ([p.shape for p in eight_heads.parameters()]
+            == [p.shape for p in tiny_model.parameters()])
+    with pytest.raises(CorruptRecord):
+        load_checkpoint_bytes(edited, tiny_model)
 
 
 def test_non_utf8_record_name_is_corrupt(tiny_model):

@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -50,7 +51,8 @@ def test_train_outputs(workspace):
     curve = open(os.path.join(run, "loss_curve.csv")).read().strip().splitlines()
     assert len(curve) == 5  # header + 4 iterations
     run_txt = open(os.path.join(run, "run.txt")).read()
-    assert "seed 1" in run_txt and "# config" in run_txt
+    assert "seed 1" in run_txt and "checkpoint checkpoint.ckpt" in run_txt
+    assert "model." not in run_txt  # the config lives in config.txt and the checkpoint
     config = open(os.path.join(run, "config.txt")).read()
     assert "train.batch_size = 4" in config and "model.voxel_side = 8" in config
 
@@ -99,7 +101,7 @@ def test_reconstruct_command(workspace, tmp_path):
                  os.path.join(workspace["run"], "checkpoint.ckpt"),
                  "--images"] + images + ["--out", out]) == 0
     grid = read_binvox(open(out, "rb").read())
-    assert grid.side == 8
+    assert grid.shape == (8, 8, 8)
 
 
 def test_train_rejects_mismatched_geometry(workspace, tmp_path):
@@ -143,14 +145,37 @@ def test_eval_beyond_the_dataset_views_is_one_line_error(workspace, tmp_path):
               "--view-counts", "1,30"])
 
 
-def test_eval_with_another_config_is_one_line_error(workspace, tmp_path):
-    config = open(os.path.join(workspace["run"], "config.txt")).read()
-    other = tmp_path / "config.txt"
-    other.write_text(config.replace("model.refiner_layers = 2", "model.refiner_layers = 1"))
-    with pytest.raises(SystemExit, match="^error: checkpoint was written for a different"):
-        main(["eval", "--checkpoint", os.path.join(workspace["run"], "checkpoint.ckpt"),
-              "--config", str(other), "--data", workspace["data"],
-              "--out", str(tmp_path / "eval")])
+def test_eval_needs_only_the_checkpoint(workspace, tmp_path):
+    alone = tmp_path / "elsewhere"
+    alone.mkdir()
+    shutil.copy(os.path.join(workspace["run"], "checkpoint.ckpt"), alone)
+    assert main(["eval", "--checkpoint", str(alone / "checkpoint.ckpt"),
+                 "--data", workspace["data"], "--out", str(tmp_path / "eval"),
+                 "--view-counts", "1,4"]) == 0
+
+
+@pytest.mark.parametrize("command", [["eval", "--data", "d"], ["occlusion", "--data", "d"],
+                                     ["rollout", "--data", "d", "--object", "o"],
+                                     ["reconstruct", "--images", "s.pgm", "d.pgm"]],
+                         ids=["eval", "occlusion", "rollout", "reconstruct"])
+def test_checkpoint_commands_take_no_config_flag(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--checkpoint", "c.ckpt", "--out", str(tmp_path),
+              "--config", "c.txt"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config c.txt" in capsys.readouterr().err
+
+
+def test_train_on_missing_data_is_one_line_error(tmp_path):
+    with pytest.raises(SystemExit, match="^error: .*No such file.*manifest.txt"):
+        main(["train", "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "r"),
+              "--preset", "tiny"])
+
+
+def test_eval_on_missing_checkpoint_is_one_line_error(workspace, tmp_path):
+    with pytest.raises(SystemExit, match="^error: .*No such file.*missing.ckpt"):
+        main(["eval", "--checkpoint", os.path.join(workspace["run"], "missing.ckpt"),
+              "--data", workspace["data"], "--out", str(tmp_path / "eval")])
 
 
 @pytest.mark.parametrize("flags", [["eval", "--view-counts", "1,x"],

@@ -24,7 +24,6 @@ from mvrecon.errors import (
     MalformedHeader,
     TooFewObjects,
 )
-from mvrecon.voxels import BINARY, VoxelGrid
 from mvrecon.voxio import write_binvox, write_pgm
 
 
@@ -296,6 +295,6 @@ def test_load_dataset_rejects_view_of_wrong_size(tmp_path):
 
 def test_load_dataset_rejects_grid_of_wrong_side(tmp_path):
     path = _saved_dataset(tmp_path) / "voxels" / "obj0004.binvox"
-    path.write_bytes(write_binvox(VoxelGrid(16, gen_object("box", 0, 16), BINARY)))
+    path.write_bytes(write_binvox(gen_object("box", 0, 16)))
     with pytest.raises(DimMismatch, match="obj0004.binvox"):
         load_dataset(tmp_path)

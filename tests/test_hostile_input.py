@@ -14,14 +14,13 @@ from mvrecon.config import TrainConfig, config_from_text, config_to_text, tiny_m
 from mvrecon.datagen import Dataset, DatasetObject, manifest_from_text, manifest_to_text
 from mvrecon.errors import MvreconError
 from mvrecon.model import MultiViewReconstructor
-from mvrecon.voxels import BINARY, VoxelGrid
 from mvrecon.voxio import read_binvox, read_pgm, write_binvox, write_pgm
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
 
 _rng = np.random.default_rng(0)
 PGM = write_pgm(_rng.random((5, 7)))
-BINVOX = write_binvox(VoxelGrid(8, (_rng.random((8, 8, 8)) < 0.3).astype(np.float32), BINARY))
+BINVOX = write_binvox(_rng.random((8, 8, 8)) < 0.3)
 MODEL = MultiViewReconstructor(tiny_model_config(), seed=0)
 CHECKPOINT = checkpoint_bytes(MODEL)
 MANIFEST = manifest_to_text(Dataset(16, 32, 24, 30.0, [

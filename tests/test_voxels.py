@@ -6,9 +6,6 @@ from hypothesis import strategies as st
 from mvrecon.autodiff import Tensor
 from mvrecon.errors import EmptyVolume, NonDivisibleCube, ShapeMismatch
 from mvrecon.voxels import (
-    BINARY,
-    CONTINUOUS,
-    VoxelGrid,
     assemble_tokens,
     fscore_points,
     loss_mse,
@@ -23,9 +20,9 @@ from mvrecon.voxels import (
 from fd import central_diff, rel_err
 
 
-def random_grid(seed, side=8, kind=CONTINUOUS, dtype=np.float64):
+def random_grid(seed, side=8, binary=False, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    if kind == BINARY:
+    if binary:
         return (rng.random((side,) * 3) < 0.4).astype(np.float32)
     return rng.random((side,) * 3).astype(dtype)
 
@@ -239,7 +236,7 @@ def test_loss_shape_mismatch():
 # --- IoU ---
 
 def test_iou_exact_match():
-    g = random_grid(8, kind=BINARY)
+    g = random_grid(8, binary=True)
     pred = g * 0.9  # binarizes back to g
     assert metric_iou(g, pred, threshold=0.5) == 1.0
 
@@ -270,15 +267,15 @@ def test_iou_empty_vs_empty_convention():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_iou_matches_loop_and_symmetry(seed):
-    a = random_grid(seed, side=6, kind=BINARY)
-    b = random_grid(seed + 77, side=6, kind=BINARY)
+    a = random_grid(seed, side=6, binary=True)
+    b = random_grid(seed + 77, side=6, binary=True)
     got = metric_iou(a, b, 0.5)
     assert got == pytest.approx(iou_loop(a, b))
     assert got == pytest.approx(metric_iou(b, a, 0.5))
 
 
 def test_iou_self_is_one_for_any_threshold():
-    g = random_grid(21, kind=BINARY)
+    g = random_grid(21, binary=True)
     for t in (0.1, 0.3, 0.5, 0.9):
         assert metric_iou(g, g.copy(), t) == 1.0
 
@@ -286,7 +283,7 @@ def test_iou_self_is_one_for_any_threshold():
 # --- F-score ---
 
 def test_fscore_identical():
-    g = random_grid(9, kind=BINARY)
+    g = random_grid(9, binary=True)
     assert metric_fscore(g, g.copy(), threshold=0.5) == 1.0
 
 
@@ -308,8 +305,8 @@ def test_fscore_three_point_toy_vs_allpairs():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_fscore_symmetric(seed):
-    a = random_grid(seed, side=6, kind=BINARY)
-    b = random_grid(seed + 13, side=6, kind=BINARY)
+    a = random_grid(seed, side=6, binary=True)
+    b = random_grid(seed + 13, side=6, binary=True)
     if not a.any() or not b.any():
         pytest.skip("degenerate draw")
     f_ab = metric_fscore(a, b, 0.5)
@@ -333,14 +330,3 @@ def test_occupied_points_are_voxel_centers():
     g[1, 2, 3] = 1
     np.testing.assert_allclose(occupied_points(g),
                                [[1.5 / 4, 2.5 / 4, 3.5 / 4]])
-
-
-# --- grid validation ---
-
-def test_grid_rejects_bad_values():
-    with pytest.raises(ValueError):
-        VoxelGrid(2, np.full((2, 2, 2), 1.5), CONTINUOUS)
-    with pytest.raises(ValueError):
-        VoxelGrid(2, np.full((2, 2, 2), 0.5), BINARY)
-    with pytest.raises(ShapeMismatch):
-        VoxelGrid(3, np.zeros((2, 2, 2)))

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvrecon
-from mvrecon.errors import BadRunValue, DimMismatch, MalformedHeader, TruncatedRLE
-from mvrecon.voxels import BINARY, VoxelGrid
+from mvrecon.errors import BadRunValue, DimMismatch, MalformedHeader, ShapeMismatch, TruncatedRLE
 from mvrecon.voxio import (
     read_binvox,
     read_pgm,
@@ -20,7 +19,7 @@ from mvrecon.voxio import (
 
 def rand_binary(seed, side=32, fill=0.3):
     rng = np.random.default_rng(seed)
-    return VoxelGrid(side, (rng.random((side,) * 3) < fill).astype(np.float32), BINARY)
+    return (rng.random((side,) * 3) < fill).astype(np.float32)
 
 
 def decode_binvox_reference(data: bytes) -> np.ndarray:
@@ -40,34 +39,34 @@ def decode_binvox_reference(data: bytes) -> np.ndarray:
 # --- binvox ---
 
 def test_binvox_empty_grid_roundtrip():
-    g = VoxelGrid(32, np.zeros((32,) * 3, dtype=np.float32), BINARY)
+    g = np.zeros((32,) * 3, dtype=np.float32)
     data = write_binvox(g)
     payload = data.split(b"data\n", 1)[1]
     pairs = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 2)
     assert np.all(pairs[:, 0] == 0)  # payload is runs of zeros
     assert int(pairs[:, 1].sum()) == 32 ** 3
     back = read_binvox(data)
-    assert np.array_equal(back.values, g.values)
+    assert np.array_equal(back, g)
 
 
 def test_binvox_single_voxel_roundtrip():
-    g = VoxelGrid(16, np.zeros((16,) * 3, dtype=np.float32), BINARY)
-    g.values[3, 7, 11] = 1
+    g = np.zeros((16,) * 3, dtype=np.float32)
+    g[3, 7, 11] = 1
     back = read_binvox(write_binvox(g))
-    assert np.array_equal(back.values, g.values)
+    assert np.array_equal(back, g)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_binvox_random_roundtrip(seed):
     g = rand_binary(seed, side=16)
     back = read_binvox(write_binvox(g))
-    assert np.array_equal(back.values, g.values)
+    assert np.array_equal(back, g)
 
 
 def test_binvox_wire_order_matches_public_format():
     g = rand_binary(5, side=8)
     ref = decode_binvox_reference(write_binvox(g))
-    assert np.array_equal(ref, g.values)
+    assert np.array_equal(ref, g)
 
 
 def test_binvox_header_fields():
@@ -79,7 +78,7 @@ def test_binvox_header_fields():
     assert lines[2] == b"translate 0 0 0"
     assert lines[3] == b"scale 1"
     assert lines[4] == b"data"
-    assert np.array_equal(read_binvox(data).values, g.values)
+    assert np.array_equal(read_binvox(data), g)
 
 
 def test_binvox_bad_magic():
@@ -114,10 +113,18 @@ def test_binvox_run_value_outside_zero_one():
 
 
 def test_binvox_long_run_splitting():
-    g = VoxelGrid(8, np.ones((8, 8, 8), dtype=np.float32), BINARY)  # 512 > 255
+    g = np.ones((8, 8, 8), dtype=np.float32)  # 512 > 255
     data = write_binvox(g)
     back = read_binvox(data)
-    assert np.array_equal(back.values, g.values)
+    assert np.array_equal(back, g)
+
+
+def test_binvox_nonzero_is_occupied():
+    g = rand_binary(3, side=8)
+    weighted = g * np.random.default_rng(4).uniform(0.1, 2.0, g.shape)
+    assert write_binvox(g > 0) == write_binvox(weighted) == write_binvox(g)
+    back = read_binvox(write_binvox(weighted))
+    assert back.dtype == np.float32 and np.array_equal(back, g)
 
 
 # --- PGM ---
@@ -137,6 +144,11 @@ def test_pgm_uint8_exact():
     img = rng.integers(0, 256, size=(4, 6), dtype=np.uint8)
     back = read_pgm(write_pgm(img))
     assert np.array_equal(np.rint(back * 255).astype(np.uint8), img)
+
+
+def test_pgm_rejects_non_2d_image():
+    with pytest.raises(ShapeMismatch):
+        write_pgm(np.zeros((2, 3, 4)))
 
 
 def test_pgm_bad_magic():

@@ -5,6 +5,11 @@ closure that maps the output gradient to parent gradients.  ``backward``
 walks the recorded nodes once in reverse topological order and accumulates
 gradients into the ``grad`` field of leaf tensors that require them.
 
+A graph is single-use.  ``backward`` frees each node's closure and parent
+links as soon as its VJP has run, so an activation goes once the last VJP
+that reads it is done and the walk never holds the whole graph.  A second
+``backward`` through a freed node raises :class:`GraphReleased`.
+
 Broadcasting is deliberately restricted.  Elementwise ops align a shorter
 shape against the *trailing* axes of the longer one (leading batch axes
 only); anything else needs an explicit :func:`expand`.  ``matmul`` batch
@@ -27,6 +32,7 @@ from scipy.special import erf
 
 from .errors import (
     DivideByZero,
+    GraphReleased,
     NotScalar,
     NumericalOverflow,
     ShapeMismatch,
@@ -393,26 +399,35 @@ def expand(a: Tensor, shape: tuple) -> Tensor:
 # --- contraction ---
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtypes("matmul", a, b)
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``a @ b``, plus ``bias`` along the last axis when given.  A bias needs
+    a 2-D ``b``; with it a dense or convolution layer is one node, and the
+    graph never keeps the product before the bias."""
+    parents = (a, b) if bias is None else (a, b, bias)
+    _check_dtypes("matmul", *parents)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatch(f"matmul: operands must be >=2-D, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch(f"matmul: inner extents differ: {a.shape} @ {b.shape}")
+    if bias is not None and (b.ndim != 2 or bias.shape != b.shape[1:]):
+        raise ShapeMismatch(f"matmul: bias {bias.shape} does not fit a 2-D weight {b.shape}")
 
-    if b.ndim == 2 and a.ndim > 2:
+    if b.ndim == 2:
         # x @ W with a plain matrix: collapse the batch into one big GEMM
         k, n = b.shape
         a2 = a.data.reshape(-1, k)
-        data = (a2 @ b.data).reshape(a.shape[:-1] + (n,))
+        data = a2 @ b.data
+        if bias is not None:
+            data += bias.data
+        data = data.reshape(a.shape[:-1] + (n,))
 
         def vjp(g):
             g2 = g.reshape(-1, n)
             ga = (g2 @ b.data.T).reshape(a.shape)
             gb = a2.T @ g2
-            return ga, gb
+            return (ga, gb) if bias is None else (ga, gb, _unbroadcast(g, (n,)))
 
-        return _make(data, "matmul", (a, b), vjp)
+        return _make(data, "matmul", parents, vjp)
 
     try:
         data = np.matmul(a.data, b.data)
@@ -507,19 +522,27 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _released(g):
+    raise GraphReleased("backward: this graph was freed by an earlier backward")
+
+
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``."""
+    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``,
+    freeing each node of the graph once its VJP has run."""
     if loss.data.size != 1:
         raise NotScalar(f"backward: loss has {loss.data.size} elements")
     order = _toposort(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = grads.pop(id(node), None)
         if g is None:
             continue
         if node._vjp is not None:
             parent_grads = node._vjp(g)
-            for parent, pg in zip(node._parents, parent_grads):
+            parents = node._parents
+            node._vjp, node._parents = _released, ()
+            for parent, pg in zip(parents, parent_grads):
                 if pg is None or not parent.requires_grad:
                     continue
                 if pg.shape != parent.shape:

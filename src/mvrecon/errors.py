@@ -23,6 +23,10 @@ class NumericalOverflow(MvreconError):
     """A forward op produced NaN/Inf from finite inputs."""
 
 
+class GraphReleased(MvreconError):
+    """backward() reached a node whose graph an earlier backward() freed."""
+
+
 # --- voxel grids and files ---
 
 class NonDivisibleCube(MvreconError):

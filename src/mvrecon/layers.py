@@ -63,7 +63,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.weight), self.bias)
+        return ad.matmul(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -94,7 +94,7 @@ class Conv2d(Module):
         cols = ad.im2col(x, self.KERNEL, self.STRIDE, self.PADDING)
         out_ch = self.weight.shape[0]
         w = self.weight.reshape(out_ch, -1).transpose(1, 0)
-        y = ad.add(ad.matmul(cols, w), self.bias)  # [B, OH, OW, C_out]
+        y = ad.matmul(cols, w, self.bias)  # [B, OH, OW, C_out]
         return y.transpose(0, 3, 1, 2)
 
 

@@ -55,7 +55,10 @@ def sgd_step(params: list[Tensor], grads: list[np.ndarray], lr: float) -> None:
 
 def train_step(model: MultiViewReconstructor, images: np.ndarray,
                targets: np.ndarray, cfg: TrainConfig, lr: float) -> float:
+    """One forward, backward and SGD update; returns the loss.  Each
+    ``p.grad`` lives from this step's backward until the next step starts."""
     loss_fn = LOSS_FUNCTIONS[cfg.loss_mode]
+    model.zero_grads()
     try:
         out = model.forward(images.astype(cfg.model.np_dtype, copy=False))
         loss = loss_fn(targets.astype(cfg.model.np_dtype, copy=False), out.refined)
@@ -65,7 +68,6 @@ def train_step(model: MultiViewReconstructor, images: np.ndarray,
         value = loss.item()
         if not np.isfinite(value):
             raise DivergedLoss(f"loss is {value}")
-        model.zero_grads()
         loss.backward()
     except NumericalOverflow as exc:
         raise DivergedLoss(f"forward/backward overflowed: {exc}") from exc

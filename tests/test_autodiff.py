@@ -1,18 +1,22 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from mvrecon import autodiff as ad
 from mvrecon.autodiff import Tensor
 from mvrecon.errors import (
     DivideByZero,
+    GraphReleased,
     NotScalar,
     NumericalOverflow,
     ShapeMismatch,
 )
+from mvrecon.layers import Conv2d, Linear
 from mvrecon.training import sgd_step
 
 from fd import central_diff, rel_err
@@ -80,6 +84,51 @@ def test_matmul_batched_broadcast_grad():
     a = rng.standard_normal((1, 3, 4))
     b = rng.standard_normal((2, 2, 4, 5))
     check_op_grads(lambda x, y: ad.matmul(x, y).sum(), [a, b])
+
+
+# x as a Linear sees it on a batch and on tokens, and as Conv2d's
+# [B, OH, OW, C*k*k] patches
+BIAS_X_SHAPES = [(3, 4), (2, 3, 4), (2, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("x_shape", BIAS_X_SHAPES)
+def test_matmul_bias_grad_fd(x_shape):
+    rng = np.random.default_rng(len(x_shape))
+    x = rng.standard_normal(x_shape)
+    w = rng.standard_normal((4, 5))
+    b = rng.standard_normal(5)
+    # random output weights, so that no gradient is a plain count
+    c = Tensor(rng.standard_normal(x_shape[:-1] + (5,)))
+    check_op_grads(lambda x, w, b: ad.mul(ad.matmul(x, w, b), c).sum(), [x, w, b])
+
+
+@pytest.mark.parametrize("x_shape", BIAS_X_SHAPES)
+def test_matmul_bias_equals_matmul_then_add(x_shape):
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal(x_shape), dtype=np.float32)
+    w = Tensor(rng.standard_normal((4, 5)), dtype=np.float32)
+    b = Tensor(rng.standard_normal(5), dtype=np.float32)
+    fused = ad.matmul(x, w, b)
+    assert np.array_equal(fused.data, ad.add(ad.matmul(x, w), b).data)
+
+
+def test_matmul_bias_shape_errors():
+    x = Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(ShapeMismatch):
+        ad.matmul(x, Tensor(np.ones((4, 5))), Tensor(np.ones(4)))
+    with pytest.raises(ShapeMismatch):
+        ad.matmul(x, Tensor(np.ones((2, 4, 5))), Tensor(np.ones(5)))
+
+
+def test_linear_and_conv_are_one_matmul_node():
+    rng = np.random.default_rng(0)
+    lin = Linear(rng, 4, 5)
+    y = lin(Tensor(np.ones((2, 3, 4)), requires_grad=True, dtype=np.float32))
+    assert y._op == "matmul" and y._parents[2] is lin.bias
+    conv = Conv2d(rng, 2, 3)
+    y = conv(Tensor(np.ones((1, 2, 6, 6)), requires_grad=True, dtype=np.float32))
+    product = y._parents[0]  # the [B, OH, OW, C_out] -> [B, C_out, OH, OW] transpose
+    assert product._op == "matmul" and product._parents[2] is conv.bias
 
 
 # --- elementwise suite ---
@@ -341,6 +390,21 @@ def test_backward_twice_bitwise_identical():
     gx2, gw2 = run()
     assert np.array_equal(gx1, gx2)
     assert np.array_equal(gw1, gw2)
+
+
+def test_backward_releases_the_graph():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 4))
+    x = t64(a, requires_grad=True)
+    root = ad.gelu(x).sum()
+    hidden = weakref.ref(root._parents[0].data)  # the gelu output
+    root.backward()
+    assert hidden() is None
+    pdf = np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+    expected = 0.5 * (1.0 + erf(a / math.sqrt(2.0))) + a * pdf
+    np.testing.assert_allclose(x.grad, expected, atol=1e-12)
+    with pytest.raises(GraphReleased):
+        root.backward()
 
 
 def test_grad_accumulates_over_reuse():

@@ -68,6 +68,23 @@ def test_single_step_decreases_frozen_batch_loss(tiny_dataset, seed):
     assert after < before
 
 
+def test_train_step_frees_old_gradients_before_the_forward(tiny_dataset):
+    cfg = make_cfg()
+    model = MultiViewReconstructor(cfg.model, seed=0)
+    images, grids = sample_batch(tiny_dataset.split("train")[:2], cfg, data_rng(0))
+    forward, starts = model.forward, []
+
+    def recording(x):
+        starts.append([p.grad is None for p in model.parameters()])
+        return forward(x)
+
+    model.forward = recording
+    for _ in range(2):
+        train_step(model, images, grids, cfg, lr=cfg.lr_init)
+        assert all(p.grad is not None for p in model.parameters())
+    assert len(starts) == 2 and all(all(s) for s in starts)
+
+
 def test_training_deterministic(tiny_dataset):
     curves = []
     for _ in range(2):

@@ -34,7 +34,7 @@ from .datagen import (
     load_dataset,
     save_dataset,
 )
-from .errors import BadConfig, MvreconError
+from .errors import BadConfig, MvreconError, ShapeMismatch
 from .evaluation import (
     DEFAULT_VIEW_COUNTS,
     evaluate,
@@ -187,8 +187,7 @@ def cmd_rollout(args) -> int:
     matches = [o for o in dataset.objects if o.object_id == args.object]
     if not matches:
         raise SystemExit(f"object {args.object!r} not in dataset")
-    views = matches[0].views[:args.views]
-    maps = attention_rollout(model, views)
+    maps = attention_rollout(model, matches[0].first_views(args.views))
     paths = save_rollout_maps(maps, args.out, prefix=args.object)
     print(f"wrote {len(paths)} rollout maps to {args.out}")
     return 0
@@ -200,14 +199,15 @@ def cmd_reconstruct(args) -> int:
     if len(args.images) % 2 != 0:
         raise SystemExit("--images expects silhouette/depth PGM pairs")
     model = load_model(args.checkpoint)
-    views = []
-    for i in range(0, len(args.images), 2):
-        with open(args.images[i], "rb") as fh:
-            sil = read_pgm(fh.read())
-        with open(args.images[i + 1], "rb") as fh:
-            dep = read_pgm(fh.read())
-        views.append(np.stack([sil, dep]))
-    occupied = model.reconstruct(np.stack(views)).values >= args.threshold
+    images = []
+    for path in args.images:
+        with open(path, "rb") as fh:
+            images.append(read_pgm(fh.read()))
+        if images[-1].shape != images[0].shape:
+            raise ShapeMismatch(f"{path} is {images[-1].shape}, "
+                                f"{args.images[0]} is {images[0].shape}")
+    views = np.stack(images).reshape((-1, 2) + images[0].shape)
+    occupied = model.reconstruct(views).values >= args.threshold
     with open(args.out, "wb") as fh:
         fh.write(write_binvox(occupied))
     print(f"reconstructed {np.count_nonzero(occupied)} occupied voxels -> {args.out}")

@@ -10,6 +10,7 @@ layout shares is a module constant below, not a field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -17,7 +18,9 @@ import numpy as np
 from .errors import BadConfig
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
-_AUTO_ZERO = ("encoder_heads", "decoder_heads")  # 0 picks a count from the width
+# ints that may be 0: a head count picks one from the width, max_iterations
+# runs every epoch, and seed 0 is a seed
+_MAY_BE_ZERO = ("encoder_heads", "decoder_heads", "max_iterations", "seed")
 
 IMAGE_CHANNELS = 2   # silhouette and depth
 BACKBONE_STAGES = 4  # stride-2 conv stages in the view backbone
@@ -71,13 +74,7 @@ class ModelConfig:
     def validate(self) -> None:
         if self.dtype not in DTYPES:
             raise BadConfig(f"unknown dtype {self.dtype!r}")
-        for f in fields(self):  # before any of the divisions below
-            if f.type not in ("int", "tuple[int, ...]"):
-                continue
-            value = getattr(self, f.name)
-            least = 0 if f.name in _AUTO_ZERO else 1
-            if any(v < least for v in (value if isinstance(value, tuple) else (value,))):
-                raise BadConfig(f"model.{f.name} = {value} must be at least {least}")
+        _check_ranges("model", self)  # before any of the divisions below
         if self.embed_dim % (1 << (self.encoder_blocks - 1)) != 0:
             raise BadConfig(
                 f"embed_dim {self.embed_dim} not divisible by "
@@ -149,6 +146,22 @@ MODEL_PRESETS = {
 }
 
 
+def _check_ranges(section: str, cfg) -> None:
+    """Every int field (and every int of a tuple field) is at least 1, or at
+    least 0 if named in ``_MAY_BE_ZERO``; every float field is finite and at
+    least 0."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "float":
+            if not (math.isfinite(value) and value >= 0):
+                raise BadConfig(f"{section}.{f.name} = {value} must be finite "
+                                f"and at least 0")
+        elif f.type in ("int", "tuple[int, ...]"):
+            least = 0 if f.name in _MAY_BE_ZERO else 1
+            if any(v < least for v in (value if isinstance(value, tuple) else (value,))):
+                raise BadConfig(f"{section}.{f.name} = {value} must be at least {least}")
+
+
 @dataclass
 class TrainConfig:
     model: ModelConfig = field(default_factory=tiny_model_config)
@@ -167,6 +180,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_mode not in ("mse", "ssim", "total"):
             raise BadConfig(f"unknown loss mode {self.loss_mode!r}")
+        _check_ranges("train", self)
         if self.lr_floor > self.lr_init:
             raise BadConfig("lr floor above the initial rate")
 

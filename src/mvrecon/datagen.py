@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import voxio  # looked up per call, so wrappers set on voxio see every read and write
-from .errors import BadConfig, BoxLargerThanImage, DimMismatch, MalformedHeader, TooFewObjects
+from .errors import (BadConfig, BoxLargerThanImage, DimMismatch, MalformedHeader,
+                     MissingViews, TooFewObjects)
 
 CATEGORIES = (
     "box", "box_stack", "lshape", "table", "chair",
@@ -344,6 +345,13 @@ class DatasetObject:
     grid: np.ndarray    # [V, V, V] float32 binary; None in a parsed manifest
     views: np.ndarray   # [n_views, 2, H, W] float32; None in a parsed manifest
 
+    def first_views(self, n: int) -> np.ndarray:
+        """The views from the first ``n`` poses of the ring."""
+        if not 1 <= n <= self.views.shape[0]:
+            raise MissingViews(
+                f"asked for {n} views, {self.object_id} has {self.views.shape[0]}")
+        return self.views[:n]
+
 
 @dataclass
 class Dataset:
@@ -411,6 +419,10 @@ def build_dataset(n_objects: int, voxel_side: int, image_size: int, seed: int = 
     """Generate, render, and split a dataset entirely in memory."""
     if n_views < 1:
         raise BadConfig(f"{n_views} views per object; need at least 1")
+    if image_size <= 4:  # the renderer's scale (image_size - 4) / sqrt(3) must be > 0
+        raise BadConfig(f"image size {image_size} px; need at least 5")
+    if seed < 0:
+        raise BadConfig(f"seed {seed} is negative")
     objects = []
     for i in range(n_objects):
         category = categories[i % len(categories)]

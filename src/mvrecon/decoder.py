@@ -10,7 +10,6 @@ from __future__ import annotations
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
-from .errors import EmptyViewList, WidthMismatch
 from .layers import EMBED_STD, MLP_RATIO, FeedForward, MultiHeadAttention, Module
 from .voxels import assemble_tokens
 
@@ -31,14 +30,6 @@ class VolumeDecoder(Module):
 
     def __call__(self, features: Tensor) -> Tensor:
         """[B, N, feature_width] view features -> [B, V, V, V] volume in (0, 1)."""
-        if features.ndim != 3:
-            raise WidthMismatch(f"decoder expects [B, N, width], got {features.shape}")
-        if features.shape[1] < 1:
-            raise EmptyViewList("decoder needs at least one view feature")
-        width = self.cube_queries.shape[1]
-        if features.shape[-1] != width:
-            raise WidthMismatch(
-                f"features are {features.shape[-1]} wide, decoder expects {width}")
         bsz = features.shape[0]
         queries = self.cube_queries.expand((bsz,) + self.cube_queries.shape)
         attended = self.attn(queries, keyvalue=features)

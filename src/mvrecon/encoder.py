@@ -13,7 +13,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import BACKBONE_STAGES, IMAGE_CHANNELS, MAX_VIEWS, ModelConfig
-from .errors import EmptyViewList, OddWidth, TooManyViews, WidthMismatch
 from .layers import EMBED_STD, AttentionLayer, Conv2d, LayerNorm, Linear, Module
 
 
@@ -30,14 +29,9 @@ class ViewBackbone(Module):
             self.convs.append(Conv2d(rng, ch_in, ch_out, dtype=dtype))
             ch_in, ch_out = ch_out, ch_out * 2
         self.head = Linear(rng, ch_in, cfg.embed_dim, dtype=dtype)
-        self.image_size = cfg.image_size
 
     def __call__(self, images: Tensor) -> Tensor:
         """[B, C, H, W] images -> [B, d] embeddings."""
-        expected = (IMAGE_CHANNELS, self.image_size, self.image_size)
-        if images.ndim != 4 or images.shape[1:] != expected:
-            raise WidthMismatch(f"backbone expects [B, {IMAGE_CHANNELS}, "
-                                f"{self.image_size}, {self.image_size}], got {images.shape}")
         x = images
         for conv in self.convs:
             x = ad.gelu(conv(x))
@@ -51,15 +45,9 @@ class PatchAttentionBlock(Module):
 
     def __init__(self, rng, width: int, layers: int, heads: int, reduce: bool,
                  dtype=np.float32):
-        self.width = width
         self.layers = [AttentionLayer(rng, width, heads, mlp_residual=False, dtype=dtype)
                        for _ in range(layers)]
-        if reduce:
-            if width % 2 != 0:
-                raise OddWidth(f"cannot halve odd width {width}")
-            self.reduce: Linear | None = Linear(rng, width, width // 2, dtype=dtype)
-        else:
-            self.reduce = None
+        self.reduce = Linear(rng, width, width // 2, dtype=dtype) if reduce else None
 
     def __call__(self, tokens: Tensor, trace: list | None = None):
         """Returns (block output at full width, halved tokens or None)."""
@@ -75,7 +63,6 @@ class MultiViewEncoder(Module):
 
     def __init__(self, rng, cfg: ModelConfig):
         dtype = cfg.np_dtype
-        self.cfg = cfg
         self.positional = Tensor(rng.normal(0.0, EMBED_STD, (MAX_VIEWS, cfg.embed_dim)),
                                  requires_grad=True, dtype=dtype)
         widths = cfg.encoder_widths
@@ -93,15 +80,7 @@ class MultiViewEncoder(Module):
         ``trace``, when given, receives one list per block holding that
         block's per-layer attention matrices.
         """
-        n_views = tokens.shape[1]
-        if n_views < 1:
-            raise EmptyViewList("need at least one view")
-        if n_views > MAX_VIEWS:
-            raise TooManyViews(f"{n_views} views exceed the limit {MAX_VIEWS}")
-        if tokens.shape[-1] != self.cfg.embed_dim:
-            raise WidthMismatch(
-                f"tokens are {tokens.shape[-1]} wide, expected {self.cfg.embed_dim}")
-        x = ad.add(tokens, ad.narrow(self.positional, 0, 0, n_views))
+        x = ad.add(tokens, ad.narrow(self.positional, 0, 0, tokens.shape[1]))
         collected = []
         for block in self.blocks:
             block_trace: list | None = [] if trace is not None else None

@@ -5,10 +5,11 @@ class MvreconError(Exception):
     """Base class for package-specific errors."""
 
 
-# --- tensor / autodiff ---
+# --- shapes and autodiff ---
 
 class ShapeMismatch(MvreconError):
-    """Operands have incompatible extents."""
+    """Operands, model input images, a cube and its grid, or a view's image
+    files have incompatible extents."""
 
 
 class DivideByZero(MvreconError):
@@ -29,10 +30,6 @@ class GraphReleased(MvreconError):
 
 # --- voxel grids and files ---
 
-class NonDivisibleCube(MvreconError):
-    """Cube side does not divide the grid side."""
-
-
 class EmptyVolume(MvreconError):
     """A metric needed a non-empty occupied point set."""
 
@@ -51,24 +48,6 @@ class BadRunValue(MvreconError):
 
 class DimMismatch(MvreconError):
     """Declared voxel dimensions are unusable (non-cubic or wrong count)."""
-
-
-# --- model ---
-
-class OddWidth(MvreconError):
-    """Token width must be even to halve it."""
-
-
-class TooManyViews(MvreconError):
-    """More views than the configured maximum."""
-
-
-class EmptyViewList(MvreconError):
-    """At least one view is required."""
-
-
-class WidthMismatch(MvreconError):
-    """Feature width does not match the consuming module."""
 
 
 # --- data synthesis ---
@@ -94,7 +73,7 @@ class DivergedLoss(MvreconError):
 
 
 class MissingViews(MvreconError):
-    """Evaluation asked for more views than the dataset provides."""
+    """A request names fewer than one view, or more than an object has."""
 
 
 class VersionMismatch(MvreconError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import Dataset, DatasetObject, OCCLUSION_BOX_SIZES, occlude
-from .errors import EmptyVolume, MissingViews, TooFewObjects
+from .errors import EmptyVolume, TooFewObjects
 from .model import MultiViewReconstructor
 from .voxels import DEFAULT_THRESHOLD, metric_fscore, metric_iou
 
@@ -58,10 +58,7 @@ def reconstruct_objects(model: MultiViewReconstructor, objects: list[DatasetObje
     """Reconstruct each object from its first ``n_views`` poses."""
     views = []
     for obj in objects:
-        if n_views > obj.views.shape[0]:
-            raise MissingViews(
-                f"asked for {n_views} views, {obj.object_id} has {obj.views.shape[0]}")
-        selected = obj.views[:n_views]
+        selected = obj.first_views(n_views)
         if view_transform is not None:
             selected = view_transform(obj, selected)
         views.append(selected)

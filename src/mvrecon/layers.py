@@ -19,7 +19,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import WidthMismatch
 
 EMBED_STD = 0.02  # learned embeddings and the decoder query bank
 MLP_RATIO = 4     # hidden width of every MLP, in multiples of its input width
@@ -120,8 +119,6 @@ class MultiHeadAttention(Module):
     """
 
     def __init__(self, rng, dim: int, heads: int, dtype=np.float32):
-        if dim % heads != 0:
-            raise WidthMismatch(f"{heads} heads do not divide width {dim}")
         self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
@@ -133,10 +130,6 @@ class MultiHeadAttention(Module):
     def __call__(self, query: Tensor, keyvalue: Tensor | None = None,
                  trace: list | None = None) -> Tensor:
         kv = query if keyvalue is None else keyvalue
-        if query.shape[-1] != self.dim or kv.shape[-1] != self.dim:
-            raise WidthMismatch(
-                f"attention built for width {self.dim}, got {query.shape[-1]}"
-                f"/{kv.shape[-1]}")
         bsz, n_q = query.shape[0], query.shape[1]
         n_k = kv.shape[1]
 

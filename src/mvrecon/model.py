@@ -8,10 +8,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import MAX_VIEWS, ModelConfig
+from .config import IMAGE_CHANNELS, MAX_VIEWS, ModelConfig
 from .decoder import VolumeDecoder
 from .encoder import MultiViewEncoder, ViewBackbone
-from .errors import EmptyViewList, ShapeMismatch, TooManyViews
+from .errors import ShapeMismatch
 from .layers import Module
 from .refiner import VolumeRefiner
 from .voxels import VoxelGrid
@@ -40,21 +40,23 @@ class MultiViewReconstructor(Module):
 
     # --- forward paths ---
 
-    def _as_image_tensor(self, images) -> Tensor:
-        if not isinstance(images, Tensor):
-            images = Tensor(np.asarray(images, dtype=self.cfg.np_dtype))
-        return images
-
     def encode(self, images, trace: list | None = None) -> Tensor:
-        """[B, N, C, H, W] view images -> [B, N, feature_width] features."""
-        t = self._as_image_tensor(images)
-        if t.ndim != 5:
-            raise ShapeMismatch(f"encode expects [B, N, C, H, W], got {t.shape}")
+        """[B, N, C, H, W] view images -> [B, N, feature_width] features.
+
+        The one check of the model's input: every module after the backbone
+        takes what the module before it produced.
+        """
+        t = images if isinstance(images, Tensor) else Tensor(
+            np.asarray(images, dtype=self.cfg.np_dtype))
+        side = self.cfg.image_size
+        if t.ndim != 5 or t.shape[2:] != (IMAGE_CHANNELS, side, side):
+            raise ShapeMismatch(f"encode expects [B, N, {IMAGE_CHANNELS}, {side}, {side}], "
+                                f"got {t.shape}")
         bsz, n_views = t.shape[0], t.shape[1]
         if n_views < 1:
-            raise EmptyViewList("encode needs at least one view")
+            raise ShapeMismatch("encode needs at least one view")
         if n_views > MAX_VIEWS:
-            raise TooManyViews(f"{n_views} views exceed limit {MAX_VIEWS}")
+            raise ShapeMismatch(f"{n_views} views exceed limit {MAX_VIEWS}")
         flat = t.reshape((bsz * n_views,) + t.shape[2:])
         embedded = self.backbone(flat)
         tokens = embedded.reshape(bsz, n_views, self.cfg.embed_dim)

@@ -14,7 +14,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
-from .errors import NonDivisibleCube, WidthMismatch
 from .layers import EMBED_STD, AttentionLayer, Linear, Module
 from .voxels import assemble_tokens, partition_tokens
 
@@ -22,9 +21,6 @@ from .voxels import assemble_tokens, partition_tokens
 class CubeAttentionBlock(Module):
     def __init__(self, rng, cube_side: int, grid_side: int, layers: int, heads: int,
                  dtype=np.float32):
-        if grid_side % cube_side != 0:
-            raise NonDivisibleCube(
-                f"cube side {cube_side} does not divide grid side {grid_side}")
         self.cube_side = cube_side
         self.grid_side = grid_side
         width = cube_side ** 3
@@ -47,7 +43,6 @@ class CubeAttentionBlock(Module):
 class VolumeRefiner(Module):
     def __init__(self, rng, cfg: ModelConfig):
         dtype = cfg.np_dtype
-        self.cfg = cfg
         self.blocks = [
             CubeAttentionBlock(rng, cube, cfg.voxel_side, cfg.refiner_layers, heads,
                                dtype=dtype)
@@ -56,10 +51,6 @@ class VolumeRefiner(Module):
 
     def __call__(self, volume: Tensor) -> Tensor:
         """[B, V, V, V] coarse volume in (0, 1) -> refined volume in (0, 1)."""
-        side = self.cfg.voxel_side
-        if volume.ndim != 4 or volume.shape[1:] != (side, side, side):
-            raise WidthMismatch(
-                f"refiner built for side {side}, got volume {volume.shape}")
         x = volume
         for block in self.blocks:
             x = block(x)

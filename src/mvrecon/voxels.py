@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import EmptyVolume, NonDivisibleCube, ShapeMismatch
+from .errors import EmptyVolume, ShapeMismatch
 
 DEFAULT_THRESHOLD = 0.3
 SSIM_C1 = 0.01
@@ -40,7 +40,7 @@ def partition_tokens(x: Tensor, cube_side: int) -> Tensor:
     if x.shape[1:] != (v, v, v):
         raise ShapeMismatch(f"partition_tokens: expected [B, V, V, V], got {x.shape}")
     if v % cube_side != 0:
-        raise NonDivisibleCube(f"cube side {cube_side} does not divide grid side {v}")
+        raise ShapeMismatch(f"cube side {cube_side} does not divide grid side {v}")
     n, c = v // cube_side, cube_side
     blocks = x.reshape(b, n, c, n, c, n, c).transpose(0, 1, 3, 5, 2, 4, 6)
     return blocks.reshape(b, n ** 3, c ** 3)

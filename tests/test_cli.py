@@ -6,7 +6,7 @@ import pytest
 
 from mvrecon.cli import main
 from mvrecon.datagen import load_dataset
-from mvrecon.voxio import read_binvox
+from mvrecon.voxio import read_binvox, write_pgm
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +187,45 @@ def test_bad_int_list_is_a_usage_error(tmp_path, capsys, flags):
               *flags[1:]])
     assert exc.value.code == 2
     assert f"argument {flags[1]}: invalid" in capsys.readouterr().err
+
+
+# Each bad value ends where it enters: one line, ``bad config:`` for a config
+# or synth request, ``error:`` for a request the data or images cannot meet.
+_TRAIN = ["train", "--data", "{data}", "--out", "{out}", "--preset", "tiny", "--set"]
+_CKPT = ["--checkpoint", "{ckpt}", "--data", "{data}", "--out", "{out}"]
+_SYNTH = ["synth", "--out", "{out}", "--objects", "10", "--voxel-side", "8"]
+_RECON = ["reconstruct", "--checkpoint", "{ckpt}", "--out", "{out}/r.binvox", "--images"]
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    (_TRAIN + ["train.epochs=0"], "bad config: train.epochs = 0"),
+    (_TRAIN + ["train.batch_size=0"], "bad config: train.batch_size = 0"),
+    (_TRAIN + ["train.lr_decay_epochs=0"], "bad config: train.lr_decay_epochs = 0"),
+    (_TRAIN + ["train.lr_init=nan"], "bad config: train.lr_init = nan"),
+    (["eval", *_CKPT, "--view-counts=-1,8"], "error: asked for -1 views"),
+    (["occlusion", *_CKPT, "--views=-1"], "error: asked for -1 views"),
+    (["rollout", *_CKPT, "--object", "obj0000", "--views=-2"], "error: asked for -2 views"),
+    (["rollout", *_CKPT, "--object", "obj0000", "--views=30"], "error: asked for 30 views"),
+    (_RECON + ["{sil32}", "{dep16}"], "error: {dep16} is (16, 16), {sil32} is (32, 32)"),
+    (_RECON + ["{sil32}", "{dep32}", "{sil16}", "{dep16}"], "error: {sil16} is (16, 16)"),
+    (_RECON + ["{sil16}", "{dep16}"], "error: encode expects [B, N, 2, 32, 32]"),
+    (_SYNTH + ["--seed=-1"], "bad config: seed -1 is negative"),
+    (_SYNTH + ["--image-size=0"], "bad config: image size 0 px"),
+    (_SYNTH + ["--image-size=-3"], "bad config: image size -3 px"),
+], ids=["epochs-0", "batch-0", "decay-0", "lr-nan", "eval-views-neg", "occlusion-views-neg",
+        "rollout-views-neg", "rollout-views-beyond", "pgm-pair-sizes", "pgm-pairs-sizes",
+        "pgm-model-size", "synth-seed-neg", "synth-image-0", "synth-image-neg"])
+def test_bad_input_is_one_line_error(workspace, tmp_path, capsys, argv, prefix):
+    paths = {"data": workspace["data"], "out": str(tmp_path / "out"),
+             "ckpt": os.path.join(workspace["run"], "checkpoint.ckpt")}
+    for tag in ("sil", "dep"):
+        for side in (16, 32):
+            paths[f"{tag}{side}"] = path = str(tmp_path / f"{tag}{side}.pgm")
+            with open(path, "wb") as fh:
+                fh.write(write_pgm(np.zeros((side, side), dtype=np.float32)))
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(prefix.format(**paths))
+    assert "Traceback" not in capsys.readouterr().err

@@ -34,9 +34,22 @@ def test_misspelt_bool_is_rejected(text):
     "model.refiner_cubes = 4,-2",
     "model.encoder_heads = -1",
     "model.decoder_heads = -4",
+    "train.views_per_sample = 0",
+    "train.seed = -1",
+    "train.max_iterations = -1",
 ])
 def test_non_positive_extent_or_head_count_is_rejected(line):
     with pytest.raises(BadConfig, match="must be at least"):
+        config_from_text(BASE + line + "\n")
+
+
+@pytest.mark.parametrize("line", [
+    "train.lr_floor = inf",
+    "train.lr_decay_factor = -0.5",
+    "train.aux_coarse_weight = nan",
+])
+def test_non_finite_or_negative_float_is_rejected(line):
+    with pytest.raises(BadConfig, match="must be finite and at least 0"):
         config_from_text(BASE + line + "\n")
 
 

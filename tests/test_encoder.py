@@ -7,7 +7,7 @@ from scipy.special import erf
 from mvrecon import autodiff as ad
 from mvrecon.autodiff import Tensor
 from mvrecon.config import IMAGE_CHANNELS, ModelConfig, paper_model_config, tiny_model_config
-from mvrecon.errors import EmptyViewList, TooManyViews, WidthMismatch
+from mvrecon.errors import ShapeMismatch
 from mvrecon.model import MultiViewReconstructor
 
 from fd import central_diff, rel_err
@@ -69,10 +69,18 @@ def test_single_view_attention_is_finite():
 def test_view_count_errors():
     cfg = tiny_model_config()
     model = MultiViewReconstructor(cfg, seed=0)
-    with pytest.raises(TooManyViews):
+    with pytest.raises(ShapeMismatch, match="25 views exceed limit 24"):
         model.encode(random_images(0, 1, 25, cfg))
-    with pytest.raises(EmptyViewList):
+    with pytest.raises(ShapeMismatch, match="encode needs at least one view"):
         model.encode(np.zeros((1, 0, 2, 32, 32), dtype=np.float32))
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 3, 32, 32), (1, 2, 2, 16, 16), (1, 2, 2, 32, 16)],
+                         ids=["channels", "side", "non-square"])
+def test_encode_rejects_wrong_image_shape(shape):
+    model = MultiViewReconstructor(tiny_model_config(), seed=0)
+    with pytest.raises(ShapeMismatch, match=r"encode expects \[B, N, 2, 32, 32\]"):
+        model.encode(np.zeros(shape, dtype=np.float32))
 
 
 # --- backbone ---

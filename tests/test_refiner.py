@@ -4,7 +4,7 @@ import pytest
 from mvrecon import autodiff as ad
 from mvrecon.autodiff import Tensor
 from mvrecon.config import paper_model_config, tiny_model_config
-from mvrecon.errors import NonDivisibleCube, WidthMismatch
+from mvrecon.errors import ShapeMismatch
 from mvrecon.refiner import CubeAttentionBlock, VolumeRefiner
 from mvrecon.voxels import partition_tokens
 
@@ -80,16 +80,10 @@ def test_mixing_without_identity_attention():
     assert changed.sum() == 8  # softmax attention spreads the perturbation
 
 
-def test_non_divisible_cube_rejected():
-    with pytest.raises(NonDivisibleCube):
-        CubeAttentionBlock(np.random.default_rng(10), cube_side=3, grid_side=8,
-                           layers=1, heads=1)
-
-
 def test_wrong_volume_side_rejected():
     cfg = tiny_model_config()
     refiner = VolumeRefiner(np.random.default_rng(11), cfg)
-    with pytest.raises(WidthMismatch):
+    with pytest.raises(ShapeMismatch, match="add: shapes"):
         refiner(rand_volume(12, 16))
 
 

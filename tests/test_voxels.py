@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvrecon.autodiff import Tensor
-from mvrecon.errors import EmptyVolume, NonDivisibleCube, ShapeMismatch
+from mvrecon.errors import EmptyVolume, ShapeMismatch
 from mvrecon.voxels import (
     assemble_tokens,
     fscore_points,
@@ -105,7 +105,7 @@ def test_partition_single_cube_is_flat_grid():
 
 
 def test_partition_non_divisible():
-    with pytest.raises(NonDivisibleCube):
+    with pytest.raises(ShapeMismatch, match="cube side 3 does not divide grid side 8"):
         partition(random_grid(2, side=8), 3)
 
 

@@ -10,10 +10,13 @@ links as soon as its VJP has run, so an activation goes once the last VJP
 that reads it is done and the walk never holds the whole graph.  A second
 ``backward`` through a freed node raises :class:`GraphReleased`.
 
+:func:`attention` and :func:`conv2d` trade time for memory: they keep no
+score matrix or patches, only their inputs (attention also its output and
+each row's log-sum-exp), and backward recomputes the rest.
+
 Broadcasting is deliberately restricted.  Elementwise ops align a shorter
 shape against the *trailing* axes of the longer one (leading batch axes
-only); anything else needs an explicit :func:`expand`.  ``matmul`` batch
-axes broadcast like numpy.
+only); anything else needs an explicit :func:`expand`.
 
 Every forward op validates that finite inputs produced finite outputs;
 overflow raises :class:`NumericalOverflow` instead of propagating inf/NaN.
@@ -191,13 +194,10 @@ def _suffix_shape(op: str, sa: tuple, sb: tuple) -> tuple:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient ``g`` down to ``shape``: first the leading axes that
-    broadcasting added, one at a time, then every size-1 axis it repeated."""
+    """Sum gradient ``g`` down to the trailing ``shape``, over the leading
+    axes that broadcasting added, one at a time."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
     return g
 
 
@@ -276,13 +276,22 @@ def sigmoid(a: Tensor) -> Tensor:
 
 # --- normalization ---
 
+def _softmax_inplace(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax of ``x`` along ``axis``, written over ``x`` itself; returns
+    the probabilities (the same array) and each row's log-sum-exp."""
+    peak = np.max(x, axis=axis, keepdims=True)
+    x -= peak
+    np.exp(x, out=x)
+    total = np.sum(x, axis=axis, keepdims=True)
+    x /= total
+    return x, peak + np.log(total)
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not -a.ndim <= axis < a.ndim:
         raise ShapeMismatch(f"softmax: axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = (e / np.sum(e, axis=axis, keepdims=True)).astype(a.dtype, copy=False)
+    data, _ = _softmax_inplace(np.array(a.data), axis)
 
     def vjp(g):
         dot = np.sum(g * data, axis=axis, keepdims=True)
@@ -400,46 +409,83 @@ def expand(a: Tensor, shape: tuple) -> Tensor:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """``a @ b``, plus ``bias`` along the last axis when given.  A bias needs
-    a 2-D ``b``; with it a dense or convolution layer is one node, and the
-    graph never keeps the product before the bias."""
+    """``a @ b`` for a 2-D ``b``, plus ``bias`` along the last axis when
+    given.  The leading axes of ``a`` make one big GEMM; with the bias a
+    dense layer is one node, and the graph never keeps the product before
+    the bias."""
     parents = (a, b) if bias is None else (a, b, bias)
     _check_dtypes("matmul", *parents)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeMismatch(f"matmul: operands must be >=2-D, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeMismatch(f"matmul: needs >=2-D @ 2-D, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeMismatch(f"matmul: inner extents differ: {a.shape} @ {b.shape}")
-    if bias is not None and (b.ndim != 2 or bias.shape != b.shape[1:]):
+    if bias is not None and bias.shape != b.shape[1:]:
         raise ShapeMismatch(f"matmul: bias {bias.shape} does not fit a 2-D weight {b.shape}")
-
-    if b.ndim == 2:
-        # x @ W with a plain matrix: collapse the batch into one big GEMM
-        k, n = b.shape
-        a2 = a.data.reshape(-1, k)
-        data = a2 @ b.data
-        if bias is not None:
-            data += bias.data
-        data = data.reshape(a.shape[:-1] + (n,))
-
-        def vjp(g):
-            g2 = g.reshape(-1, n)
-            ga = (g2 @ b.data.T).reshape(a.shape)
-            gb = a2.T @ g2
-            return (ga, gb) if bias is None else (ga, gb, _unbroadcast(g, (n,)))
-
-        return _make(data, "matmul", parents, vjp)
-
-    try:
-        data = np.matmul(a.data, b.data)
-    except ValueError as e:
-        raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}: {e}") from None
+    k, n = b.shape
+    a2 = a.data.reshape(-1, k)
+    data = a2 @ b.data
+    if bias is not None:
+        data += bias.data
+    data = data.reshape(a.shape[:-1] + (n,))
 
     def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        g2 = g.reshape(-1, n)
+        ga = (g2 @ b.data.T).reshape(a.shape)
+        gb = a2.T @ g2
+        return (ga, gb) if bias is None else (ga, gb, _unbroadcast(g, (n,)))
 
-    return _make(data, "matmul", (a, b), vjp)
+    return _make(data, "matmul", parents, vjp)
+
+
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """[B, N, D] -> [B, heads, N, D / heads], as a view."""
+    bsz, n, width = x.shape
+    return x.reshape(bsz, n, heads, width // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """[B, heads, N, d] -> [B, N, heads * d], as a new array."""
+    bsz, heads, n, d = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(bsz, n, heads * d)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              trace: Optional[list] = None) -> Tensor:
+    """``softmax(q kᵀ / sqrt(d)) v`` on [B, N, D] inputs for each of
+    ``heads`` heads of width d = D / heads, heads concatenated.  One node
+    that keeps its inputs, output and each row's log-sum-exp; backward
+    recomputes the [B, heads, Nq, Nk] probabilities, which ``trace``, when
+    given, receives."""
+    _check_dtypes("attention", q, k, v)
+    if (q.ndim != 3 or k.shape != v.shape or k.shape[0] != q.shape[0]
+            or k.shape[-1] != q.shape[-1] or q.shape[-1] % heads):
+        raise ShapeMismatch(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
+    s = q.dtype.type(1.0 / math.sqrt(q.shape[-1] // heads))
+    kh, vh = _split_heads(k.data, heads), _split_heads(v.data, heads)
+    scores = np.matmul(_split_heads(q.data * s, heads), kh.swapaxes(-1, -2))
+    _check_finite(scores, "attention")
+    probs, lse = _softmax_inplace(scores, -1)
+    if trace is not None:
+        trace.append(probs)
+    data = _merge_heads(np.matmul(probs, vh))
+
+    def vjp(g):
+        qh = _split_heads(q.data * s, heads)
+        p = np.matmul(qh, kh.swapaxes(-1, -2))
+        p -= lse
+        np.exp(p, out=p)
+        gh = _split_heads(g, heads)
+        gv = np.matmul(p.swapaxes(-1, -2), gh)
+        ds = np.matmul(gh, vh.swapaxes(-1, -2))
+        ds -= np.sum(gh * _split_heads(data, heads), axis=-1, keepdims=True)
+        ds *= p
+        gq = np.matmul(ds, kh)
+        gq *= s
+        gk = np.matmul(ds.swapaxes(-1, -2), qh)
+        return _merge_heads(gq), _merge_heads(gk), _merge_heads(gv)
+
+    return _make(data, "attention", (q, k, v), vjp)
 
 
 def _sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -465,40 +511,68 @@ def _mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return scale(_sum(a, axis, keepdims), 1.0 / count)
 
 
-# --- convolution support ---
+# --- convolution ---
+
+def _patches(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
+    """The k x k windows of a [B, H, W, C] array at stride ``s`` over ``p``
+    pixels of zero padding, copied out as [B, OH, OW, k, k, C]."""
+    if x.shape[1] + 2 * p < k or x.shape[2] + 2 * p < k:
+        raise ShapeMismatch(f"patches: kernel {k} larger than padded input {x.shape}")
+    if p:
+        x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s]
+    return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+
+
+def _fold_patches(g: np.ndarray, h: int, w: int, s: int, p: int) -> np.ndarray:
+    """Adjoint of :func:`_patches`: sum [B, OH, OW, k, k, C] window
+    gradients back onto the unpadded [B, h, w, C] input, as a view into
+    the padded sum."""
+    bsz, oh, ow, k, _, ch = g.shape
+    out = np.zeros((bsz, h + 2 * p, w + 2 * p, ch), dtype=g.dtype)
+    for i in range(k):
+        for j in range(k):
+            out[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s] += g[:, :, :, i, j]
+    return out[:, p:p + h, p:p + w]
+
 
 def im2col(a: Tensor, kernel: int, stride: int = 1, padding: int = 0) -> Tensor:
-    """Extract kernel x kernel patches of a [B, C, H, W] tensor.
+    """The kernel x kernel patches of a [B, C, H, W] tensor as [B, OH, OW,
+    C*kernel*kernel], (channel, row, col) flattened: :func:`conv2d` by the
+    identity kernel.  The model calls ``conv2d`` itself."""
+    x = transpose(a, (0, 2, 3, 1))
+    n = x.shape[-1] * kernel * kernel
+    eye = Tensor(np.eye(n, dtype=a.dtype).reshape(n, x.shape[-1], kernel, kernel))
+    return conv2d(x, eye, Tensor(np.zeros(n, a.dtype)), stride, padding)
 
-    Returns [B, OH, OW, C*kernel*kernel] with (channel, row, col) flattening,
-    so a convolution is a single matmul against a [C*k*k, C_out] matrix.
-    """
-    if a.ndim != 4:
-        raise ShapeMismatch(f"im2col: expected [B, C, H, W], got {a.shape}")
-    bsz, ch, h, w = a.shape
-    k, s, p = kernel, stride, padding
-    if h + 2 * p < k or w + 2 * p < k:
-        raise ShapeMismatch(f"im2col: kernel {k} larger than padded input {a.shape}")
-    x = a.data
-    if p:
-        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::s, ::s]  # [B, C, OH, OW, k, k]
-    oh, ow = windows.shape[2], windows.shape[3]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5)  # [B, OH, OW, C, k, k]
-    data = np.ascontiguousarray(cols).reshape(bsz, oh, ow, ch * k * k)
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -> Tensor:
+    """Channel-last convolution: [B, H, W, C] input, [O, C, k, k] weight and
+    [O] bias -> [B, OH, OW, O].  Backward rebuilds the patches, and gives no
+    input gradient when the input does not require one."""
+    _check_dtypes("conv2d", x, weight, bias)
+    out_ch, ch, k, _ = weight.shape
+    if x.ndim != 4 or x.shape[-1] != ch or bias.shape != (out_ch,):
+        raise ShapeMismatch(
+            f"conv2d: input {x.shape}, weight {weight.shape}, bias {bias.shape}")
+    cols = _patches(x.data, k, stride, padding)
+    bsz, oh, ow = cols.shape[:3]
+    wm = weight.data.transpose(2, 3, 1, 0).reshape(k * k * ch, out_ch)
+    data = cols.reshape(-1, k * k * ch) @ wm
+    data += bias.data
+    data = data.reshape(bsz, oh, ow, out_ch)
 
     def vjp(g):
-        gc = g.reshape(bsz, oh, ow, ch, k, k).transpose(0, 3, 1, 2, 4, 5)
-        gp = np.zeros((bsz, ch, h + 2 * p, w + 2 * p), dtype=g.dtype)
-        for i in range(k):
-            for j in range(k):
-                gp[:, :, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s] += gc[..., i, j]
-        if p:
-            gp = gp[:, :, p:-p, p:-p]
-        return (np.ascontiguousarray(gp),)
+        g2 = g.reshape(-1, out_ch)
+        # one patch-sized array at a time: the patches go before gx's are made
+        gw = _patches(x.data, k, stride, padding).reshape(-1, k * k * ch).T @ g2
+        gx = _fold_patches((g2 @ wm.T).reshape(bsz, oh, ow, k, k, ch), x.shape[1],
+                           x.shape[2], stride, padding) if x.requires_grad else None
+        gw = gw.reshape(k, k, ch, out_ch).transpose(3, 2, 0, 1)
+        return gx, np.ascontiguousarray(gw), g2.sum(axis=0)
 
-    return _make(data, "im2col", (a,), vjp)
+    return _make(data, "conv2d", (x, weight, bias), vjp)
 
 
 # --- backward pass ---

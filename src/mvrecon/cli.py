@@ -47,7 +47,7 @@ from .evaluation import (
 from .model import MultiViewReconstructor
 from .rollout import attention_rollout, save_rollout_maps
 from .training import loss_curve_csv, train
-from .voxels import DEFAULT_THRESHOLD
+from .voxels import DEFAULT_THRESHOLD, check_scoring
 from .voxio import read_pgm, write_binvox
 
 
@@ -198,6 +198,7 @@ def cmd_rollout(args) -> int:
 def cmd_reconstruct(args) -> int:
     if len(args.images) % 2 != 0:
         raise SystemExit("--images expects silhouette/depth PGM pairs")
+    check_scoring(args.threshold)
     model = load_model(args.checkpoint)
     images = []
     for path in args.images:

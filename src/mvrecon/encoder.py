@@ -18,7 +18,9 @@ from .layers import EMBED_STD, AttentionLayer, Conv2d, LayerNorm, Linear, Module
 
 class ViewBackbone(Module):
     """Small conv tower: stride-2 stages with channel doubling, then a
-    global average pool and a linear head to the embedding width."""
+    global average pool and a linear head to the embedding width.  The
+    images turn channel-last once, at entry, and the convolutions and the
+    pool work on [B, H, W, C]."""
 
     def __init__(self, rng, cfg: ModelConfig):
         dtype = cfg.np_dtype
@@ -32,11 +34,10 @@ class ViewBackbone(Module):
 
     def __call__(self, images: Tensor) -> Tensor:
         """[B, C, H, W] images -> [B, d] embeddings."""
-        x = images
+        x = images.transpose(0, 2, 3, 1)
         for conv in self.convs:
             x = ad.gelu(conv(x))
-        pooled = x.mean(axis=(2, 3))
-        return self.head(pooled)
+        return self.head(x.mean(axis=(1, 2)))
 
 
 class PatchAttentionBlock(Module):

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import Dataset, DatasetObject, OCCLUSION_BOX_SIZES, occlude
-from .errors import EmptyVolume, TooFewObjects
+from .errors import BadConfig, EmptyVolume, TooFewObjects
 from .model import MultiViewReconstructor
-from .voxels import DEFAULT_THRESHOLD, metric_fscore, metric_iou
+from .voxels import DEFAULT_THRESHOLD, check_scoring, metric_fscore, metric_iou
 
 DEFAULT_VIEW_COUNTS = (1, 2, 3, 4, 5, 8, 12, 18, 20)
 
@@ -86,6 +86,7 @@ def _score_objects(objects: list[DatasetObject], volumes: np.ndarray,
 def evaluate(model: MultiViewReconstructor, dataset: Dataset, split: str = "test",
              view_counts=DEFAULT_VIEW_COUNTS, threshold: float = DEFAULT_THRESHOLD,
              tau: float | None = None) -> EvalReport:
+    check_scoring(threshold, tau)
     objects = dataset.split(split)
     if not objects:
         raise TooFewObjects(f"split {split!r} is empty")
@@ -104,6 +105,9 @@ def occlusion_sweep(model: MultiViewReconstructor, dataset: Dataset,
                     n_views: int = 12, mode: str = "center",
                     threshold: float = DEFAULT_THRESHOLD, tau: float | None = None,
                     seed: int = 0) -> list[OcclusionResult]:
+    check_scoring(threshold, tau)
+    if min(sizes, default=0) < 0:
+        raise BadConfig(f"box size {min(sizes)} is negative")
     objects = dataset.split(split)
     if not objects:
         raise TooFewObjects(f"split {split!r} is empty")

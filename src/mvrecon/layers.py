@@ -77,8 +77,9 @@ class LayerNorm(Module):
 
 
 class Conv2d(Module):
-    """3 x 3 convolution at stride 2 with 1 pixel of zero padding, via patch
-    extraction and one matmul; it halves the image (rounding up)."""
+    """3 x 3 convolution at stride 2 with 1 pixel of zero padding on
+    channel-last [B, H, W, C] input; it halves the image (rounding up).
+    The weight is stored [out, in, k, k]."""
 
     KERNEL, STRIDE, PADDING = 3, 2, 1
 
@@ -90,11 +91,7 @@ class Conv2d(Module):
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        cols = ad.im2col(x, self.KERNEL, self.STRIDE, self.PADDING)
-        out_ch = self.weight.shape[0]
-        w = self.weight.reshape(out_ch, -1).transpose(1, 0)
-        y = ad.matmul(cols, w, self.bias)  # [B, OH, OW, C_out]
-        return y.transpose(0, 3, 1, 2)
+        return ad.conv2d(x, self.weight, self.bias, self.STRIDE, self.PADDING)
 
 
 class FeedForward(Module):
@@ -119,9 +116,7 @@ class MultiHeadAttention(Module):
     """
 
     def __init__(self, rng, dim: int, heads: int, dtype=np.float32):
-        self.dim = dim
         self.heads = heads
-        self.head_dim = dim // heads
         self.q = Linear(rng, dim, dim, dtype=dtype)
         self.k = Linear(rng, dim, dim, dtype=dtype)
         self.v = Linear(rng, dim, dim, dtype=dtype)
@@ -130,23 +125,8 @@ class MultiHeadAttention(Module):
     def __call__(self, query: Tensor, keyvalue: Tensor | None = None,
                  trace: list | None = None) -> Tensor:
         kv = query if keyvalue is None else keyvalue
-        bsz, n_q = query.shape[0], query.shape[1]
-        n_k = kv.shape[1]
-
-        def heads_first(t, n):
-            return t.reshape(bsz, n, self.heads, self.head_dim).transpose(0, 2, 1, 3)
-
-        q = heads_first(self.q(query), n_q)
-        k = heads_first(self.k(kv), n_k)
-        v = heads_first(self.v(kv), n_k)
-        scores = ad.scale(ad.matmul(q, k.transpose(0, 1, 3, 2)),
-                          1.0 / math.sqrt(self.head_dim))
-        attn = ad.softmax(scores, axis=-1)
-        if trace is not None:
-            trace.append(np.array(attn.data))
-        mixed = ad.matmul(attn, v)  # [B, h, Nq, head_dim]
-        merged = mixed.transpose(0, 2, 1, 3).reshape(bsz, n_q, self.dim)
-        return self.out(merged)
+        mixed = ad.attention(self.q(query), self.k(kv), self.v(kv), self.heads, trace=trace)
+        return self.out(mixed)
 
 
 class AttentionLayer(Module):

@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import EmptyVolume, ShapeMismatch
+from .errors import BadConfig, EmptyVolume, ShapeMismatch
 
 DEFAULT_THRESHOLD = 0.3
 SSIM_C1 = 0.01
@@ -120,6 +120,14 @@ LOSS_FUNCTIONS = {
 
 
 # --- metrics (numpy) ---
+
+def check_scoring(threshold: float, tau: float | None = None) -> None:
+    """Reject a threshold outside (0, 1] or a tau that is not positive and finite."""
+    if not 0.0 < threshold <= 1.0:
+        raise BadConfig(f"threshold {threshold} is outside (0, 1]")
+    if tau is not None and not 0.0 < tau < float("inf"):
+        raise BadConfig(f"tau {tau} is not a positive finite distance")
+
 
 def metric_iou(y: np.ndarray, y_pred: np.ndarray,
                threshold: float = DEFAULT_THRESHOLD) -> float:

@@ -50,3 +50,21 @@ def check_param_grads(params, forward, seed=0, entries=2, tol=1e-4, h=1e-6):
             failures.append(f"{name}: rel err {err:.3e}")
     assert not failures, "gradient mismatches:\n" + "\n".join(failures)
     return True
+
+
+def naive_conv(x, weight, bias, stride=2, pad=1):
+    """Loop reference convolution of one [C, H, W] image by an [O, C, k, k]
+    weight -> [O, OH, OW]."""
+    cin, h, w = x.shape
+    cout, _, k, _ = weight.shape
+    xp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x
+    oh = (h + 2 * pad - k) // stride + 1
+    ow = (w + 2 * pad - k) // stride + 1
+    out = np.zeros((cout, oh, ow), dtype=x.dtype)
+    for co in range(cout):
+        for i in range(oh):
+            for j in range(ow):
+                patch = xp[:, i * stride:i * stride + k, j * stride:j * stride + k]
+                out[co, i, j] = np.sum(patch * weight[co]) + bias[co]
+    return out

@@ -20,6 +20,7 @@ from mvrecon.layers import Conv2d, Linear
 from mvrecon.training import sgd_step
 
 from fd import central_diff, rel_err
+from modelutil import naive_conv
 
 SEEDS = range(10)
 
@@ -28,15 +29,20 @@ def t64(arr, requires_grad=False):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
 
 
-def check_op_grads(build, arrays, tol=1e-6, h=1e-5):
+def check_op_grads(build, arrays, tol=1e-6, h=1e-5, constant=()):
     """FD-check a scalar-valued op composition against backward().
 
     The tensors share buffers with ``arrays``, so the finite-difference
-    oracle perturbs the arrays in place and re-runs the forward pass.
+    oracle perturbs the arrays in place and re-runs the forward pass.  The
+    arrays at the ``constant`` indices do not require grad and must get
+    no gradient.
     """
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    tensors = [Tensor(a, requires_grad=i not in constant) for i, a in enumerate(arrays)]
     build(*tensors).backward()
     for t, a in zip(tensors, arrays):
+        if not t.requires_grad:
+            assert t.grad is None
+            continue
         numeric = central_diff(lambda: build(*tensors).item(), a, h=h)
         assert t.grad is not None
         assert rel_err(t.grad, numeric) < tol, f"gradient mismatch for {t}"
@@ -80,14 +86,12 @@ def test_matmul_batched_broadcast_grad():
     a = rng.standard_normal((2, 3, 4))
     b = rng.standard_normal((4, 5))
     check_op_grads(lambda x, y: ad.matmul(x, y).sum(), [a, b])
-    # a size-1 batch axis repeated by numpy, and a batch axis b lacks
-    a = rng.standard_normal((1, 3, 4))
-    b = rng.standard_normal((2, 2, 4, 5))
-    check_op_grads(lambda x, y: ad.matmul(x, y).sum(), [a, b])
+    # the right operand is a matrix; a batch of matrices is rejected
+    with pytest.raises(ShapeMismatch, match="needs >=2-D @ 2-D"):
+        ad.matmul(Tensor(np.ones((1, 3, 4))), Tensor(np.ones((2, 2, 4, 5))))
 
 
-# x as a Linear sees it on a batch and on tokens, and as Conv2d's
-# [B, OH, OW, C*k*k] patches
+# x as a Linear sees it on a batch, on tokens, and on a [B, H, W, C] image
 BIAS_X_SHAPES = [(3, 4), (2, 3, 4), (2, 2, 3, 4)]
 
 
@@ -120,15 +124,15 @@ def test_matmul_bias_shape_errors():
         ad.matmul(x, Tensor(np.ones((2, 4, 5))), Tensor(np.ones(5)))
 
 
-def test_linear_and_conv_are_one_matmul_node():
+def test_linear_and_conv_are_one_node_each():
     rng = np.random.default_rng(0)
     lin = Linear(rng, 4, 5)
     y = lin(Tensor(np.ones((2, 3, 4)), requires_grad=True, dtype=np.float32))
     assert y._op == "matmul" and y._parents[2] is lin.bias
     conv = Conv2d(rng, 2, 3)
-    y = conv(Tensor(np.ones((1, 2, 6, 6)), requires_grad=True, dtype=np.float32))
-    product = y._parents[0]  # the [B, OH, OW, C_out] -> [B, C_out, OH, OW] transpose
-    assert product._op == "matmul" and product._parents[2] is conv.bias
+    x = Tensor(np.ones((1, 6, 6, 2)), requires_grad=True, dtype=np.float32)
+    y = conv(x)
+    assert y._op == "conv2d" and y._parents == (x, conv.weight, conv.bias)
 
 
 # --- elementwise suite ---
@@ -353,6 +357,114 @@ def test_im2col_grad_fd():
     w = Tensor(rng.standard_normal((1, 3, 3, 2 * 3 * 3)))
     check_op_grads(
         lambda x: ad.mul(ad.im2col(x, 3, stride=2, padding=1), w).sum(), [a])
+
+
+# --- attention ---
+
+def attention_np(q, k, v, heads):
+    """The unfused composition: split heads, scaled scores, softmax, mix,
+    merge.  Returns the output and the [B, heads, Nq, Nk] probabilities."""
+    def split(x):
+        return x.reshape(x.shape[0], x.shape[1], heads, -1).transpose(0, 2, 1, 3)
+
+    scores = split(q) @ split(k).transpose(0, 1, 3, 2) / math.sqrt(q.shape[-1] // heads)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    out = (probs @ split(v)).transpose(0, 2, 1, 3).reshape(q.shape)
+    return out, probs
+
+
+def qkv(seed, n_q, n_k, width=6, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((2, n, width)).astype(dtype) for n in (n_q, n_k, n_k)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_self_attention_grad_fd(seed):
+    x, _, _ = qkv(seed, 5, 5)
+    w = Tensor(np.random.default_rng(seed + 10).standard_normal(x.shape))
+    check_op_grads(lambda t: ad.mul(ad.attention(t, t, t, 2), w).sum(), [x])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cross_attention_grad_fd(seed):
+    arrays = qkv(seed, 3, 5)
+    w = Tensor(np.random.default_rng(seed + 10).standard_normal(arrays[0].shape))
+    check_op_grads(lambda q, k, v: ad.mul(ad.attention(q, k, v, 3), w).sum(), arrays)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 2e-6)])
+@pytest.mark.parametrize("n_q,n_k", [(5, 5), (3, 7)])
+def test_attention_matches_unfused_composition(dtype, tol, n_q, n_k):
+    arrays = qkv(4, n_q, n_k, width=8, dtype=dtype)
+    trace = []
+    out = ad.attention(*(Tensor(a) for a in arrays), 4, trace=trace)
+    want, want_probs = attention_np(*(a.astype(np.float64) for a in arrays), 4)
+    assert out.dtype == dtype and out.shape == (2, n_q, 8)
+    np.testing.assert_allclose(out.data, want, rtol=tol, atol=tol)
+    (probs,) = trace
+    assert probs.shape == (2, 4, n_q, n_k)
+    np.testing.assert_allclose(probs, want_probs, rtol=tol, atol=tol)
+    np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=tol)
+
+
+@pytest.mark.parametrize("shapes,heads", [
+    (((2, 3, 6), (2, 4, 6), (2, 5, 6)), 2),   # k and v differ
+    (((2, 3, 6), (1, 4, 6), (1, 4, 6)), 2),   # batch differs
+    (((2, 3, 6), (2, 4, 4), (2, 4, 4)), 2),   # width differs
+    (((2, 3, 6), (2, 4, 6), (2, 4, 6)), 4),   # heads do not divide the width
+    (((3, 6), (4, 6), (4, 6)), 2),            # no batch axis
+])
+def test_attention_shape_errors(shapes, heads):
+    with pytest.raises(ShapeMismatch, match="attention"):
+        ad.attention(*(Tensor(np.ones(s)) for s in shapes), heads)
+
+
+def test_attention_overflowing_scores_raise():
+    q, k, v = (Tensor(a) for a in qkv(5, 3, 3, dtype=np.float32))
+    big = Tensor(np.full(q.shape, 1e30, dtype=np.float32))
+    with pytest.raises(NumericalOverflow, match="attention"):
+        ad.attention(big, big, v, 2)
+
+
+# --- conv2d ---
+
+CONV_CASES = [(2, 1), (1, 0)]  # (stride, padding)
+
+
+@pytest.mark.parametrize("stride,padding", CONV_CASES)
+@pytest.mark.parametrize("constant", [(), (0,)], ids=["input-grad", "no-input-grad"])
+def test_conv2d_grad_fd(stride, padding, constant):
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((2, 5, 6, 3))
+    w = rng.standard_normal((4, 3, 3, 3))
+    b = rng.standard_normal(4)
+    oh, ow = (5 + 2 * padding - 3) // stride + 1, (6 + 2 * padding - 3) // stride + 1
+    c = Tensor(rng.standard_normal((2, oh, ow, 4)))
+    check_op_grads(lambda x, w, b: ad.mul(ad.conv2d(x, w, b, stride, padding), c).sum(),
+                   [x, w, b], constant=constant)
+
+
+def test_conv2d_returns_no_gradient_for_a_constant_input():
+    rng = np.random.default_rng(14)
+    w, b = t64(rng.standard_normal((4, 3, 3, 3)), True), t64(np.zeros(4), True)
+    for requires_grad in (False, True):
+        y = ad.conv2d(t64(rng.standard_normal((1, 4, 4, 3)), requires_grad), w, b, 2, 1)
+        gx, gw, gb = y._vjp(np.ones(y.shape))
+        assert (gx is None) != requires_grad
+        assert gw.shape == w.shape and gb.shape == b.shape
+
+
+@pytest.mark.parametrize("stride,padding", CONV_CASES)
+def test_conv2d_matches_naive_conv(stride, padding):
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((2, 3, 7, 6))  # [B, C, H, W]
+    w = rng.standard_normal((4, 3, 3, 3))
+    b = rng.standard_normal(4)
+    out = ad.conv2d(t64(x.transpose(0, 2, 3, 1)), t64(w), t64(b), stride, padding).data
+    for i in range(2):
+        want = naive_conv(x[i], w, b, stride=stride, pad=padding)
+        np.testing.assert_allclose(out[i].transpose(2, 0, 1), want, atol=1e-12)
 
 
 # --- backward contract ---

@@ -194,6 +194,9 @@ def test_bad_int_list_is_a_usage_error(tmp_path, capsys, flags):
 _TRAIN = ["train", "--data", "{data}", "--out", "{out}", "--preset", "tiny", "--set"]
 _CKPT = ["--checkpoint", "{ckpt}", "--data", "{data}", "--out", "{out}"]
 _SYNTH = ["synth", "--out", "{out}", "--objects", "10", "--voxel-side", "8"]
+# eval and occlusion requests the 8-view workspace can serve, but for the flag under test
+_EVAL = ["eval", *_CKPT, "--view-counts=1"]
+_OCCL = ["occlusion", *_CKPT, "--views=8"]
 _RECON = ["reconstruct", "--checkpoint", "{ckpt}", "--out", "{out}/r.binvox", "--images"]
 
 
@@ -209,12 +212,21 @@ _RECON = ["reconstruct", "--checkpoint", "{ckpt}", "--out", "{out}/r.binvox", "-
     (_RECON + ["{sil32}", "{dep16}"], "error: {dep16} is (16, 16), {sil32} is (32, 32)"),
     (_RECON + ["{sil32}", "{dep32}", "{sil16}", "{dep16}"], "error: {sil16} is (16, 16)"),
     (_RECON + ["{sil16}", "{dep16}"], "error: encode expects [B, N, 2, 32, 32]"),
+    (_OCCL + ["--sizes=-5,0"], "bad config: box size -5 is negative"),
+    (_EVAL + ["--threshold", "nan"], "bad config: threshold nan is outside (0, 1]"),
+    (_EVAL + ["--tau=-1"], "bad config: tau -1.0 is not a positive finite distance"),
+    (_OCCL + ["--threshold", "0"], "bad config: threshold 0.0 is outside"),
+    (_OCCL + ["--tau", "inf"], "bad config: tau inf is not a positive"),
+    (["reconstruct", "--checkpoint", "{ckpt}", "--out", "{sil32}.binvox", "--images",
+      "{sil32}", "{dep32}", "--threshold", "1.5"], "bad config: threshold 1.5 is outside (0, 1]"),
     (_SYNTH + ["--seed=-1"], "bad config: seed -1 is negative"),
     (_SYNTH + ["--image-size=0"], "bad config: image size 0 px"),
     (_SYNTH + ["--image-size=-3"], "bad config: image size -3 px"),
 ], ids=["epochs-0", "batch-0", "decay-0", "lr-nan", "eval-views-neg", "occlusion-views-neg",
         "rollout-views-neg", "rollout-views-beyond", "pgm-pair-sizes", "pgm-pairs-sizes",
-        "pgm-model-size", "synth-seed-neg", "synth-image-0", "synth-image-neg"])
+        "pgm-model-size", "occlusion-box-neg", "eval-threshold-nan", "eval-tau-neg",
+        "occlusion-threshold-0", "occlusion-tau-inf", "reconstruct-threshold-above-1",
+        "synth-seed-neg", "synth-image-0", "synth-image-neg"])
 def test_bad_input_is_one_line_error(workspace, tmp_path, capsys, argv, prefix):
     paths = {"data": workspace["data"], "out": str(tmp_path / "out"),
              "ckpt": os.path.join(workspace["run"], "checkpoint.ckpt")}

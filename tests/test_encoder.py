@@ -11,7 +11,7 @@ from mvrecon.errors import ShapeMismatch
 from mvrecon.model import MultiViewReconstructor
 
 from fd import central_diff, rel_err
-from modelutil import check_param_grads, random_images, tiny64
+from modelutil import check_param_grads, naive_conv, random_images, tiny64
 
 
 def small_cfg(**overrides):
@@ -89,22 +89,6 @@ def gelu_np(x):
     return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
 
 
-def naive_conv(x, weight, bias, stride=2, pad=1):
-    cin, h, w = x.shape
-    cout, _, k, _ = weight.shape
-    xp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = x
-    oh = (h + 2 * pad - k) // stride + 1
-    ow = (w + 2 * pad - k) // stride + 1
-    out = np.zeros((cout, oh, ow), dtype=x.dtype)
-    for co in range(cout):
-        for i in range(oh):
-            for j in range(ow):
-                patch = xp[:, i * stride:i * stride + k, j * stride:j * stride + k]
-                out[co, i, j] = np.sum(patch * weight[co]) + bias[co]
-    return out
-
-
 def naive_backbone(model, img):
     x = img
     for conv in model.backbone.convs:
@@ -126,12 +110,11 @@ def test_zero_image_matches_bias_only_forward():
     got = embed(model, img)
     want = naive_backbone(model, img)
     np.testing.assert_allclose(got, want, atol=1e-12)
-    # first stage of a zero image is exactly the bias map
+    # first stage of a zero [1, H, W, C] image is exactly the bias map
     first = model.backbone.convs[0]
-    stage = ad.gelu(first(Tensor(img[None], dtype=np.float64))).data
+    stage = ad.gelu(first(Tensor(img[None].transpose(0, 2, 3, 1), dtype=np.float64))).data
     np.testing.assert_allclose(
-        stage[0], gelu_np(np.broadcast_to(first.bias.data[:, None, None], stage[0].shape)),
-        atol=1e-12)
+        stage[0], gelu_np(np.broadcast_to(first.bias.data, stage[0].shape)), atol=1e-12)
 
 
 def test_backbone_matches_naive_conv_oracle():

@@ -8,7 +8,7 @@ import pytest
 import mvrecon
 from mvrecon.config import tiny_model_config
 from mvrecon.datagen import CATEGORIES, build_dataset
-from mvrecon.errors import MissingViews, ShapeMismatch, TooFewObjects
+from mvrecon.errors import BadConfig, MissingViews, ShapeMismatch, TooFewObjects
 from mvrecon.evaluation import (
     DEFAULT_VIEW_COUNTS,
     evaluate,
@@ -118,6 +118,31 @@ def test_occlusion_sweep_zero_box_equals_plain(dataset):
     swept = occlusion_sweep(model, dataset, sizes=(0,), n_views=12)
     assert swept[0].mean_iou == pytest.approx(plain.view_counts[0].mean_iou)
     assert swept[0].mean_fscore == pytest.approx(plain.view_counts[0].mean_fscore)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(threshold=float("nan")), dict(threshold=0.0), dict(threshold=1.5),
+    dict(threshold=float("inf")), dict(tau=float("nan")), dict(tau=0.0), dict(tau=-1.0),
+    dict(tau=float("inf")),
+])
+def test_scoring_parameters_are_range_checked(dataset, kwargs):
+    stub = ConstantStub(0.5, dataset.voxel_side)
+    with pytest.raises(BadConfig):
+        evaluate(stub, dataset, view_counts=(1,), **kwargs)
+    with pytest.raises(BadConfig):
+        occlusion_sweep(stub, dataset, sizes=(0,), **kwargs)
+
+
+def test_occlusion_sweep_rejects_negative_box(dataset):
+    stub = ConstantStub(0.5, dataset.voxel_side)
+    with pytest.raises(BadConfig, match="box size -5 is negative"):
+        occlusion_sweep(stub, dataset, sizes=(-5, 0))
+
+
+def test_scoring_accepts_a_threshold_of_one(dataset):
+    stub = ConstantStub(1.0, dataset.voxel_side)
+    report = evaluate(stub, dataset, view_counts=(1,), threshold=1.0, tau=0.5)
+    assert report.threshold == 1.0 and report.tau == 0.5
 
 
 def test_occlusion_sweep_has_seven_sizes(dataset):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvrecon import autodiff as ad
 from mvrecon.config import TrainConfig, tiny_model_config
 from mvrecon.datagen import build_dataset, CATEGORIES
 from mvrecon.errors import DivergedLoss, MissingViews, TooFewObjects
@@ -83,6 +84,45 @@ def test_train_step_frees_old_gradients_before_the_forward(tiny_dataset):
         train_step(model, images, grids, cfg, lr=cfg.lr_init)
         assert all(p.grad is not None for p in model.parameters())
     assert len(starts) == 2 and all(all(s) for s in starts)
+
+
+def test_train_step_graph_keeps_no_scores_or_patches(tiny_dataset, monkeypatch):
+    # Every attention score or probability matrix and every conv patch
+    # matrix the step could keep, in any of the layouts they take.
+    banned = set()
+    attention, conv2d, backward = ad.attention, ad.conv2d, ad.backward
+
+    def recording_attention(q, k, v, heads, trace=None):
+        banned.add((q.shape[0], heads, q.shape[1], k.shape[1]))
+        return attention(q, k, v, heads, trace)
+
+    def recording_conv2d(x, weight, bias, stride, padding):
+        y = conv2d(x, weight, bias, stride, padding)
+        (bsz, oh, ow, _), (_, ch, k, _) = y.shape, weight.shape
+        banned.update({(bsz, oh, ow, k, k, ch), (bsz, oh, ow, k * k * ch),
+                       (bsz * oh * ow, k * k * ch)})
+        return y
+
+    held = []
+
+    def walking_backward(loss):
+        for node in ad._toposort(loss):
+            held.append(node.data)
+            for cell in getattr(node._vjp, "__closure__", None) or ():
+                value = cell.cell_contents
+                held.append(value.data if isinstance(value, ad.Tensor) else value)
+        backward(loss)
+
+    monkeypatch.setattr(ad, "attention", recording_attention)
+    monkeypatch.setattr(ad, "conv2d", recording_conv2d)
+    monkeypatch.setattr(ad, "backward", walking_backward)
+    cfg = make_cfg()
+    model = MultiViewReconstructor(cfg.model, seed=0)
+    images, grids = sample_batch(tiny_dataset.split("train")[:2], cfg, data_rng(0))
+    train_step(model, images, grids, cfg, lr=cfg.lr_init)
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert len(banned) >= 5 and len(arrays) > 100
+    assert not [a.shape for a in arrays if a.shape in banned]
 
 
 def test_training_deterministic(tiny_dataset):

@@ -80,9 +80,6 @@ def _ints(text: str) -> tuple[int, ...]:
 
 def cmd_synth(args) -> int:
     categories = tuple(args.categories.split(",")) if args.categories else CATEGORIES
-    for c in categories:
-        if c not in CATEGORIES:
-            raise SystemExit(f"unknown category {c!r} (choose from {CATEGORIES})")
     dataset = build_dataset(args.objects, args.voxel_side, args.image_size,
                             seed=args.seed, categories=categories, n_views=args.views)
     save_dataset(dataset, args.out)
@@ -108,14 +105,11 @@ def _train_config(args) -> TrainConfig:
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     dataset = load_dataset(args.data)
-    if dataset.voxel_side != cfg.model.voxel_side:
-        raise SystemExit(
-            f"dataset voxels {dataset.voxel_side}^3 vs model "
-            f"{cfg.model.voxel_side}^3; pass --set model.voxel_side=N or a matching config")
-    if dataset.image_size != cfg.model.image_size:
-        raise SystemExit(
-            f"dataset images {dataset.image_size}px vs model "
-            f"{cfg.model.image_size}px; pass --set model.image_size=N or a matching config")
+    for key in ("voxel_side", "image_size"):
+        if getattr(dataset, key) != getattr(cfg.model, key):
+            raise SystemExit(
+                f"dataset {key} {getattr(dataset, key)} vs model {getattr(cfg.model, key)}; "
+                f"pass --set model.{key}=N or a matching config")
     os.makedirs(args.out, exist_ok=True)
     model = MultiViewReconstructor(cfg.model, seed=cfg.seed)
     print(f"training {model.num_params():,} parameters "

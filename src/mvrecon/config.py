@@ -147,9 +147,9 @@ MODEL_PRESETS = {
 
 
 def _check_ranges(section: str, cfg) -> None:
-    """Every int field (and every int of a tuple field) is at least 1, or at
-    least 0 if named in ``_MAY_BE_ZERO``; every float field is finite and at
-    least 0."""
+    """Every int field (and every int of a tuple field, which is not empty)
+    is at least 1, or at least 0 if named in ``_MAY_BE_ZERO``; every float
+    field is finite and at least 0."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type == "float":
@@ -157,6 +157,8 @@ def _check_ranges(section: str, cfg) -> None:
                 raise BadConfig(f"{section}.{f.name} = {value} must be finite "
                                 f"and at least 0")
         elif f.type in ("int", "tuple[int, ...]"):
+            if value == ():
+                raise BadConfig(f"{section}.{f.name} is empty")
             least = 0 if f.name in _MAY_BE_ZERO else 1
             if any(v < least for v in (value if isinstance(value, tuple) else (value,))):
                 raise BadConfig(f"{section}.{f.name} = {value} must be at least {least}")

@@ -361,6 +361,13 @@ class Dataset:
     elevation_deg: float
     objects: list[DatasetObject]
 
+    def __post_init__(self):
+        # built or read, a dataset holds only views the renderer can make
+        if self.n_views < 1:
+            raise BadConfig(f"{self.n_views} views per object; need at least 1")
+        if self.image_size <= 4:  # the renderer's scale (image_size - 4) / sqrt(3) must be > 0
+            raise BadConfig(f"image size {self.image_size} px; need at least 5")
+
     def split(self, name: str) -> list[DatasetObject]:
         return [o for o in self.objects if o.split == name]
 
@@ -404,7 +411,7 @@ def manifest_from_text(text: str) -> Dataset:
             elevation_deg=float(header.get("elevation_deg", DEFAULT_ELEVATION_DEG)),
             objects=objects,
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:  # BadConfig is a ValueError
         raise MalformedHeader(f"bad manifest header: {exc!r}") from None
 
 
@@ -417,23 +424,21 @@ def build_dataset(n_objects: int, voxel_side: int, image_size: int, seed: int = 
                   categories: tuple[str, ...] = CATEGORIES, n_views: int = DEFAULT_N_VIEWS,
                   elevation_deg: float = DEFAULT_ELEVATION_DEG) -> Dataset:
     """Generate, render, and split a dataset entirely in memory."""
-    if n_views < 1:
-        raise BadConfig(f"{n_views} views per object; need at least 1")
-    if image_size <= 4:  # the renderer's scale (image_size - 4) / sqrt(3) must be > 0
-        raise BadConfig(f"image size {image_size} px; need at least 5")
+    if not categories or not set(categories) <= set(CATEGORIES):
+        raise BadConfig(f"categories {categories} are not a non-empty subset of {CATEGORIES}")
     if seed < 0:
         raise BadConfig(f"seed {seed} is negative")
-    objects = []
+    dataset = Dataset(voxel_side, image_size, n_views, elevation_deg, [])
     for i in range(n_objects):
         category = categories[i % len(categories)]
         obj_seed = seed * 1_000_003 + i
-        objects.append(DatasetObject(f"obj{i:04d}", category, obj_seed, "",
-                                     gen_object(category, obj_seed, voxel_side), None))
-    assignment = make_splits([(o.object_id, o.category) for o in objects], seed=seed)
-    for obj in objects:
+        dataset.objects.append(DatasetObject(f"obj{i:04d}", category, obj_seed, "",
+                                             gen_object(category, obj_seed, voxel_side), None))
+    assignment = make_splits([(o.object_id, o.category) for o in dataset.objects], seed=seed)
+    for obj in dataset.objects:
         obj.split = assignment[obj.object_id]
         obj.views = _quantize(render_views(obj.grid, n_views, image_size, elevation_deg))
-    return Dataset(voxel_side, image_size, n_views, elevation_deg, objects)
+    return dataset
 
 
 # --- disk persistence (manifest + binvox ground truth + PGM views) ---

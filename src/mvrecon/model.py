@@ -31,8 +31,11 @@ class ModelOutput:
 
 class MultiViewReconstructor(Module):
     def __init__(self, cfg: ModelConfig, seed: int = 0):
+        self._build(cfg, np.random.default_rng([int(seed), 0x5eed]))
+
+    def _build(self, cfg: ModelConfig, rng) -> None:
+        """Builds every module, drawing each initial weight from ``rng``."""
         self.cfg = cfg
-        rng = np.random.default_rng([int(seed), 0x5eed])
         self.backbone = ViewBackbone(rng, cfg)
         self.encoder = MultiViewEncoder(rng, cfg)
         self.decoder = VolumeDecoder(rng, cfg)

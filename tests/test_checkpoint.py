@@ -1,8 +1,9 @@
+import zlib
+
 import numpy as np
 import pytest
 
 from mvrecon.checkpoint import (
-    _record_bytes,
     checkpoint_bytes,
     load_checkpoint,
     load_checkpoint_bytes,
@@ -19,6 +20,19 @@ from modelutil import random_images
 @pytest.fixture()
 def tiny_model():
     return MultiViewReconstructor(tiny_model_config(), seed=3)
+
+
+def resigned(data: bytes) -> bytes:
+    """``data`` with its CRC recomputed, as a deliberate edit would be."""
+    return data[:-4] + zlib.crc32(data[12:-4]).to_bytes(4, "little")
+
+
+def assert_load_fails_unchanged(data, model, error):
+    before = [p.data.copy() for p in model.parameters()]
+    with pytest.raises(error):
+        load_checkpoint_bytes(data, model)
+    for prev, p in zip(before, model.parameters()):
+        assert np.array_equal(prev, p.data)
 
 
 def test_roundtrip_reproduces_forward_bitwise(tiny_model, tmp_path):
@@ -42,44 +56,24 @@ def test_checkpoint_bytes_deterministic(tiny_model):
 def test_tampered_byte_is_detected(tiny_model):
     data = bytearray(checkpoint_bytes(tiny_model))
     data[len(data) // 2] ^= 0xFF
-    with pytest.raises(CorruptRecord):
-        load_checkpoint_bytes(bytes(data), tiny_model)
-
-
-def assert_load_fails_unchanged(data, model):
-    before = [p.data.copy() for p in model.parameters()]
-    with pytest.raises(CorruptRecord):
-        load_checkpoint_bytes(data, model)
-    for prev, p in zip(before, model.parameters()):
-        assert np.array_equal(prev, p.data)
+    other = MultiViewReconstructor(tiny_model.cfg, seed=2)
+    assert_load_fails_unchanged(bytes(data), other, CorruptRecord)
 
 
 def test_truncated_checkpoint_is_detected(tiny_model):
     data = checkpoint_bytes(tiny_model)
     other = MultiViewReconstructor(tiny_model.cfg, seed=2)
-    assert_load_fails_unchanged(data[:-10], other)
-
-
-def test_repeated_record_is_detected(tiny_model):
-    # the first record twice and the second not at all: the count still fits
-    text = model_config_to_text(tiny_model.cfg).encode()
-    # magic, version, config length, config text, its CRC, record count
-    header = checkpoint_bytes(tiny_model)[:8 + 4 + 4 + len(text) + 4 + 4]
-    records = [_record_bytes(name, p.data) for name, p in tiny_model.named_params()]
-    records[1] = records[0]
-    other = MultiViewReconstructor(tiny_model.cfg, seed=2)
-    assert_load_fails_unchanged(header + b"".join(records), other)
+    assert_load_fails_unchanged(data[:-10], other, CorruptRecord)
 
 
 def test_version_mismatch(tiny_model):
     data = bytearray(checkpoint_bytes(tiny_model))
-    # 1 carried resume state; 2 carried a hash of the config, not its text
-    for version in (1, 2, 99):
+    # 1 carried resume state; 2 a hash of the config, not its text; 3 one
+    # record per parameter, each with its own name, shape, dtype and CRC
+    for version in (1, 2, 3, 99):
         data[8:12] = version.to_bytes(4, "little")  # version field
-        with pytest.raises(VersionMismatch):
-            load_checkpoint_bytes(bytes(data), tiny_model)
-    with pytest.raises(VersionMismatch):
-        load_checkpoint_bytes(b"NOTACKPT" + bytes(data[8:]), tiny_model)
+        assert_load_fails_unchanged(bytes(data), tiny_model, VersionMismatch)
+    assert_load_fails_unchanged(b"NOTACKPT" + bytes(data[8:]), tiny_model, VersionMismatch)
 
 
 def test_config_mismatch(tiny_model, tmp_path):
@@ -91,12 +85,23 @@ def test_config_mismatch(tiny_model, tmp_path):
         load_checkpoint(path, other)
 
 
+def test_swapped_parameters_are_a_config_mismatch(tiny_model):
+    # the table of a build that declares attn.k before attn.q: same config,
+    # same shapes, so only the parameter table tells the weights apart
+    data = checkpoint_bytes(tiny_model)
+    swapped = (data.replace(b".attn.q.", b".attn.x.").replace(b".attn.k.", b".attn.q.")
+               .replace(b".attn.x.", b".attn.k."))
+    assert swapped != data and len(swapped) == len(data)
+    other = MultiViewReconstructor(tiny_model.cfg, seed=2)
+    assert_load_fails_unchanged(resigned(swapped), other, ConfigMismatch)
+
+
 def test_config_text_readable_from_header(tiny_model):
-    # magic (8 bytes) and version (4) precede the config length and text
+    # magic (8 bytes), version (4) and head length (4) precede the head,
+    # which opens with the config text and a blank line
     data = checkpoint_bytes(tiny_model)
     text = model_config_to_text(tiny_model.cfg).encode()
-    assert int.from_bytes(data[12:16], "little") == len(text)
-    assert data[16:16 + len(text)] == text
+    assert data[16:16 + len(text) + 1] == text + b"\n"
     assert b"model.encoder_heads = 4\n" in text
 
 
@@ -115,6 +120,19 @@ def test_load_model_rebuilds_the_model_from_the_file(tmp_path, overrides):
                           model.forward(images).refined.data)
 
 
+def test_load_model_draws_no_weights(tiny_model, tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, tiny_model)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_model drew from a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    loaded = load_model(path)
+    for (name, p), (_, q) in zip(tiny_model.named_params(), loaded.named_params()):
+        assert p.dtype == q.dtype and np.array_equal(p.data, q.data), name
+
+
 def test_config_text_is_guarded_by_its_crc(tiny_model):
     # same length and the same parameter shapes: only the CRC can tell
     data = checkpoint_bytes(tiny_model)
@@ -123,13 +141,13 @@ def test_config_text_is_guarded_by_its_crc(tiny_model):
     eight_heads = MultiViewReconstructor(tiny_model_config(encoder_heads=8))
     assert ([p.shape for p in eight_heads.parameters()]
             == [p.shape for p in tiny_model.parameters()])
-    with pytest.raises(CorruptRecord):
-        load_checkpoint_bytes(edited, tiny_model)
+    assert_load_fails_unchanged(edited, tiny_model, CorruptRecord)
 
 
-def test_non_utf8_record_name_is_corrupt(tiny_model):
+def test_non_utf8_head_is_corrupt(tiny_model, tmp_path):
     data = bytearray(checkpoint_bytes(tiny_model))
-    first_name = data.index(b"backbone.")  # the first record's name
-    data[first_name] = 0xFF
-    with pytest.raises(CorruptRecord):
-        load_checkpoint_bytes(bytes(data), tiny_model)
+    data[16] = 0xFF  # the head's first byte
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(resigned(bytes(data)))
+    with pytest.raises(CorruptRecord, match="checkpoint config"):
+        load_model(path)

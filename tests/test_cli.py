@@ -222,11 +222,15 @@ _RECON = ["reconstruct", "--checkpoint", "{ckpt}", "--out", "{out}/r.binvox", "-
     (_SYNTH + ["--seed=-1"], "bad config: seed -1 is negative"),
     (_SYNTH + ["--image-size=0"], "bad config: image size 0 px"),
     (_SYNTH + ["--image-size=-3"], "bad config: image size -3 px"),
+    (_SYNTH + ["--categories=box,nope"], "bad config: categories ('box', 'nope') are not"),
+    (_TRAIN + ["model.refiner_cubes=", "--set", "model.refiner_heads="],
+     "bad config: model.refiner_cubes is empty"),
 ], ids=["epochs-0", "batch-0", "decay-0", "lr-nan", "eval-views-neg", "occlusion-views-neg",
         "rollout-views-neg", "rollout-views-beyond", "pgm-pair-sizes", "pgm-pairs-sizes",
         "pgm-model-size", "occlusion-box-neg", "eval-threshold-nan", "eval-tau-neg",
         "occlusion-threshold-0", "occlusion-tau-inf", "reconstruct-threshold-above-1",
-        "synth-seed-neg", "synth-image-0", "synth-image-neg"])
+        "synth-seed-neg", "synth-image-0", "synth-image-neg", "synth-category-unknown",
+        "refiner-empty"])
 def test_bad_input_is_one_line_error(workspace, tmp_path, capsys, argv, prefix):
     paths = {"data": workspace["data"], "out": str(tmp_path / "out"),
              "ckpt": os.path.join(workspace["run"], "checkpoint.ckpt")}

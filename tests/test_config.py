@@ -43,6 +43,12 @@ def test_non_positive_extent_or_head_count_is_rejected(line):
         config_from_text(BASE + line + "\n")
 
 
+def test_empty_tuple_is_rejected():
+    # an empty refiner list would build a refiner of no blocks: sigmoid(coarse)
+    with pytest.raises(BadConfig, match="model.refiner_cubes is empty"):
+        config_from_text(BASE + "model.refiner_cubes =\nmodel.refiner_heads =\n")
+
+
 @pytest.mark.parametrize("line", [
     "train.lr_floor = inf",
     "train.lr_decay_factor = -0.5",

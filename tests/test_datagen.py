@@ -259,11 +259,19 @@ MANIFEST_HEADER = "# voxel_side 16\n# image_size 32\n# n_views 24\n"
     MANIFEST_HEADER + "obj0000 box\n",
     MANIFEST_HEADER + "obj0000 box 11 train extra\n",
     MANIFEST_HEADER + "obj0000 box eleven train\n",
+    "# voxel_side 16\n# image_size 32\n# n_views -1\n",
+    "# voxel_side 16\n# image_size -4\n# n_views 24\n",
 ], ids=["no-image-size", "non-numeric-header", "two-fields", "five-fields",
-        "non-numeric-seed"])
+        "non-numeric-seed", "negative-views", "negative-image-size"])
 def test_malformed_manifest_raises_malformed_header(text):
     with pytest.raises(MalformedHeader):
         manifest_from_text(text)
+
+
+@pytest.mark.parametrize("categories", [(), ("box", "nope")], ids=["empty", "unknown"])
+def test_build_dataset_rejects_bad_categories(categories):
+    with pytest.raises(BadConfig, match="categories"):
+        build_dataset(4, 8, 32, categories=categories)
 
 
 def test_build_dataset_deterministic_and_split():

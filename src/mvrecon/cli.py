@@ -2,6 +2,8 @@
 
 Subcommands: synth (build a dataset), train, eval, occlusion, rollout,
 reconstruct (view images -> binvox).
+eval and occlusion each write one table of ``evaluation.Score`` rows, as
+CSV and markdown, through the same writer.
 A training run directory gets its flat key=value config file, a run
 manifest recording the seed, git description, and outputs, and a checkpoint
 that carries the model config, so the other commands need only the
@@ -38,11 +40,9 @@ from .errors import BadConfig, MvreconError, ShapeMismatch
 from .evaluation import (
     DEFAULT_VIEW_COUNTS,
     evaluate,
-    occlusion_csv,
-    occlusion_markdown,
     occlusion_sweep,
-    report_csv,
-    report_markdown,
+    scores_csv,
+    scores_markdown,
 )
 from .model import MultiViewReconstructor
 from .rollout import attention_rollout, save_rollout_maps
@@ -138,38 +138,34 @@ def cmd_train(args) -> int:
     return 0
 
 
-# --- eval ---
+# --- eval and occlusion ---
+
+def _write_scores(out_dir: str, name: str, rows, setting_name: str, title: str,
+                  label: str = "{}") -> None:
+    """Write ``name.csv`` and ``name.md`` for one table and print the markdown."""
+    os.makedirs(out_dir, exist_ok=True)
+    md = scores_markdown(rows, title, label)
+    for ext, text in (("csv", scores_csv(rows, setting_name)), ("md", md)):
+        with open(os.path.join(out_dir, f"{name}.{ext}"), "w") as fh:
+            fh.write(text)
+    print(md)
+
 
 def cmd_eval(args) -> int:
-    model = load_model(args.checkpoint)
-    dataset = load_dataset(args.data)
-    report = evaluate(model, dataset, split=args.split, view_counts=args.view_counts,
+    report = evaluate(load_model(args.checkpoint), load_dataset(args.data),
+                      split=args.split, view_counts=args.view_counts,
                       threshold=args.threshold, tau=args.tau)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "eval.csv"), "w") as fh:
-        fh.write(report_csv(report))
-    md = report_markdown(report)
-    with open(os.path.join(args.out, "eval.md"), "w") as fh:
-        fh.write(md)
-    print(md)
+    _write_scores(args.out, "eval", report.view_counts, "view_count",
+                  "Reconstruction by number of views")
     return 0
 
 
-# --- occlusion ---
-
 def cmd_occlusion(args) -> int:
-    model = load_model(args.checkpoint)
-    dataset = load_dataset(args.data)
-    results = occlusion_sweep(model, dataset, sizes=args.sizes, split=args.split,
-                              n_views=args.views, threshold=args.threshold,
-                              tau=args.tau)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "occlusion.csv"), "w") as fh:
-        fh.write(occlusion_csv(results))
-    md = occlusion_markdown(results, args.views)
-    with open(os.path.join(args.out, "occlusion.md"), "w") as fh:
-        fh.write(md + "\n")
-    print(md)
+    rows = occlusion_sweep(load_model(args.checkpoint), load_dataset(args.data),
+                           sizes=args.sizes, split=args.split, n_views=args.views,
+                           threshold=args.threshold, tau=args.tau)
+    _write_scores(args.out, "occlusion", rows, "box_size",
+                  f"{args.views}-view reconstruction under occlusion", "{0}x{0}")
     return 0
 
 
@@ -211,6 +207,18 @@ def cmd_reconstruct(args) -> int:
 
 # --- parser ---
 
+def _scoring_parser(sub, name: str, help: str, func) -> argparse.ArgumentParser:
+    """A subcommand with the flags that eval and occlusion share."""
+    p = sub.add_parser(name, help=help)
+    for flag in ("--checkpoint", "--data", "--out"):
+        p.add_argument(flag, required=True)
+    p.add_argument("--split", default="test")
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--tau", type=float, default=None)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvrecon",
@@ -239,28 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log-every", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="metric tables for a trained checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--split", default="test")
+    p = _scoring_parser(sub, "eval", "metric tables for a trained checkpoint", cmd_eval)
     p.add_argument("--view-counts", type=_ints, default=DEFAULT_VIEW_COUNTS,
                    help="comma-separated, default 1,2,3,4,5,8,12,18,20")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--tau", type=float, default=None)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("occlusion", help="occlusion-robustness sweep")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--split", default="test")
+    p = _scoring_parser(sub, "occlusion", "occlusion-robustness sweep", cmd_occlusion)
     p.add_argument("--views", type=int, default=12)
     p.add_argument("--sizes", type=_ints, default=OCCLUSION_BOX_SIZES,
                    help="comma-separated box sizes")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--tau", type=float, default=None)
-    p.set_defaults(func=cmd_occlusion)
 
     p = sub.add_parser("rollout", help="attention-rollout heatmaps as PGM")
     p.add_argument("--checkpoint", required=True)

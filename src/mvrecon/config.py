@@ -183,6 +183,9 @@ class TrainConfig:
         if self.loss_mode not in ("mse", "ssim", "total"):
             raise BadConfig(f"unknown loss mode {self.loss_mode!r}")
         _check_ranges("train", self)
+        if self.views_per_sample > MAX_VIEWS:
+            raise BadConfig(f"train.views_per_sample = {self.views_per_sample} "
+                            f"exceeds {MAX_VIEWS}")
         if self.lr_floor > self.lr_init:
             raise BadConfig("lr floor above the initial rate")
 

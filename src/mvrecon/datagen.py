@@ -403,6 +403,8 @@ def manifest_from_text(text: str) -> Dataset:
             objects.append(DatasetObject(object_id, category, int(seed), split, None, None))
         except ValueError:
             raise MalformedHeader(f"manifest line {raw!r} is not 'id category seed split'") from None
+        if split not in SPLITS or category not in CATEGORIES:
+            raise MalformedHeader(f"manifest line {raw!r} names an unknown split or category")
     try:
         return Dataset(
             voxel_side=int(header["voxel_side"]),

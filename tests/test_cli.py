@@ -63,7 +63,7 @@ def test_eval_command(workspace, tmp_path):
                  "--data", workspace["data"], "--out", out,
                  "--view-counts", "1,4,8"]) == 0
     csv = open(os.path.join(out, "eval.csv")).read()
-    assert csv.splitlines()[0] == "view_count,category,iou,fscore"
+    assert csv.splitlines()[0] == "view_count,category,iou,fscore,n_empty"
     md = open(os.path.join(out, "eval.md")).read()
     assert "| Metric | 1 | 4 | 8 |" in md
 
@@ -75,7 +75,14 @@ def test_occlusion_command(workspace, tmp_path):
                  "--data", workspace["data"], "--out", out,
                  "--views", "8", "--sizes", "0,20,40"]) == 0
     csv = open(os.path.join(out, "occlusion.csv")).read().strip().splitlines()
-    assert len(csv) == 4
+    assert csv[0] == "box_size,category,iou,fscore,n_empty"
+    # per box: one overall line, then one line per test-split category
+    categories = {o.category for o in load_dataset(workspace["data"]).split("test")}
+    assert len(csv) == 1 + 3 * (1 + len(categories))
+    assert [line.split(",")[:2] for line in csv[1::1 + len(categories)]] == [
+        ["0", "overall"], ["20", "overall"], ["40", "overall"]]
+    md = open(os.path.join(out, "occlusion.md")).read()
+    assert "| Metric | 0x0 | 20x20 | 40x40 |" in md
 
 
 def test_rollout_command(workspace, tmp_path):
@@ -225,12 +232,13 @@ _RECON = ["reconstruct", "--checkpoint", "{ckpt}", "--out", "{out}/r.binvox", "-
     (_SYNTH + ["--categories=box,nope"], "bad config: categories ('box', 'nope') are not"),
     (_TRAIN + ["model.refiner_cubes=", "--set", "model.refiner_heads="],
      "bad config: model.refiner_cubes is empty"),
+    (_TRAIN + ["train.views_per_sample=25"], "bad config: train.views_per_sample = 25 exceeds 24"),
 ], ids=["epochs-0", "batch-0", "decay-0", "lr-nan", "eval-views-neg", "occlusion-views-neg",
         "rollout-views-neg", "rollout-views-beyond", "pgm-pair-sizes", "pgm-pairs-sizes",
         "pgm-model-size", "occlusion-box-neg", "eval-threshold-nan", "eval-tau-neg",
         "occlusion-threshold-0", "occlusion-tau-inf", "reconstruct-threshold-above-1",
         "synth-seed-neg", "synth-image-0", "synth-image-neg", "synth-category-unknown",
-        "refiner-empty"])
+        "refiner-empty", "views-per-sample-beyond"])
 def test_bad_input_is_one_line_error(workspace, tmp_path, capsys, argv, prefix):
     paths = {"data": workspace["data"], "out": str(tmp_path / "out"),
              "ckpt": os.path.join(workspace["run"], "checkpoint.ckpt")}

@@ -261,8 +261,11 @@ MANIFEST_HEADER = "# voxel_side 16\n# image_size 32\n# n_views 24\n"
     MANIFEST_HEADER + "obj0000 box eleven train\n",
     "# voxel_side 16\n# image_size 32\n# n_views -1\n",
     "# voxel_side 16\n# image_size -4\n# n_views 24\n",
+    MANIFEST_HEADER + "obj0000 box 11 tset\n",
+    MANIFEST_HEADER + "obj0000 nope 11 train\n",
 ], ids=["no-image-size", "non-numeric-header", "two-fields", "five-fields",
-        "non-numeric-seed", "negative-views", "negative-image-size"])
+        "non-numeric-seed", "negative-views", "negative-image-size", "unknown-split",
+        "unknown-category"])
 def test_malformed_manifest_raises_malformed_header(text):
     with pytest.raises(MalformedHeader):
         manifest_from_text(text)

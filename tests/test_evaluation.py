@@ -12,12 +12,10 @@ from mvrecon.errors import BadConfig, MissingViews, ShapeMismatch, TooFewObjects
 from mvrecon.evaluation import (
     DEFAULT_VIEW_COUNTS,
     evaluate,
-    occlusion_csv,
-    occlusion_markdown,
     occlusion_sweep,
     reconstruct_objects,
-    report_csv,
-    report_markdown,
+    scores_csv,
+    scores_markdown,
 )
 from mvrecon.model import MultiViewReconstructor
 
@@ -83,7 +81,7 @@ def test_constant_half_model_matches_enumeration(dataset):
 def test_report_columns_match_reference(dataset):
     stub = ConstantStub(0.5, dataset.voxel_side)
     report = evaluate(stub, dataset)
-    assert tuple(r.view_count for r in report.view_counts) == DEFAULT_VIEW_COUNTS
+    assert tuple(r.setting for r in report.view_counts) == DEFAULT_VIEW_COUNTS
     assert DEFAULT_VIEW_COUNTS == (1, 2, 3, 4, 5, 8, 12, 18, 20)
 
 
@@ -116,8 +114,9 @@ def test_occlusion_sweep_zero_box_equals_plain(dataset):
     model = MultiViewReconstructor(tiny_model_config(), seed=0)
     plain = evaluate(model, dataset, view_counts=(12,))
     swept = occlusion_sweep(model, dataset, sizes=(0,), n_views=12)
-    assert swept[0].mean_iou == pytest.approx(plain.view_counts[0].mean_iou)
-    assert swept[0].mean_fscore == pytest.approx(plain.view_counts[0].mean_fscore)
+    assert swept[0].mean_iou == plain.view_counts[0].mean_iou
+    assert swept[0].mean_fscore == plain.view_counts[0].mean_fscore
+    assert swept[0].per_category == plain.view_counts[0].per_category
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -142,28 +141,46 @@ def test_occlusion_sweep_rejects_negative_box(dataset):
 def test_scoring_accepts_a_threshold_of_one(dataset):
     stub = ConstantStub(1.0, dataset.voxel_side)
     report = evaluate(stub, dataset, view_counts=(1,), threshold=1.0, tau=0.5)
-    assert report.threshold == 1.0 and report.tau == 0.5
+    assert report.view_counts[0].n_empty == 0
 
 
 def test_occlusion_sweep_has_seven_sizes(dataset):
     stub = ConstantStub(0.5, dataset.voxel_side)
     results = occlusion_sweep(stub, dataset)
-    assert [r.box_size for r in results] == [10, 15, 20, 25, 30, 35, 40]
+    assert [r.setting for r in results] == [10, 15, 20, 25, 30, 35, 40]
+
+
+def test_empty_predictions_are_counted_and_score_zero(dataset):
+    stub = ConstantStub(0.0, dataset.voxel_side)
+    n_test = len(dataset.split("test"))
+    rows = evaluate(stub, dataset, view_counts=(1, 8)).view_counts
+    rows += occlusion_sweep(stub, dataset, sizes=(0, 20))
+    for r in rows:
+        assert r.n_empty == n_test
+        assert r.mean_fscore == 0.0 and r.mean_iou == 0.0
+    half = evaluate(ConstantStub(0.5, dataset.voxel_side), dataset, view_counts=(1,))
+    assert half.view_counts[0].n_empty == 0
 
 
 def test_report_renderings(dataset):
     stub = ConstantStub(0.5, dataset.voxel_side)
-    report = evaluate(stub, dataset, view_counts=(1, 8))
-    report.occlusion = occlusion_sweep(stub, dataset, sizes=(10, 40))
-    csv = report_csv(report)
-    assert csv.splitlines()[0] == "view_count,category,iou,fscore"
-    assert any(line.startswith("8,overall,") for line in csv.splitlines())
-    md = report_markdown(report)
+    rows = evaluate(stub, dataset, view_counts=(1, 8)).view_counts
+    categories = sorted({o.category for o in dataset.split("test")})
+    csv = scores_csv(rows, "view_count").splitlines()
+    assert csv[0] == "view_count,category,iou,fscore,n_empty"
+    assert csv[1] == f"1,overall,{rows[0].mean_iou:.6f},{rows[0].mean_fscore:.6f},0"
+    assert [line.split(",")[1] for line in csv[2:2 + len(categories)]] == categories
+    assert csv[2].endswith(",")  # the empty count is only on overall lines
+    assert len(csv) == 1 + 2 * (1 + len(categories))
+    md = scores_markdown(rows, "Reconstruction by number of views")
+    assert md.startswith("### Reconstruction by number of views\n")
     assert "| Metric | 1 | 8 |" in md
-    assert "10x10" in md
-    occ_csv = occlusion_csv(report.occlusion)
-    assert occ_csv.splitlines()[0] == "box_size,iou,fscore"
-    assert len(occ_csv.strip().splitlines()) == 3
+    assert "| Empty | 0 | 0 |" in md
+    occlusion = occlusion_sweep(stub, dataset, sizes=(10, 40))
+    occ_csv = scores_csv(occlusion, "box_size").splitlines()
+    assert occ_csv[0] == "box_size,category,iou,fscore,n_empty"
+    assert len(occ_csv) == 1 + 2 * (1 + len(categories))
+    assert "| Metric | 10x10 | 40x40 |" in scores_markdown(occlusion, "occlusion", "{0}x{0}")
 
 
 @pytest.fixture(scope="module")

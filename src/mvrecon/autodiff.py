@@ -33,13 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import (
-    DivideByZero,
-    GraphReleased,
-    NotScalar,
-    NumericalOverflow,
-    ShapeMismatch,
-)
+from .errors import GraphReleased, NumericalOverflow, ShapeMismatch
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -115,7 +109,7 @@ class Tensor:
 
     def item(self) -> float:
         if self.data.size != 1:
-            raise NotScalar(f"item() on tensor of shape {self.shape}")
+            raise ShapeMismatch(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
     # --- graph mechanics ---
@@ -231,9 +225,7 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def div(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a.dtype)
-    if np.any(b.data == 0):
-        raise DivideByZero("div: zero denominator")
+    # a zero denominator gives inf or nan, which _make raises as NumericalOverflow
     return _binary("div", np.divide, a, b, lambda g, x, y: (g / y, -g * x / (y * y)))
 
 
@@ -604,7 +596,7 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``,
     freeing each node of the graph once its VJP has run."""
     if loss.data.size != 1:
-        raise NotScalar(f"backward: loss has {loss.data.size} elements")
+        raise ShapeMismatch(f"backward: loss has {loss.data.size} elements")
     order = _toposort(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     while order:

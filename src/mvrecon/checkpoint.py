@@ -19,10 +19,11 @@ swapped, say) raises ``ConfigMismatch`` instead of loading each weight into
 the other's place.  A checkpoint stores no optimizer, data-order or RNG
 state: it restores weights, not a run.
 
-Loading checks, in order: magic and version (``VersionMismatch``), the CRC
-(``CorruptRecord``), that the head is the model's own (``ConfigMismatch``),
-and the payload length (``CorruptRecord``).  Only then does it assign
-weights, so a file that fails a check leaves the model as it was.
+Loading checks, in order: magic and version, the CRC, that the head is the
+model's own (``ConfigMismatch``), and the payload length.  Every other failed
+check, and a head ``load_model`` cannot read, raises ``MalformedFile``.
+Weights are assigned only once all pass, so a file that fails a check leaves
+the model as it was.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import zlib
 import numpy as np
 
 from .config import config_from_text, model_config_to_text
-from .errors import BadConfig, ConfigMismatch, CorruptRecord, VersionMismatch
+from .errors import BadConfig, ConfigMismatch, MalformedFile
 from .model import MultiViewReconstructor
 
 MAGIC = b"MVRCKPT\x00"
@@ -64,13 +65,13 @@ def save_checkpoint(path, model) -> None:
 def _checked(data: bytes) -> tuple[bytes, memoryview]:
     """The head and payload of a file whose version and CRC hold."""
     if data[:8] != MAGIC:
-        raise VersionMismatch("not a checkpoint file")
+        raise MalformedFile("not a checkpoint file")
     version = int.from_bytes(data[8:12], "little")
     if version != VERSION:
-        raise VersionMismatch(f"checkpoint version {version}, expected {VERSION}")
+        raise MalformedFile(f"checkpoint version {version}, expected {VERSION}")
     view = memoryview(data)  # slices are views, not copies
     if len(data) < 20 or zlib.crc32(view[12:-4]) != int.from_bytes(view[-4:], "little"):
-        raise CorruptRecord("checkpoint checksum mismatch")
+        raise MalformedFile("checkpoint checksum mismatch")
     head_end = 16 + int.from_bytes(view[12:16], "little")
     return bytes(view[16:head_end]), view[head_end:-4]
 
@@ -80,7 +81,7 @@ def _assign(model, head: bytes, payload: memoryview) -> None:
         raise ConfigMismatch("checkpoint was written for another config or parameter table")
     params = model.parameters()
     if len(payload) != sum(p.data.nbytes for p in params):
-        raise CorruptRecord("checkpoint payload length mismatch")
+        raise MalformedFile("checkpoint payload length mismatch")
     offset = 0
     for p in params:
         values = np.frombuffer(payload, p.dtype.newbyteorder("<"), p.size, offset)
@@ -112,7 +113,7 @@ def load_model(path) -> MultiViewReconstructor:
     try:
         cfg = config_from_text(head.decode().partition("\n\n")[0]).model
     except (UnicodeDecodeError, BadConfig) as exc:
-        raise CorruptRecord(f"checkpoint config: {exc}") from None
+        raise MalformedFile(f"checkpoint config: {exc}") from None
     model = MultiViewReconstructor.__new__(MultiViewReconstructor)
     model._build(cfg, _NoDraw())
     _assign(model, head, payload)

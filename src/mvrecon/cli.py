@@ -131,9 +131,9 @@ def cmd_train(args) -> int:
         "checkpoint": "checkpoint.ckpt",
         "loss_curve": "loss_curve.csv",
         "final_loss": f"{result.losses[-1]:.6f}" if result.losses else "nan",
-        "iterations": str(result.iterations_run),
+        "iterations": str(len(result.losses)),
     })
-    print(f"done: {result.iterations_run} iterations, "
+    print(f"done: {len(result.losses)} iterations, "
           f"final loss {result.losses[-1]:.5f} -> {ckpt_path}")
     return 0
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import voxio  # looked up per call, so wrappers set on voxio see every read and write
-from .errors import (BadConfig, BoxLargerThanImage, DimMismatch, MalformedHeader,
-                     MissingViews, TooFewObjects)
+from .errors import BadConfig, MalformedFile, MissingViews, ShapeMismatch, TooFewObjects
 
 CATEGORIES = (
     "box", "box_stack", "lshape", "table", "chair",
@@ -272,7 +272,7 @@ def occlude(images: np.ndarray, box: int, mode: str = "center",
     h, w = out.shape[-2], out.shape[-1]
     size = scaled_box_size(box, w)
     if size > min(h, w):
-        raise BoxLargerThanImage(f"box {size} exceeds image {h}x{w}")
+        raise ShapeMismatch(f"box {size} exceeds image {h}x{w}")
     rng = np.random.default_rng([int(seed), 0x0cc1])
     for idx in range(0, out.shape[0], 2):
         fg = np.argwhere(out[idx, 0] > 0)
@@ -385,10 +385,14 @@ def manifest_to_text(dataset: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
+_OBJECT_ID = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")  # one path component, never '..'
+
+
 def manifest_from_text(text: str) -> Dataset:
     """The dataset a manifest lists; its objects carry no grids or views."""
     header: dict[str, str] = {}
     objects: list[DatasetObject] = []
+    ids: set[str] = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -400,11 +404,19 @@ def manifest_from_text(text: str) -> Dataset:
             continue
         try:
             object_id, category, seed, split = line.split()
-            objects.append(DatasetObject(object_id, category, int(seed), split, None, None))
+            obj = DatasetObject(object_id, category, int(seed), split, None, None)
         except ValueError:
-            raise MalformedHeader(f"manifest line {raw!r} is not 'id category seed split'") from None
+            raise MalformedFile(f"manifest line {raw!r} is not 'id category seed split'") from None
         if split not in SPLITS or category not in CATEGORIES:
-            raise MalformedHeader(f"manifest line {raw!r} names an unknown split or category")
+            raise MalformedFile(f"manifest line {raw!r} names an unknown split or category")
+        if not _OBJECT_ID.fullmatch(object_id):
+            raise MalformedFile(f"manifest line {raw!r} has an id that is not a file name")
+        if object_id in ids:
+            raise MalformedFile(f"manifest line {raw!r} repeats an id")
+        if obj.seed < 0:
+            raise MalformedFile(f"manifest line {raw!r} has a negative seed")
+        ids.add(object_id)
+        objects.append(obj)
     try:
         return Dataset(
             voxel_side=int(header["voxel_side"]),
@@ -414,7 +426,7 @@ def manifest_from_text(text: str) -> Dataset:
             objects=objects,
         )
     except (KeyError, ValueError) as exc:  # BadConfig is a ValueError
-        raise MalformedHeader(f"bad manifest header: {exc!r}") from None
+        raise MalformedFile(f"bad manifest header: {exc!r}") from None
 
 
 def _quantize(images: np.ndarray) -> np.ndarray:
@@ -473,7 +485,7 @@ def load_dataset(root) -> Dataset:
         with open(path, "rb") as fh:
             grid = voxio.read_binvox(fh.read())
         if grid.shape[0] != dataset.voxel_side:
-            raise DimMismatch(f"{path}: side {grid.shape[0]}, expected {dataset.voxel_side}")
+            raise MalformedFile(f"{path}: side {grid.shape[0]}, expected {dataset.voxel_side}")
         obj.grid = grid
         view_dir = os.path.join(root, "views", obj.object_id)
         obj.views = np.zeros((dataset.n_views, 2) + image_shape, dtype=np.float32)
@@ -483,6 +495,6 @@ def load_dataset(root) -> Dataset:
                 with open(path, "rb") as fh:
                     image = voxio.read_pgm(fh.read())
                 if image.shape != image_shape:
-                    raise DimMismatch(f"{path}: image {image.shape}, expected {image_shape}")
+                    raise MalformedFile(f"{path}: image {image.shape}, expected {image_shape}")
                 obj.views[k, ch] = image
     return dataset

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per kind of fault."""
 
 
 class MvreconError(Exception):
@@ -8,81 +8,47 @@ class MvreconError(Exception):
 # --- shapes and autodiff ---
 
 class ShapeMismatch(MvreconError):
-    """Operands, model input images, a cube and its grid, or a view's image
-    files have incompatible extents."""
-
-
-class DivideByZero(MvreconError):
-    """Elementwise division hit a zero denominator."""
-
-
-class NotScalar(MvreconError):
-    """backward() was called on a tensor with more than one element."""
+    """Operands, model input images, a cube and its grid, a view's image
+    files, or an occlusion box and its image do not fit; or a tensor that
+    must be a scalar is not."""
 
 
 class NumericalOverflow(MvreconError):
-    """A forward op produced NaN/Inf from finite inputs."""
+    """An op produced NaN/Inf, from overflow or a zero denominator."""
 
 
 class GraphReleased(MvreconError):
     """backward() reached a node whose graph an earlier backward() freed."""
 
 
-# --- voxel grids and files ---
+# --- voxel grids, files and datasets ---
 
 class EmptyVolume(MvreconError):
     """A metric needed a non-empty occupied point set."""
 
 
-class MalformedHeader(MvreconError):
-    """Voxel file header does not match the expected format."""
+class MalformedFile(MvreconError):
+    """A binvox, PGM, manifest or checkpoint file, or a dataset directory,
+    does not hold what its format or its manifest says."""
 
 
-class TruncatedRLE(MvreconError):
-    """Run-length payload ended early or overran the declared volume."""
-
-
-class BadRunValue(MvreconError):
-    """A binvox run carries a value other than 0 or 1."""
-
-
-class DimMismatch(MvreconError):
-    """Declared voxel dimensions are unusable (non-cubic or wrong count)."""
-
-
-# --- data synthesis ---
-
-class BoxLargerThanImage(MvreconError):
-    """Occlusion box exceeds the image extent."""
+class ConfigMismatch(MvreconError):
+    """A valid checkpoint was written for a different model configuration."""
 
 
 class TooFewObjects(MvreconError):
     """Split ratios would leave an empty split."""
 
 
-# --- configuration ---
+class MissingViews(MvreconError):
+    """A request names fewer than one view, or more than an object has."""
+
+
+# --- configuration and training ---
 
 class BadConfig(MvreconError, ValueError):
     """A config value or line is malformed or out of range."""
 
 
-# --- training / checkpoints ---
-
 class DivergedLoss(MvreconError):
     """Training loss became non-finite."""
-
-
-class MissingViews(MvreconError):
-    """A request names fewer than one view, or more than an object has."""
-
-
-class VersionMismatch(MvreconError):
-    """Checkpoint format version is not supported."""
-
-
-class ConfigMismatch(MvreconError):
-    """Checkpoint was written for a different model configuration."""
-
-
-class CorruptRecord(MvreconError):
-    """Checkpoint record failed its length or checksum validation."""

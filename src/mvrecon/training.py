@@ -20,7 +20,6 @@ from .voxels import LOSS_FUNCTIONS
 class TrainResult:
     losses: list[float] = field(default_factory=list)
     lrs: list[float] = field(default_factory=list)
-    iterations_run: int = 0
 
 
 def data_rng(seed: int) -> np.random.Generator:
@@ -104,14 +103,14 @@ def train(model: MultiViewReconstructor, dataset: Dataset, cfg: TrainConfig,
                 value = train_step(model, images, grids, cfg, lr)
             except DivergedLoss as exc:
                 raise DivergedLoss(
-                    f"iteration {result.iterations_run}, epoch {epoch}: {exc}"
+                    f"iteration {len(result.losses)}, epoch {epoch}: {exc}"
                 ) from exc
             result.losses.append(value)
             result.lrs.append(lr)
-            result.iterations_run += 1
-            if log_every and result.iterations_run % log_every == 0 and progress:
-                progress(result.iterations_run, value, lr)
-            if cfg.max_iterations and result.iterations_run >= cfg.max_iterations:
+            done = len(result.losses)
+            if log_every and done % log_every == 0 and progress:
+                progress(done, value, lr)
+            if cfg.max_iterations and done >= cfg.max_iterations:
                 return result
     return result
 

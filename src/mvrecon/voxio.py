@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadRunValue, DimMismatch, MalformedHeader, ShapeMismatch, TruncatedRLE
+from .errors import MalformedFile, ShapeMismatch
 
 _BINVOX_MAGIC = b"#binvox 1"
 
@@ -52,24 +52,26 @@ def read_binvox(data: bytes) -> np.ndarray:
     """binvox bytes as a float32 [V, V, V] grid of 0s and 1s."""
     lines, payload = _split_header(data)
     if not lines or not lines[0].startswith(_BINVOX_MAGIC):
-        raise MalformedHeader("not a binvox file")
+        raise MalformedFile("not a binvox file")
     dims = None
     for line in lines[1:]:
         if line.startswith(b"dim"):
             try:
                 dims = [int(tok) for tok in line.split()[1:]]
             except ValueError:
-                raise MalformedHeader(f"bad dim line: {line!r}") from None
+                raise MalformedFile(f"bad dim line: {line!r}") from None
         elif line.startswith((b"translate", b"scale")):
             continue
         else:
-            raise MalformedHeader(f"unexpected header line: {line!r}")
+            raise MalformedFile(f"unexpected header line: {line!r}")
     if dims is None:
-        raise MalformedHeader("missing dim line")
+        raise MalformedFile("missing dim line")
     if len(dims) != 3:
-        raise DimMismatch(f"expected 3 extents, got {dims}")
+        raise MalformedFile(f"expected 3 extents, got {dims}")
     if len(set(dims)) != 1:
-        raise DimMismatch(f"only cubic grids are supported, got {dims}")
+        raise MalformedFile(f"only cubic grids are supported, got {dims}")
+    if dims[0] < 1:
+        raise MalformedFile(f"grid side {dims[0]} is below 1")
     d = dims[0]
     flat = _rle_decode(payload, d ** 3)
     values = flat.reshape(d, d, d).transpose(0, 2, 1).astype(np.float32)
@@ -82,28 +84,28 @@ def _split_header(data: bytes) -> tuple[list[bytes], bytes]:
     while True:
         nl = data.find(b"\n", pos)
         if nl < 0:
-            raise MalformedHeader("header not terminated by a data line")
+            raise MalformedFile("header not terminated by a data line")
         line = data[pos:nl]
         pos = nl + 1
         if line == b"data":
             return lines, data[pos:]
         lines.append(line)
         if len(lines) > 16:
-            raise MalformedHeader("header too long")
+            raise MalformedFile("header too long")
 
 
 def _rle_decode(payload: bytes, expected: int) -> np.ndarray:
     if len(payload) % 2 != 0:
-        raise TruncatedRLE("odd number of payload bytes")
+        raise MalformedFile("odd number of payload bytes")
     pairs = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 2)
     values, counts = pairs[:, 0], pairs[:, 1]
     if np.any(counts == 0):
-        raise TruncatedRLE("zero-length run")
+        raise MalformedFile("zero-length run")
     if np.any(values > 1):
-        raise BadRunValue(f"run value {int(values.max())} is neither 0 nor 1")
+        raise MalformedFile(f"run value {int(values.max())} is neither 0 nor 1")
     total = int(counts.sum())
     if total != expected:
-        raise TruncatedRLE(f"payload expands to {total} voxels, expected {expected}")
+        raise MalformedFile(f"payload expands to {total} voxels, expected {expected}")
     return np.repeat(values, counts)
 
 
@@ -128,11 +130,11 @@ def read_pgm(data: bytes) -> np.ndarray:
         while pos < len(data) and data[pos:pos + 1].isspace():
             pos += 1
         if pos == len(data):
-            raise MalformedHeader("PGM header ends early")
+            raise MalformedFile("PGM header ends early")
         if data[pos:pos + 1] == b"#":  # comment line
             nl = data.find(b"\n", pos)
             if nl < 0:
-                raise MalformedHeader("PGM header ends inside a comment")
+                raise MalformedFile("PGM header ends inside a comment")
             pos = nl + 1
             continue
         start = pos
@@ -140,15 +142,17 @@ def read_pgm(data: bytes) -> np.ndarray:
             pos += 1
         fields.append(data[start:pos])
     if fields[0] != b"P5":
-        raise MalformedHeader(f"not a binary PGM: {fields[0]!r}")
+        raise MalformedFile(f"not a binary PGM: {fields[0]!r}")
     if not all(f.isdigit() for f in fields[1:]):
-        raise MalformedHeader(f"non-numeric PGM size or maxval: {fields[1:]!r}")
+        raise MalformedFile(f"non-numeric PGM size or maxval: {fields[1:]!r}")
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
-        raise MalformedHeader(f"unsupported maxval {maxval}")
+        raise MalformedFile(f"unsupported maxval {maxval}")
+    if w < 1 or h < 1:
+        raise MalformedFile(f"PGM size {w}x{h} holds no pixel")
     pos += 1  # single whitespace byte after maxval
     body = data[pos:pos + w * h]
     if len(body) != w * h:
-        raise MalformedHeader(f"payload is {len(body)} bytes, expected {w * h}")
+        raise MalformedFile(f"payload is {len(body)} bytes, expected {w * h}")
     img = np.frombuffer(body, dtype=np.uint8).reshape(h, w)
     return img.astype(np.float32) / 255.0

@@ -11,7 +11,7 @@ from mvrecon.checkpoint import (
     save_checkpoint,
 )
 from mvrecon.config import model_config_to_text, tiny_model_config
-from mvrecon.errors import ConfigMismatch, CorruptRecord, VersionMismatch
+from mvrecon.errors import ConfigMismatch, MalformedFile
 from mvrecon.model import MultiViewReconstructor
 
 from modelutil import random_images
@@ -27,9 +27,9 @@ def resigned(data: bytes) -> bytes:
     return data[:-4] + zlib.crc32(data[12:-4]).to_bytes(4, "little")
 
 
-def assert_load_fails_unchanged(data, model, error):
+def assert_load_fails_unchanged(data, model, error, match=None):
     before = [p.data.copy() for p in model.parameters()]
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         load_checkpoint_bytes(data, model)
     for prev, p in zip(before, model.parameters()):
         assert np.array_equal(prev, p.data)
@@ -57,13 +57,15 @@ def test_tampered_byte_is_detected(tiny_model):
     data = bytearray(checkpoint_bytes(tiny_model))
     data[len(data) // 2] ^= 0xFF
     other = MultiViewReconstructor(tiny_model.cfg, seed=2)
-    assert_load_fails_unchanged(bytes(data), other, CorruptRecord)
+    assert_load_fails_unchanged(bytes(data), other, MalformedFile, "checksum mismatch")
 
 
 def test_truncated_checkpoint_is_detected(tiny_model):
     data = checkpoint_bytes(tiny_model)
     other = MultiViewReconstructor(tiny_model.cfg, seed=2)
-    assert_load_fails_unchanged(data[:-10], other, CorruptRecord)
+    assert_load_fails_unchanged(data[:-10], other, MalformedFile, "checksum mismatch")
+    assert_load_fails_unchanged(resigned(data[:-10]), other, MalformedFile,
+                                "payload length mismatch")
 
 
 def test_version_mismatch(tiny_model):
@@ -72,8 +74,10 @@ def test_version_mismatch(tiny_model):
     # record per parameter, each with its own name, shape, dtype and CRC
     for version in (1, 2, 3, 99):
         data[8:12] = version.to_bytes(4, "little")  # version field
-        assert_load_fails_unchanged(bytes(data), tiny_model, VersionMismatch)
-    assert_load_fails_unchanged(b"NOTACKPT" + bytes(data[8:]), tiny_model, VersionMismatch)
+        assert_load_fails_unchanged(bytes(data), tiny_model, MalformedFile,
+                                    f"checkpoint version {version}, expected 4")
+    assert_load_fails_unchanged(b"NOTACKPT" + bytes(data[8:]), tiny_model, MalformedFile,
+                                "not a checkpoint file")
 
 
 def test_config_mismatch(tiny_model, tmp_path):
@@ -141,7 +145,7 @@ def test_config_text_is_guarded_by_its_crc(tiny_model):
     eight_heads = MultiViewReconstructor(tiny_model_config(encoder_heads=8))
     assert ([p.shape for p in eight_heads.parameters()]
             == [p.shape for p in tiny_model.parameters()])
-    assert_load_fails_unchanged(edited, tiny_model, CorruptRecord)
+    assert_load_fails_unchanged(edited, tiny_model, MalformedFile, "checksum mismatch")
 
 
 def test_non_utf8_head_is_corrupt(tiny_model, tmp_path):
@@ -149,5 +153,5 @@ def test_non_utf8_head_is_corrupt(tiny_model, tmp_path):
     data[16] = 0xFF  # the head's first byte
     path = tmp_path / "model.ckpt"
     path.write_bytes(resigned(bytes(data)))
-    with pytest.raises(CorruptRecord, match="checkpoint config"):
+    with pytest.raises(MalformedFile, match="checkpoint config"):
         load_model(path)

@@ -233,12 +233,13 @@ _RECON = ["reconstruct", "--checkpoint", "{ckpt}", "--out", "{out}/r.binvox", "-
     (_TRAIN + ["model.refiner_cubes=", "--set", "model.refiner_heads="],
      "bad config: model.refiner_cubes is empty"),
     (_TRAIN + ["train.views_per_sample=25"], "bad config: train.views_per_sample = 25 exceeds 24"),
+    (_RECON + ["{empty}", "{empty}"], "error: PGM size 0x0 holds no pixel"),
 ], ids=["epochs-0", "batch-0", "decay-0", "lr-nan", "eval-views-neg", "occlusion-views-neg",
         "rollout-views-neg", "rollout-views-beyond", "pgm-pair-sizes", "pgm-pairs-sizes",
         "pgm-model-size", "occlusion-box-neg", "eval-threshold-nan", "eval-tau-neg",
         "occlusion-threshold-0", "occlusion-tau-inf", "reconstruct-threshold-above-1",
         "synth-seed-neg", "synth-image-0", "synth-image-neg", "synth-category-unknown",
-        "refiner-empty", "views-per-sample-beyond"])
+        "refiner-empty", "views-per-sample-beyond", "pgm-pair-empty"])
 def test_bad_input_is_one_line_error(workspace, tmp_path, capsys, argv, prefix):
     paths = {"data": workspace["data"], "out": str(tmp_path / "out"),
              "ckpt": os.path.join(workspace["run"], "checkpoint.ckpt")}
@@ -247,6 +248,9 @@ def test_bad_input_is_one_line_error(workspace, tmp_path, capsys, argv, prefix):
             paths[f"{tag}{side}"] = path = str(tmp_path / f"{tag}{side}.pgm")
             with open(path, "wb") as fh:
                 fh.write(write_pgm(np.zeros((side, side), dtype=np.float32)))
+    paths["empty"] = str(tmp_path / "empty.pgm")
+    with open(paths["empty"], "wb") as fh:
+        fh.write(b"P5\n0 0\n255\n")
     with pytest.raises(SystemExit) as exc:
         main([arg.format(**paths) for arg in argv])
     message = exc.value.code

@@ -17,13 +17,7 @@ from mvrecon.datagen import (
     save_dataset,
     scaled_box_size,
 )
-from mvrecon.errors import (
-    BadConfig,
-    BoxLargerThanImage,
-    DimMismatch,
-    MalformedHeader,
-    TooFewObjects,
-)
+from mvrecon.errors import BadConfig, MalformedFile, ShapeMismatch, TooFewObjects
 from mvrecon.voxio import write_binvox, write_pgm
 
 
@@ -191,7 +185,7 @@ def test_occlusion_random_mode_seeded():
 
 def test_occlusion_too_large():
     views = make_views(n=2, size=16)
-    with pytest.raises(BoxLargerThanImage):
+    with pytest.raises(ShapeMismatch, match="box 32 exceeds image 16x16"):
         occlude(views, 448)  # scales to 32 > 16
 
 
@@ -263,11 +257,14 @@ MANIFEST_HEADER = "# voxel_side 16\n# image_size 32\n# n_views 24\n"
     "# voxel_side 16\n# image_size -4\n# n_views 24\n",
     MANIFEST_HEADER + "obj0000 box 11 tset\n",
     MANIFEST_HEADER + "obj0000 nope 11 train\n",
+    MANIFEST_HEADER + "../../x box 11 train\n",
+    MANIFEST_HEADER + "obj0000 box 11 train\nobj0000 ring 12 test\n",
+    MANIFEST_HEADER + "obj0000 box -1 train\n",
 ], ids=["no-image-size", "non-numeric-header", "two-fields", "five-fields",
         "non-numeric-seed", "negative-views", "negative-image-size", "unknown-split",
-        "unknown-category"])
+        "unknown-category", "path-id", "repeated-id", "negative-seed"])
 def test_malformed_manifest_raises_malformed_header(text):
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(MalformedFile):
         manifest_from_text(text)
 
 
@@ -300,12 +297,12 @@ def _saved_dataset(root):
 def test_load_dataset_rejects_view_of_wrong_size(tmp_path):
     path = _saved_dataset(tmp_path) / "views" / "obj0003" / "v01_dep.pgm"
     path.write_bytes(write_pgm(np.zeros((16, 16))))
-    with pytest.raises(DimMismatch, match="obj0003.v01_dep.pgm"):
+    with pytest.raises(MalformedFile, match="obj0003.v01_dep.pgm: image"):
         load_dataset(tmp_path)
 
 
 def test_load_dataset_rejects_grid_of_wrong_side(tmp_path):
     path = _saved_dataset(tmp_path) / "voxels" / "obj0004.binvox"
     path.write_bytes(write_binvox(gen_object("box", 0, 16)))
-    with pytest.raises(DimMismatch, match="obj0004.binvox"):
+    with pytest.raises(MalformedFile, match="obj0004.binvox: side 16, expected 8"):
         load_dataset(tmp_path)

@@ -1,4 +1,5 @@
-"""Hostile bytes: each parser fails only with an ``MvreconError``.
+"""Hostile bytes: each parser fails only with its own error class,
+``MalformedFile`` for a file and ``BadConfig`` for config text.
 
 Every property overwrites a few bytes of a valid file, maybe cuts it short,
 and parses the result.  ``derandomize`` fixes the examples, so the tests
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from mvrecon.checkpoint import checkpoint_bytes, load_checkpoint_bytes
 from mvrecon.config import TrainConfig, config_from_text, config_to_text, tiny_model_config
 from mvrecon.datagen import Dataset, DatasetObject, manifest_from_text, manifest_to_text
-from mvrecon.errors import MvreconError
+from mvrecon.errors import BadConfig, MalformedFile
 from mvrecon.model import MultiViewReconstructor
 from mvrecon.voxio import read_binvox, read_pgm, write_binvox, write_pgm
 
@@ -47,38 +48,38 @@ def _mutate(valid: bytes, edits, cut) -> bytes:
     return bytes(data[:cut])
 
 
-def fails_only_with_mvrecon_errors(parse, data) -> None:
+def fails_only_with(error, parse, data) -> None:
     try:
         parse(data)
-    except MvreconError:
+    except error:
         pass
 
 
 @FUZZ
 @given(mutants(PGM))
 def test_pgm(data):
-    fails_only_with_mvrecon_errors(read_pgm, data)
+    fails_only_with(MalformedFile, read_pgm, data)
 
 
 @FUZZ
 @given(mutants(BINVOX))
 def test_binvox(data):
-    fails_only_with_mvrecon_errors(read_binvox, data)
+    fails_only_with(MalformedFile, read_binvox, data)
 
 
 @settings(FUZZ, max_examples=100)
 @given(mutants(CHECKPOINT, span=4096))  # the header and the first records' headers
 def test_checkpoint(data):
-    fails_only_with_mvrecon_errors(lambda d: load_checkpoint_bytes(d, MODEL), data)
+    fails_only_with(MalformedFile, lambda d: load_checkpoint_bytes(d, MODEL), data)
 
 
 @FUZZ
 @given(mutants(MANIFEST))
 def test_manifest(data):
-    fails_only_with_mvrecon_errors(manifest_from_text, data.decode("latin-1"))
+    fails_only_with(MalformedFile, manifest_from_text, data.decode("latin-1"))
 
 
 @FUZZ
 @given(mutants(CONFIG))
 def test_config_text(data):
-    fails_only_with_mvrecon_errors(config_from_text, data.decode("latin-1"))
+    fails_only_with(BadConfig, config_from_text, data.decode("latin-1"))

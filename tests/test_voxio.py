@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvrecon
-from mvrecon.errors import BadRunValue, DimMismatch, MalformedHeader, ShapeMismatch, TruncatedRLE
+from mvrecon.errors import MalformedFile, ShapeMismatch
 from mvrecon.voxio import (
     read_binvox,
     read_pgm,
@@ -82,33 +82,35 @@ def test_binvox_header_fields():
 
 
 def test_binvox_bad_magic():
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(MalformedFile, match="not a binvox file"):
         read_binvox(b"#voxbin 1\ndim 2 2 2\ndata\n" + bytes((0, 8)))
 
 
 def test_binvox_missing_data_line():
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(MalformedFile, match="header not terminated by a data line"):
         read_binvox(b"#binvox 1\ndim 2 2 2\n" + bytes((0, 8)))
 
 
 def test_binvox_truncated_payload():
     g = rand_binary(1, side=8)
     data = write_binvox(g)
-    with pytest.raises(TruncatedRLE):
+    with pytest.raises(MalformedFile, match=r"payload expands to \d+ voxels, expected 512"):
         read_binvox(data[:-2])
-    with pytest.raises(TruncatedRLE):
-        read_binvox(data[:-1])  # odd byte count
+    with pytest.raises(MalformedFile, match="odd number of payload bytes"):
+        read_binvox(data[:-1])
 
 
 def test_binvox_dim_mismatch():
-    with pytest.raises(DimMismatch):
+    with pytest.raises(MalformedFile, match="only cubic grids"):
         read_binvox(b"#binvox 1\ndim 2 2 4\ndata\n" + bytes((0, 16)))
-    with pytest.raises(DimMismatch):
+    with pytest.raises(MalformedFile, match="expected 3 extents"):
         read_binvox(b"#binvox 1\ndim 2 2\ndata\n" + bytes((0, 8)))
+    with pytest.raises(MalformedFile, match="grid side 0 is below 1"):
+        read_binvox(b"#binvox 1\ndim 0 0 0\ndata\n")
 
 
 def test_binvox_run_value_outside_zero_one():
-    with pytest.raises(BadRunValue):
+    with pytest.raises(MalformedFile, match="run value 2 is neither 0 nor 1"):
         read_binvox(b"#binvox 1\ndim 2 2 2\ndata\n\x02\x08")
 
 
@@ -152,7 +154,7 @@ def test_pgm_rejects_non_2d_image():
 
 
 def test_pgm_bad_magic():
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(MalformedFile, match="not a binary PGM"):
         read_pgm(b"P2\n2 2\n255\n0 0 0 0")
 
 
@@ -163,6 +165,8 @@ MALFORMED_PGM_HEADERS = [
     b"P5 x 2 255\n\0\0",
     b"P5 2 -1 255\n\0\0",
     b"P5 2 2 2.5e2\n\0\0\0\0",
+    b"P5\n0 0\n255\n",         # no pixels
+    b"P5\n0 3\n255\n",
 ]
 
 
@@ -170,14 +174,14 @@ def test_pgm_malformed_headers_raise_in_bounded_time():
     # a subprocess with a timeout, so a parser that loops fails instead of hanging
     script = (
         "import ast, sys\n"
-        "from mvrecon.errors import MalformedHeader\n"
+        "from mvrecon.errors import MalformedFile\n"
         "from mvrecon.voxio import read_pgm\n"
         "for data in ast.literal_eval(sys.argv[1]):\n"
         "    try:\n"
         "        read_pgm(data)\n"
-        "    except MalformedHeader:\n"
+        "    except MalformedFile:\n"
         "        continue\n"
-        "    sys.exit(f'{data!r} did not raise MalformedHeader')\n"
+        "    sys.exit(f'{data!r} did not raise MalformedFile')\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mvrecon.__file__)))
     proc = subprocess.run([sys.executable, "-c", script, repr(MALFORMED_PGM_HEADERS)],

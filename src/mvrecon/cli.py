@@ -113,7 +113,7 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     model = MultiViewReconstructor(cfg.model, seed=cfg.seed)
     print(f"training {model.num_params():,} parameters "
-          f"on {len(dataset.split('train'))} objects (loss={cfg.loss_mode}, "
+          f"on {len(dataset.split('train'))} objects ("
           f"refiner={'on' if cfg.model.use_refiner else 'off'})")
 
     def progress(it, loss, lr):

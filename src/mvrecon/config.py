@@ -166,6 +166,9 @@ def _check_ranges(section: str, cfg) -> None:
 
 @dataclass
 class TrainConfig:
+    """One run's schedule and seeds.  The objective is not a setting: every
+    step minimises ``voxels.loss_total`` (MSE plus 3D-SSIM) on the refined
+    volume, as the paper trains."""
     model: ModelConfig = field(default_factory=tiny_model_config)
     batch_size: int = 32
     views_per_sample: int = 8
@@ -176,12 +179,8 @@ class TrainConfig:
     lr_decay_factor: float = 0.1
     lr_floor: float = 1e-4
     seed: int = 0
-    loss_mode: str = "total"         # mse | ssim | total
-    aux_coarse_weight: float = 0.0   # extra supervision on the pre-refiner volume
 
     def __post_init__(self):
-        if self.loss_mode not in ("mse", "ssim", "total"):
-            raise BadConfig(f"unknown loss mode {self.loss_mode!r}")
         _check_ranges("train", self)
         if self.views_per_sample > MAX_VIEWS:
             raise BadConfig(f"train.views_per_sample = {self.views_per_sample} "

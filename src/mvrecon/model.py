@@ -65,8 +65,8 @@ class MultiViewReconstructor(Module):
         tokens = embedded.reshape(bsz, n_views, self.cfg.embed_dim)
         return self.encoder(tokens, trace=trace)
 
-    def forward(self, images, trace: list | None = None) -> ModelOutput:
-        features = self.encode(images, trace=trace)
+    def forward(self, images) -> ModelOutput:
+        features = self.encode(images)
         coarse = self.decoder(features)
         refined = self.refiner(coarse) if self.refiner is not None else coarse
         return ModelOutput(coarse=coarse, refined=refined)

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .config import TrainConfig
 from .datagen import Dataset, DatasetObject
@@ -54,16 +53,14 @@ def sgd_step(params: list[Tensor], grads: list[np.ndarray], lr: float) -> None:
 
 def train_step(model: MultiViewReconstructor, images: np.ndarray,
                targets: np.ndarray, cfg: TrainConfig, lr: float) -> float:
-    """One forward, backward and SGD update; returns the loss.  Each
-    ``p.grad`` lives from this step's backward until the next step starts."""
-    loss_fn = LOSS_FUNCTIONS[cfg.loss_mode]
+    """One forward, ``loss_total`` on the refined volume, backward and SGD
+    update; returns the loss.  Each ``p.grad`` lives from this step's
+    backward until the next step starts."""
     model.zero_grads()
     try:
         out = model.forward(images.astype(cfg.model.np_dtype, copy=False))
-        loss = loss_fn(targets.astype(cfg.model.np_dtype, copy=False), out.refined)
-        if cfg.aux_coarse_weight > 0.0 and model.refiner is not None:
-            aux = loss_fn(targets.astype(cfg.model.np_dtype, copy=False), out.coarse)
-            loss = ad.add(loss, ad.scale(aux, cfg.aux_coarse_weight))
+        loss = LOSS_FUNCTIONS["total"](targets.astype(cfg.model.np_dtype, copy=False),
+                                       out.refined)
         value = loss.item()
         if not np.isfinite(value):
             raise DivergedLoss(f"loss is {value}")
@@ -98,6 +95,9 @@ def train(model: MultiViewReconstructor, dataset: Dataset, cfg: TrainConfig,
         order = rng.permutation(len(train_objs))
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_objs[i] for i in order[start:start + cfg.batch_size]]
+            # free the last step's grads and batch first, so the step's peak repeats
+            model.zero_grads()
+            images = grids = None
             images, grids = sample_batch(batch, cfg, rng)
             try:
                 value = train_step(model, images, grids, cfg, lr)

@@ -24,7 +24,10 @@ _BINVOX_MAGIC = b"#binvox 1"
 def write_binvox(grid: np.ndarray) -> bytes:
     """A [V, V, V] grid as binvox bytes, at the origin with unit scale;
     a nonzero voxel is occupied."""
-    d = grid.shape[0]
+    d = grid.shape[0] if grid.ndim else 0
+    if d < 1 or grid.shape != (d, d, d):
+        raise ShapeMismatch(f"write_binvox: expected a [V, V, V] grid, V >= 1, "
+                            f"got {grid.shape}")
     header = _BINVOX_MAGIC + f"\ndim {d} {d} {d}\ntranslate 0 0 0\nscale 1\ndata\n".encode()
     flat = np.ascontiguousarray(grid.transpose(0, 2, 1)).reshape(-1)
     flat = (flat != 0).astype(np.uint8)
@@ -32,8 +35,6 @@ def write_binvox(grid: np.ndarray) -> bytes:
 
 
 def _rle_encode(flat: np.ndarray) -> bytes:
-    if flat.size == 0:
-        return b""
     boundaries = np.flatnonzero(np.diff(flat)) + 1
     starts = np.concatenate(([0], boundaries))
     ends = np.concatenate((boundaries, [flat.size]))
@@ -114,8 +115,9 @@ def _rle_decode(payload: bytes, expected: int) -> np.ndarray:
 def write_pgm(image: np.ndarray) -> bytes:
     """Grayscale image in [0, 1] (or uint8) to binary P5 bytes."""
     img = np.asarray(image)
-    if img.ndim != 2:
-        raise ShapeMismatch(f"write_pgm: expected 2-D image, got {img.shape}")
+    if img.ndim != 2 or 0 in img.shape:
+        raise ShapeMismatch(f"write_pgm: expected a 2-D image of at least one "
+                            f"pixel, got {img.shape}")
     if img.dtype != np.uint8:
         img = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     h, w = img.shape

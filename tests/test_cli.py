@@ -122,7 +122,9 @@ def test_train_rejects_mismatched_geometry(workspace, tmp_path):
                                       "model.mlp_ratio=4", "model.max_views=24",
                                       "model.image_channels=2", "model.backbone_stages=4",
                                       "model.use_positional_embeddings=true",
-                                      "model.refiner_input_residual=false"])
+                                      "model.refiner_input_residual=false",
+                                      "train.loss_mode=total",
+                                      "train.aux_coarse_weight=0.5"])
 def test_train_rejects_bad_set(workspace, tmp_path, override):
     with pytest.raises(SystemExit, match="bad config"):
         main(["train", "--data", workspace["data"], "--out", str(tmp_path / "r"),

@@ -52,7 +52,7 @@ def test_empty_tuple_is_rejected():
 @pytest.mark.parametrize("line", [
     "train.lr_floor = inf",
     "train.lr_decay_factor = -0.5",
-    "train.aux_coarse_weight = nan",
+    "train.lr_init = nan",
 ])
 def test_non_finite_or_negative_float_is_rejected(line):
     with pytest.raises(BadConfig, match="must be finite and at least 0"):
@@ -72,7 +72,6 @@ def test_zero_head_count_picks_one_from_the_width():
     "no equals sign",
     "model.nope = 1",
     "other.seed = 1",
-    "train.loss_mode = l1",
     "model.dtype = float16",
 ])
 def test_malformed_line_raises_bad_config(line):

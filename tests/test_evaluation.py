@@ -227,19 +227,24 @@ def test_evaluate_does_not_touch_model_params(dataset):
 
 
 RANDOM_SWEEP = """
-from mvrecon.config import tiny_model_config
+from mvrecon.config import TrainConfig, tiny_model_config
 from mvrecon.datagen import CATEGORIES, build_dataset
 from mvrecon.evaluation import occlusion_sweep
 from mvrecon.model import MultiViewReconstructor
+from mvrecon.training import train
 dataset = build_dataset(15, voxel_side=8, image_size=32, seed=2,
                         categories=CATEGORIES[:3], n_views=12)
 model = MultiViewReconstructor(tiny_model_config(), seed=4)
 for r in occlusion_sweep(model, dataset, sizes=(20, 40), n_views=8, mode="random"):
     print(repr(r.mean_iou), repr(r.mean_fscore))
+cfg = TrainConfig(batch_size=4, views_per_sample=8, max_iterations=2, seed=3)
+for loss in train(model, dataset, cfg).losses:
+    print(repr(loss))
 """
 
 
 def test_random_occlusion_does_not_depend_on_hash_seed():
+    # the random sweep's two rows, then two training losses
     src = os.path.dirname(os.path.dirname(mvrecon.__file__))
     outputs = []
     for hash_seed in ("1", "2"):
@@ -248,4 +253,5 @@ def test_random_occlusion_does_not_depend_on_hash_seed():
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 4
     assert outputs[0] == outputs[1]

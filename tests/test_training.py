@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from mvrecon import autodiff as ad
+from mvrecon import training
 from mvrecon.config import TrainConfig, tiny_model_config
 from mvrecon.datagen import build_dataset, CATEGORIES
 from mvrecon.errors import DivergedLoss, MissingViews, TooFewObjects
@@ -84,6 +87,26 @@ def test_train_step_frees_old_gradients_before_the_forward(tiny_dataset):
         train_step(model, images, grids, cfg, lr=cfg.lr_init)
         assert all(p.grad is not None for p in model.parameters())
     assert len(starts) == 2 and all(all(s) for s in starts)
+
+
+def test_train_frees_the_last_step_before_sampling_the_next(tiny_dataset, monkeypatch):
+    # No step's gradients or batch are alive while the next step allocates;
+    # the last step's gradients stay for the caller.
+    cfg = make_cfg(max_iterations=3)
+    model = MultiViewReconstructor(cfg.model, seed=0)
+    batch, seen = [], []
+
+    def recording(objects, cfg, rng):
+        seen.append((all(p.grad is None for p in model.parameters()),
+                     [ref() is None for ref in batch]))
+        images, grids = sample_batch(objects, cfg, rng)
+        batch[:] = [weakref.ref(images), weakref.ref(grids)]
+        return images, grids
+
+    monkeypatch.setattr(training, "sample_batch", recording)
+    train(model, tiny_dataset, cfg)
+    assert seen == [(True, [])] + [(True, [True, True])] * 2
+    assert all(p.grad is not None for p in model.parameters())
 
 
 def test_train_step_graph_keeps_no_scores_or_patches(tiny_dataset, monkeypatch):

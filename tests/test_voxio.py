@@ -109,6 +109,13 @@ def test_binvox_dim_mismatch():
         read_binvox(b"#binvox 1\ndim 0 0 0\ndata\n")
 
 
+@pytest.mark.parametrize("shape", [(0, 0, 0), (2, 3, 4), (4, 4)],
+                         ids=["zero-side", "not-cubic", "2-d"])
+def test_binvox_writer_rejects_what_the_reader_rejects(shape):
+    with pytest.raises(ShapeMismatch, match=r"expected a \[V, V, V\] grid"):
+        write_binvox(np.zeros(shape))
+
+
 def test_binvox_run_value_outside_zero_one():
     with pytest.raises(MalformedFile, match="run value 2 is neither 0 nor 1"):
         read_binvox(b"#binvox 1\ndim 2 2 2\ndata\n\x02\x08")
@@ -148,9 +155,12 @@ def test_pgm_uint8_exact():
     assert np.array_equal(np.rint(back * 255).astype(np.uint8), img)
 
 
-def test_pgm_rejects_non_2d_image():
+@pytest.mark.parametrize("shape", [(2, 3, 4), (0, 3), (3, 0)],
+                         ids=["3-d", "zero-height", "zero-width"])
+def test_pgm_rejects_non_2d_image(shape):
+    # read_pgm rejects a zero height or width, so write_pgm does too
     with pytest.raises(ShapeMismatch):
-        write_pgm(np.zeros((2, 3, 4)))
+        write_pgm(np.zeros(shape))
 
 
 def test_pgm_bad_magic():

@@ -243,12 +243,26 @@ def scale(a: Tensor, s: float) -> Tensor:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 def gelu(a: Tensor) -> Tensor:
     x = a.data
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    data = (x * phi).astype(a.dtype, copy=False)
+    # in place, in the order of 0.5 * (1 + erf(x / sqrt 2)): no temporaries
+    phi = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    if not (_grad_enabled and a.requires_grad):
+        phi *= x  # no VJP will read phi, so the output takes its place
+        return _make(phi, "gelu", (a,), None)
+    data = x * phi
 
     def vjp(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return (g * (phi + x * pdf).astype(a.dtype, copy=False),)
+        # g * (phi + x * exp(-x * x / 2) / sqrt(2 pi)), in place
+        t = np.multiply(x, -0.5, out=np.empty_like(x))
+        t *= x
+        np.exp(t, out=t)
+        t *= _INV_SQRT_2PI
+        t *= x
+        t += phi
+        t *= g
+        return (t,)
 
     return _make(data, "gelu", (a,), vjp)
 
@@ -401,29 +415,32 @@ def expand(a: Tensor, shape: tuple) -> Tensor:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """``a @ b`` for a 2-D ``b``, plus ``bias`` along the last axis when
-    given.  The leading axes of ``a`` make one big GEMM; with the bias a
-    dense layer is one node, and the graph never keeps the product before
-    the bias."""
+    """``a @ b``, plus ``bias`` along the last axis when given.  With a 2-D
+    ``b`` the leading axes of ``a`` make one big GEMM; a 3-D ``b`` is a
+    batch of GEMMs, [B, M, K] @ [B, K, N].  With the bias a dense layer is
+    one node, and the graph never keeps the product before the bias."""
     parents = (a, b) if bias is None else (a, b, bias)
     _check_dtypes("matmul", *parents)
-    if a.ndim < 2 or b.ndim != 2:
-        raise ShapeMismatch(f"matmul: needs >=2-D @ 2-D, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0]:
+    batched = b.ndim == 3
+    if not (a.ndim >= 2 and b.ndim == 2 or batched and a.ndim == 3):
+        raise ShapeMismatch(f"matmul: needs >=2-D @ 2-D or 3-D @ 3-D, got {a.shape} @ {b.shape}")
+    if batched and a.shape[0] != b.shape[0]:
+        raise ShapeMismatch(f"matmul: batch extents differ: {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch(f"matmul: inner extents differ: {a.shape} @ {b.shape}")
-    if bias is not None and bias.shape != b.shape[1:]:
-        raise ShapeMismatch(f"matmul: bias {bias.shape} does not fit a 2-D weight {b.shape}")
-    k, n = b.shape
-    a2 = a.data.reshape(-1, k)
-    data = a2 @ b.data
+    k, n = b.shape[-2:]
+    if bias is not None and bias.shape != (n,):
+        raise ShapeMismatch(f"matmul: bias {bias.shape} does not fit a weight {b.shape}")
+    a2 = a.data if batched else a.data.reshape(-1, k)
+    data = np.matmul(a2, b.data)
     if bias is not None:
         data += bias.data
     data = data.reshape(a.shape[:-1] + (n,))
 
     def vjp(g):
-        g2 = g.reshape(-1, n)
-        ga = (g2 @ b.data.T).reshape(a.shape)
-        gb = a2.T @ g2
+        g2 = g if batched else g.reshape(-1, n)
+        ga = np.matmul(g2, b.data.swapaxes(-1, -2)).reshape(a.shape)
+        gb = np.matmul(a2.swapaxes(-1, -2), g2)
         return (ga, gb) if bias is None else (ga, gb, _unbroadcast(g, (n,)))
 
     return _make(data, "matmul", parents, vjp)

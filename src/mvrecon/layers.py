@@ -108,11 +108,11 @@ class FeedForward(Module):
 
 
 class MultiHeadAttention(Module):
-    """Scaled dot-product attention with per-head splitting.
+    """Scaled dot-product self-attention with per-head splitting.
 
-    ``query`` and ``keyvalue`` are [B, N, dim]; self-attention when
-    ``keyvalue`` is omitted.  ``trace`` collects the softmax attention
-    matrices as numpy arrays.
+    ``x`` is [B, N, dim].  ``trace`` collects the softmax attention
+    matrices as numpy arrays.  The decoder holds one of these for its
+    parameters and runs its own cross-attention (see ``decoder.py``).
     """
 
     def __init__(self, rng, dim: int, heads: int, dtype=np.float32):
@@ -122,10 +122,8 @@ class MultiHeadAttention(Module):
         self.v = Linear(rng, dim, dim, dtype=dtype)
         self.out = Linear(rng, dim, dim, dtype=dtype)
 
-    def __call__(self, query: Tensor, keyvalue: Tensor | None = None,
-                 trace: list | None = None) -> Tensor:
-        kv = query if keyvalue is None else keyvalue
-        mixed = ad.attention(self.q(query), self.k(kv), self.v(kv), self.heads, trace=trace)
+    def __call__(self, x: Tensor, trace: list | None = None) -> Tensor:
+        mixed = ad.attention(self.q(x), self.k(x), self.v(x), self.heads, trace=trace)
         return self.out(mixed)
 
 

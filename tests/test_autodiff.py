@@ -80,7 +80,7 @@ def test_matmul_batched_broadcast_grad():
     a = rng.standard_normal((2, 3, 4))
     b = rng.standard_normal((4, 5))
     check_op_grads(lambda x, y: ad.matmul(x, y).sum(), [a, b])
-    # the right operand is a matrix; a batch of matrices is rejected
+    # the right operand is a matrix or one batch of them; more axes are rejected
     with pytest.raises(ShapeMismatch, match="needs >=2-D @ 2-D"):
         ad.matmul(Tensor(np.ones((1, 3, 4))), Tensor(np.ones((2, 2, 4, 5))))
 
@@ -115,7 +115,42 @@ def test_matmul_bias_shape_errors():
     with pytest.raises(ShapeMismatch):
         ad.matmul(x, Tensor(np.ones((4, 5))), Tensor(np.ones(4)))
     with pytest.raises(ShapeMismatch):
-        ad.matmul(x, Tensor(np.ones((2, 4, 5))), Tensor(np.ones(5)))
+        ad.matmul(x, Tensor(np.ones((2, 4, 5))), Tensor(np.ones(4)))
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_matmul_3d_grad_fd(with_bias):
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((2, 3, 4))
+    b = rng.standard_normal((2, 4, 5))
+    c = Tensor(rng.standard_normal((2, 3, 5)))
+    if with_bias:
+        check_op_grads(lambda x, y, z: ad.mul(ad.matmul(x, y, z), c).sum(),
+                       [a, b, rng.standard_normal(5)])
+    else:
+        check_op_grads(lambda x, y: ad.mul(ad.matmul(x, y), c).sum(), [a, b])
+
+
+def test_matmul_3d_is_one_gemm_per_batch():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((3, 2, 4))
+    b = rng.standard_normal((3, 4, 5))
+    bias = rng.standard_normal(5)
+    out = ad.matmul(Tensor(a), Tensor(b), Tensor(bias)).data
+    for i in range(3):
+        np.testing.assert_allclose(out[i], a[i] @ b[i] + bias, rtol=1e-12)
+
+
+@pytest.mark.parametrize("a_shape, b_shape, bias_shape, match", [
+    ((2, 3, 4), (3, 4, 5), None, "batch extents differ"),
+    ((2, 3, 4), (2, 3, 5), None, "inner extents differ"),
+    ((2, 3, 4), (2, 4, 5), (2, 5), "does not fit"),
+    ((3, 4), (2, 4, 5), None, "needs"),
+])
+def test_matmul_3d_shape_errors(a_shape, b_shape, bias_shape, match):
+    bias = None if bias_shape is None else Tensor(np.ones(bias_shape))
+    with pytest.raises(ShapeMismatch, match=match):
+        ad.matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)), bias)
 
 
 def test_linear_and_conv_are_one_node_each():
@@ -142,6 +177,23 @@ def test_sigmoid_extreme_is_finite():
 
 def test_gelu_at_zero():
     assert ad.gelu(Tensor(0.0)).item() == 0.0
+
+
+def test_gelu_in_place_is_bitwise_the_plain_formula():
+    rng = np.random.default_rng(3)
+    x = (rng.standard_normal((4, 5, 6)) * 3).astype(np.float32)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    t = Tensor(x, requires_grad=True)
+    out = ad.gelu(t)
+    ad.mul(out, Tensor(g)).sum().backward()
+    phi = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    assert out.dtype == t.grad.dtype == np.float32
+    assert np.array_equal(out.data, x * phi)
+    assert np.array_equal(t.grad, g * (phi + x * pdf))
+    with ad.no_grad():
+        assert np.array_equal(ad.gelu(t).data, x * phi)
+    assert np.array_equal(ad.gelu(Tensor(x)).data, x * phi)
 
 
 def test_sigmoid_grad_hand_value():

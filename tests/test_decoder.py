@@ -7,6 +7,7 @@ from mvrecon.config import paper_model_config, tiny_model_config
 from mvrecon.decoder import VolumeDecoder
 from mvrecon.errors import ShapeMismatch
 from mvrecon.model import MultiViewReconstructor
+from mvrecon.voxels import assemble_tokens
 
 from modelutil import check_param_grads, random_images, tiny64
 
@@ -88,3 +89,42 @@ def test_decoder_query_grads_vs_fd():
 
     table = dict(dec.named_params())
     check_param_grads(table, forward, seed=15, entries=2, tol=1e-4)
+
+
+def reference_decode(dec, features):
+    """The decoder as plain cross-attention then MLP on every cube query."""
+    attn, cfg = dec.attn, dec.cfg
+    queries = dec.cube_queries.expand((features.shape[0],) + dec.cube_queries.shape)
+    mixed = ad.attention(attn.q(queries), attn.k(features), attn.v(features), attn.heads)
+    cube_values = ad.sigmoid(dec.mlp(attn.out(mixed)))
+    return assemble_tokens(cube_values, cfg.decoder_cube, cfg.voxel_side)
+
+
+# at 20 views the decoder mixes 4 heads x 20 = 80 value rows, more than
+# tiny's 8 cube queries
+@pytest.mark.parametrize("views", [2, 20])
+def test_decoder_matches_cross_attention_then_mlp(views):
+    cfg = tiny64()
+    dec = VolumeDecoder(np.random.default_rng(16), cfg)
+    rng = np.random.default_rng(17)
+    for p in dec.parameters():  # non-zero biases, so the out-bias fold is tested
+        p.data += rng.normal(0.0, 0.05, p.shape)
+    feats = rand_features(18, 2, views, cfg.feature_width, dtype=np.float64)
+    feats.requires_grad = True
+    weights = Tensor(rng.standard_normal((2,) + (cfg.voxel_side,) * 3))
+    results = []
+    for decode in (dec, lambda f: reference_decode(dec, f)):
+        dec.zero_grads()
+        feats.grad = None
+        volume = decode(feats)
+        ad.mul(volume, weights).sum().backward()
+        grads = {name: p.grad for name, p in dec.named_params()}
+        results.append((volume.data, feats.grad, grads))
+    (got, got_feats, got_grads), (want, want_feats, want_grads) = results
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(got_feats, want_feats, rtol=1e-9, atol=1e-15)
+    for name, g in want_grads.items():
+        # the key bias shifts every score of a query row alike, so its true
+        # gradient is 0 and both sides hold round-off
+        atol = 1e-12 if name == "attn.k.bias" else 1e-15
+        np.testing.assert_allclose(got_grads[name], g, rtol=1e-9, atol=atol, err_msg=name)

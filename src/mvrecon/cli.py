@@ -213,8 +213,10 @@ def _scoring_parser(sub, name: str, help: str, func) -> argparse.ArgumentParser:
     for flag in ("--checkpoint", "--data", "--out"):
         p.add_argument(flag, required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                   help=f"cut that binarizes predicted volumes, default {DEFAULT_THRESHOLD}")
+    p.add_argument("--tau", type=float, default=None,
+                   help="F-score distance in unit-cube coordinates, default 1/V (one voxel)")
     p.set_defaults(func=func)
     return p
 

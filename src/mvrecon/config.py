@@ -115,27 +115,16 @@ def desk_model_config(**overrides) -> ModelConfig:
         encoder_heads=4,
         backbone_channels=8,
         decoder_heads=4,
-        refiner_cubes=(8, 4),
         refiner_layers=2,
-        refiner_heads=(8, 4),
     )
     return replace(cfg, **overrides) if overrides else cfg
 
 
 def tiny_model_config(**overrides) -> ModelConfig:
-    """Smallest sensible layout, used for gradient checks and fast tests."""
-    cfg = ModelConfig(
-        voxel_side=8,
-        image_size=32,
-        embed_dim=32,
-        encoder_layers=2,
-        encoder_heads=4,
-        backbone_channels=4,
-        decoder_heads=4,
-        refiner_cubes=(4, 2),
-        refiner_layers=2,
-        refiner_heads=(4, 2),
-    )
+    """Smallest sensible layout, for gradient checks and fast tests: the desk
+    layout at 8^3 voxels and 32 px, with half its channels and cube sides."""
+    cfg = desk_model_config(voxel_side=8, image_size=32, backbone_channels=4,
+                            refiner_cubes=(4, 2), refiner_heads=(4, 2))
     return replace(cfg, **overrides) if overrides else cfg
 
 

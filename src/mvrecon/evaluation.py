@@ -61,8 +61,6 @@ def _scores(model, dataset: Dataset, split: str, threshold: float, tau: float | 
     objects = dataset.split(split)
     if not objects:
         raise TooFewObjects(f"split {split!r} is empty")
-    if tau is None:
-        tau = 1.0 / dataset.voxel_side
     rows = []
     for setting in settings:
         ious, fscores, cats, n_empty = [], [], {}, 0

@@ -5,14 +5,18 @@ order, axes ``(x, y, z)`` with z fastest.  Losses take arrays or Tensors
 and are built from autodiff ops so they can train the model; metrics take
 arrays and are plain numpy.  ``VoxelGrid`` is what ``reconstruct`` returns:
 one continuous volume in [0, 1].
+
+The F-score matches voxels at integer offsets within tau, ties counted with
+a 1e-9 tolerance, by dilating each grid once; its cost grows with (tau*V)^2
+until the ball of offsets covers the grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -139,36 +143,43 @@ def metric_iou(y: np.ndarray, y_pred: np.ndarray,
     return float(np.count_nonzero(a & b) / union)
 
 
-def occupied_points(values: np.ndarray) -> np.ndarray:
-    """Centers of occupied voxels, normalized to the unit cube."""
-    v = values.shape[0]
-    idx = np.argwhere(values)
-    return (idx.astype(np.float64) + 0.5) / v
-
-
-def fscore_points(pred_pts: np.ndarray, true_pts: np.ndarray, tau: float) -> float:
-    """F-score of two point sets under a nearest-neighbor distance cutoff."""
-    if len(pred_pts) == 0 or len(true_pts) == 0:
-        raise EmptyVolume("F-score needs non-empty point sets")
-    d_pred = cKDTree(true_pts).query(pred_pts)[0]
-    d_true = cKDTree(pred_pts).query(true_pts)[0]
-    precision = float(np.mean(d_pred <= tau))
-    recall = float(np.mean(d_true <= tau))
-    if precision + recall == 0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+def _dilate(g: np.ndarray, r2: int) -> np.ndarray:
+    """OR of ``g`` shifted by every integer offset o with |o|^2 <= r2."""
+    v = g.shape[0]
+    m = min(math.isqrt(max(r2, 0)), v - 1)
+    sl = {s: slice(max(s, 0), v + min(s, 0)) for s in range(-m, m + 1)}  # i with i - s in range
+    out, run, h = np.zeros_like(g), g.copy(), 0
+    # the ball's (dx, dy) columns, by the z half-length each spans, shortest first
+    for need, dx, dy in sorted((min(math.isqrt(r2 - dx * dx - dy * dy), v - 1), dx, dy)
+                               for dx in sl for dy in sl if dx * dx + dy * dy <= r2):
+        while h < need:     # run is g dilated along z by up to h voxels
+            h += 1
+            run[:, :, sl[h]] |= g[:, :, sl[-h]]
+            run[:, :, sl[-h]] |= g[:, :, sl[h]]
+        out[sl[dx], sl[dy]] |= run[sl[-dx], sl[-dy]]
+    return out
 
 
 def metric_fscore(y: np.ndarray, y_pred: np.ndarray,
                   threshold: float = DEFAULT_THRESHOLD,
                   tau: float | None = None) -> float:
-    """F-score over occupied-voxel center point sets.
+    """F-score of the binarized [V, V, V] volumes within a distance ``tau``.
 
-    ``tau`` defaults to one voxel pitch in unit-cube coordinates (1/V).
+    ``tau`` is in unit-cube coordinates and defaults to one voxel pitch, 1/V.
+    A voxel is matched when the other grid has one at an integer offset o
+    with |o|^2 <= floor((tau*V)^2 * (1 + 1e-9)), so a tie at tau counts
+    whatever the rounding.  The cost grows with (tau*V)^2, capped by the grid.
     """
     a, b = np.asarray(y) >= threshold, np.asarray(y_pred) >= threshold
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"metric_fscore: {a.shape} vs {b.shape}")
-    if tau is None:
-        tau = 1.0 / a.shape[0]
-    return fscore_points(occupied_points(b), occupied_points(a), tau)
+    if a.shape != b.shape or a.shape != a.shape[:1] * 3:
+        raise ShapeMismatch(f"metric_fscore: {a.shape} vs {b.shape}, not two [V, V, V] grids")
+    if not a.any() or not b.any():
+        raise EmptyVolume("F-score needs non-empty grids")
+    v = a.shape[0]
+    t = 1.0 if tau is None else tau * v     # in voxel pitches; a negative tau matches nothing
+    r2 = int(min(t * t * (1 + 1e-9), 3 * (v - 1) ** 2)) if t >= 0 else -1
+    precision = np.count_nonzero(b & _dilate(a, r2)) / np.count_nonzero(b)
+    recall = np.count_nonzero(a & _dilate(b, r2)) / np.count_nonzero(a)
+    if precision + recall == 0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)

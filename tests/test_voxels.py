@@ -1,19 +1,23 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvrecon
 from mvrecon.autodiff import Tensor
 from mvrecon.errors import EmptyVolume, ShapeMismatch
 from mvrecon.voxels import (
     assemble_tokens,
-    fscore_points,
     loss_mse,
     loss_ssim3d,
     loss_total,
     metric_fscore,
     metric_iou,
-    occupied_points,
     partition_tokens,
 )
 
@@ -65,14 +69,17 @@ def iou_loop(a, b):
     return 1.0 if union == 0 else inter / union
 
 
-def fscore_allpairs(pred_pts, true_pts, tau):
-    def hits(src, dst):
-        count = 0
-        for s in src:
-            best = min(np.linalg.norm(s - d) for d in dst)
-            count += best <= tau
-        return count / len(src)
+def fscore_allpairs(true, pred, tau2):
+    """F-score of two boolean grids over all pairs of voxel centres.
 
+    Centres are in voxel pitches, so every squared distance is an exact
+    integer and ``tau2`` (the squared cutoff in pitches) draws an exact line.
+    """
+    def hits(src, dst):
+        d2 = ((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+        return np.count_nonzero(d2 <= tau2) / len(src)
+
+    true_pts, pred_pts = np.argwhere(true) + 0.5, np.argwhere(pred) + 0.5
     precision = hits(pred_pts, true_pts)
     recall = hits(true_pts, pred_pts)
     if precision + recall == 0:
@@ -296,11 +303,74 @@ def test_fscore_far_apart_is_zero():
     assert metric_fscore(a, b, 0.5, tau=1.0 / side) == 0.0
 
 
-def test_fscore_three_point_toy_vs_allpairs():
-    pred = np.array([[0.1, 0.1, 0.1], [0.5, 0.5, 0.5], [0.9, 0.9, 0.9]])
-    true = np.array([[0.1, 0.1, 0.12], [0.52, 0.5, 0.5], [0.2, 0.8, 0.4]])
-    for tau in (0.03, 0.1, 0.25):
-        assert fscore_points(pred, true, tau) == fscore_allpairs(pred, true, tau)
+# squared cutoffs in voxel pitches: sub-pitch, face, face diagonal, two
+# pitches, three pitches, and the whole unit cube (tau = sqrt(3))
+ALLPAIRS_TAU2 = [0.25, 1, 2, 4, 9, "cube"]
+
+
+@pytest.mark.parametrize("side", range(4, 9))
+@pytest.mark.parametrize("tau2", ALLPAIRS_TAU2)
+def test_fscore_equals_allpairs_on_voxel_centres(side, tau2):
+    rng = np.random.default_rng(side)
+    tau = math.sqrt(3) if tau2 == "cube" else math.sqrt(tau2) / side
+    tau2 = 3 * side ** 2 if tau2 == "cube" else tau2
+    for occupancy in (0.02, 0.1, 0.4):
+        a = rng.random((side,) * 3) < occupancy
+        b = rng.random((side,) * 3) < occupancy
+        a[0, 0, 0] = b[side - 1, side - 1, side - 1] = True
+        assert metric_fscore(a, b, 0.5, tau) == fscore_allpairs(a, b, tau2)
+
+
+@pytest.mark.parametrize("side", [24, 49])
+def test_fscore_counts_a_tie_at_exactly_tau(side):
+    # float centres (i + 0.5) / V put some of these pairs an ulp beyond tau;
+    # each case is (offset at tau, tau, offset just beyond it)
+    diagonal, two = math.sqrt(2) / side, 2 / side
+    cases = [((1, 0, 0), None, (1, 1, 0)), ((0, 1, 0), None, (0, 1, 1)),
+             ((0, 0, 1), None, (1, 0, 1)), ((1, 1, 0), diagonal, (1, 1, 1)),
+             ((0, 1, 1), diagonal, (1, 1, 1)), ((1, 0, 1), diagonal, (1, 1, 1)),
+             ((2, 0, 0), two, (2, 1, 0)), ((0, 0, 2), two, (0, 1, 2))]
+    for near, tau, far in cases:
+        for offset, want in ((near, 1.0), (far, 0.0)):
+            for i in range(side - max(offset)):
+                a, b = zeros(side), zeros(side)
+                a[i, i, i] = 1
+                b[i + offset[0], i + offset[1], i + offset[2]] = 1
+                assert metric_fscore(a, b, 0.5, tau) == want, (offset, i)
+
+
+@pytest.mark.parametrize("tau", [2.0, 1e300])
+def test_fscore_tau_over_the_unit_cube_matches_everything(tau):
+    side = 8
+    a, b = zeros(side), zeros(side)
+    a[0, 0, 0] = b[side - 1, side - 1, side - 1] = 1
+    assert metric_fscore(a, b, 0.5, tau) == 1.0
+    for seed in range(3):
+        g, h = random_grid(seed, side, binary=True), random_grid(seed + 7, side, binary=True)
+        assert metric_fscore(g, h, 0.5, tau) == 1.0
+
+
+@pytest.mark.parametrize("pitches", [1e-300, 0.3, 0.999])
+def test_fscore_below_one_pitch_matches_only_the_same_voxel(pitches):
+    side = 6
+    a, b = random_grid(3, side, binary=True), random_grid(4, side, binary=True)
+    want = fscore_allpairs(a, b, 0)
+    assert 0.0 < want < 1.0
+    assert metric_fscore(a, b, 0.5, pitches / side) == want
+
+
+def test_fscore_negative_tau_matches_nothing():
+    g = random_grid(5, binary=True)
+    assert metric_fscore(g, g.copy(), 0.5, -1.0) == 0.0
+
+
+def test_import_leaves_out_the_kd_tree():
+    # scipy.spatial also loads scipy.sparse and scipy.linalg: ~12 MB of RSS
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mvrecon.__file__)))
+    script = "import sys, mvrecon.cli; sys.exit('scipy.spatial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "mvrecon.cli imported scipy.spatial"
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -314,6 +384,14 @@ def test_fscore_symmetric(seed):
     assert f_ab == pytest.approx(f_ba)
 
 
+def test_fscore_needs_two_cubic_grids():
+    with pytest.raises(ShapeMismatch):
+        metric_fscore(zeros(4), zeros(8))
+    flat = np.ones((4, 4, 8), dtype=np.float32)
+    with pytest.raises(ShapeMismatch, match="not two"):
+        metric_fscore(flat, flat.copy())
+
+
 def test_fscore_empty_is_error():
     side = 4
     empty = zeros(side)
@@ -322,11 +400,3 @@ def test_fscore_empty_is_error():
         metric_fscore(full, empty, 0.5)
     with pytest.raises(EmptyVolume):
         metric_fscore(empty, full, 0.5)
-
-
-def test_occupied_points_are_voxel_centers():
-    side = 4
-    g = zeros(side)
-    g[1, 2, 3] = 1
-    np.testing.assert_allclose(occupied_points(g),
-                               [[1.5 / 4, 2.5 / 4, 3.5 / 4]])

@@ -11,7 +11,8 @@ Layout, version 4 (integers are little-endian u32):
     last 4       CRC32 of everything after the version
 
 The config lines are what ``model_config_to_text`` writes, so ``load_model``
-rebuilds the model from the file alone.  Parameters follow
+rebuilds the model from the file alone: ``MultiViewReconstructor(cfg,
+seed=None)`` draws no weight, and the file's are assigned.  Parameters follow
 ``model.named_params()`` and take the config's dtype.  The config alone fixes
 every shape; the parameter table is there so that a code change that reorders
 or reshapes parameters under an unchanged config (``attn.q`` and ``attn.k``
@@ -99,13 +100,6 @@ def load_checkpoint(path, model) -> None:
         load_checkpoint_bytes(fh.read(), model)
 
 
-class _NoDraw:
-    """The init generator for weights a file overwrites: it draws nothing."""
-
-    def normal(self, loc, scale, size):
-        return np.zeros(size, np.float32)
-
-
 def load_model(path) -> MultiViewReconstructor:
     """The model a checkpoint file describes, with the file's weights."""
     with open(path, "rb") as fh:
@@ -114,7 +108,6 @@ def load_model(path) -> MultiViewReconstructor:
         cfg = config_from_text(head.decode().partition("\n\n")[0]).model
     except (UnicodeDecodeError, BadConfig) as exc:
         raise MalformedFile(f"checkpoint config: {exc}") from None
-    model = MultiViewReconstructor.__new__(MultiViewReconstructor)
-    model._build(cfg, _NoDraw())
+    model = MultiViewReconstructor(cfg, seed=None)
     _assign(model, head, payload)
     return model

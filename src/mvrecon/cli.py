@@ -107,7 +107,7 @@ def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     for key in ("voxel_side", "image_size"):
         if getattr(dataset, key) != getattr(cfg.model, key):
-            raise SystemExit(
+            raise BadConfig(
                 f"dataset {key} {getattr(dataset, key)} vs model {getattr(cfg.model, key)}; "
                 f"pass --set model.{key}=N or a matching config")
     os.makedirs(args.out, exist_ok=True)
@@ -176,7 +176,7 @@ def cmd_rollout(args) -> int:
     dataset = load_dataset(args.data)
     matches = [o for o in dataset.objects if o.object_id == args.object]
     if not matches:
-        raise SystemExit(f"object {args.object!r} not in dataset")
+        raise MvreconError(f"object {args.object!r} not in dataset")
     maps = attention_rollout(model, matches[0].first_views(args.views))
     paths = save_rollout_maps(maps, args.out, prefix=args.object)
     print(f"wrote {len(paths)} rollout maps to {args.out}")
@@ -187,7 +187,7 @@ def cmd_rollout(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     if len(args.images) % 2 != 0:
-        raise SystemExit("--images expects silhouette/depth PGM pairs")
+        raise BadConfig("--images expects silhouette/depth PGM pairs")
     check_scoring(args.threshold)
     model = load_model(args.checkpoint)
     images = []

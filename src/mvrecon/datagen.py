@@ -266,6 +266,8 @@ def occlude(images: np.ndarray, box: int, mode: str = "center",
     """
     if mode not in ("center", "random"):
         raise BadConfig(f"unknown occlusion mode {mode!r}")
+    if box < 0:
+        raise BadConfig(f"box size {box} is negative")
     out = np.array(images, copy=True)
     if box == 0:
         return out

@@ -20,24 +20,19 @@ import math
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
-from .layers import EMBED_STD, MLP_RATIO, FeedForward, MultiHeadAttention, Module
+from .layers import EMBED_STD, MLP_RATIO, FeedForward, Init, MultiHeadAttention, Module
 from .voxels import assemble_tokens
 
 
 class VolumeDecoder(Module):
-    def __init__(self, rng, cfg: ModelConfig):
-        dtype = cfg.np_dtype
+    def __init__(self, init: Init, cfg: ModelConfig):
         self.cfg = cfg
         width = cfg.feature_width
         # one learnable query row per output cube
-        self.cube_queries = Tensor(
-            rng.normal(0.0, EMBED_STD, (cfg.cube_count, width)),
-            requires_grad=True, dtype=dtype)
+        self.cube_queries = init.gaussian(EMBED_STD, (cfg.cube_count, width))
         # parameter holders: __call__ runs their weights in its own order
-        self.attn = MultiHeadAttention(rng, width, cfg.decoder_head_count(),
-                                       dtype=dtype)
-        self.mlp = FeedForward(rng, width, width * MLP_RATIO,
-                               out_dim=cfg.decoder_cube ** 3, dtype=dtype)
+        self.attn = MultiHeadAttention(init, width, cfg.decoder_head_count())
+        self.mlp = FeedForward(init, width, width * MLP_RATIO, out_dim=cfg.decoder_cube ** 3)
 
     def __call__(self, features: Tensor) -> Tensor:
         """[B, N, feature_width] view features -> [B, V, V, V] volume in (0, 1)."""

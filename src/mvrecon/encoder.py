@@ -8,12 +8,10 @@ is the feature handed to the volume decoder.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import BACKBONE_STAGES, IMAGE_CHANNELS, MAX_VIEWS, ModelConfig
-from .layers import EMBED_STD, AttentionLayer, Conv2d, LayerNorm, Linear, Module
+from .layers import EMBED_STD, AttentionLayer, Conv2d, Init, LayerNorm, Linear, Module
 
 
 class ViewBackbone(Module):
@@ -22,15 +20,14 @@ class ViewBackbone(Module):
     images turn channel-last once, at entry, and the convolutions and the
     pool work on [B, H, W, C]."""
 
-    def __init__(self, rng, cfg: ModelConfig):
-        dtype = cfg.np_dtype
+    def __init__(self, init: Init, cfg: ModelConfig):
         self.convs = []
         ch_in = IMAGE_CHANNELS
         ch_out = cfg.backbone_channels
         for _ in range(BACKBONE_STAGES):
-            self.convs.append(Conv2d(rng, ch_in, ch_out, dtype=dtype))
+            self.convs.append(Conv2d(init, ch_in, ch_out))
             ch_in, ch_out = ch_out, ch_out * 2
-        self.head = Linear(rng, ch_in, cfg.embed_dim, dtype=dtype)
+        self.head = Linear(init, ch_in, cfg.embed_dim)
 
     def __call__(self, images: Tensor) -> Tensor:
         """[B, C, H, W] images -> [B, d] embeddings."""
@@ -44,11 +41,10 @@ class PatchAttentionBlock(Module):
     """A stack of attention layers at a fixed width, optionally followed by
     a learned projection that halves the width for the next block."""
 
-    def __init__(self, rng, width: int, layers: int, heads: int, reduce: bool,
-                 dtype=np.float32):
-        self.layers = [AttentionLayer(rng, width, heads, mlp_residual=False, dtype=dtype)
+    def __init__(self, init: Init, width: int, layers: int, heads: int, reduce: bool):
+        self.layers = [AttentionLayer(init, width, heads, mlp_residual=False)
                        for _ in range(layers)]
-        self.reduce = Linear(rng, width, width // 2, dtype=dtype) if reduce else None
+        self.reduce = Linear(init, width, width // 2) if reduce else None
 
     def __call__(self, tokens: Tensor, trace: list | None = None):
         """Returns (block output at full width, halved tokens or None)."""
@@ -62,18 +58,16 @@ class PatchAttentionBlock(Module):
 class MultiViewEncoder(Module):
     """Coarse-to-fine patch attention over the set of view tokens."""
 
-    def __init__(self, rng, cfg: ModelConfig):
-        dtype = cfg.np_dtype
-        self.positional = Tensor(rng.normal(0.0, EMBED_STD, (MAX_VIEWS, cfg.embed_dim)),
-                                 requires_grad=True, dtype=dtype)
+    def __init__(self, init: Init, cfg: ModelConfig):
+        self.positional = init.gaussian(EMBED_STD, (MAX_VIEWS, cfg.embed_dim))
         widths = cfg.encoder_widths
         heads = cfg.encoder_head_counts()
         self.blocks = []
         for j, (w, h) in enumerate(zip(widths, heads)):
             last = j == len(widths) - 1
-            self.blocks.append(PatchAttentionBlock(
-                rng, w, cfg.encoder_layers, h, reduce=not last, dtype=dtype))
-        self.final_norm = LayerNorm(cfg.feature_width, dtype=dtype)
+            self.blocks.append(PatchAttentionBlock(init, w, cfg.encoder_layers, h,
+                                                   reduce=not last))
+        self.final_norm = LayerNorm(init, cfg.feature_width)
 
     def __call__(self, tokens: Tensor, trace: list | None = None) -> Tensor:
         """[B, N, d] view tokens -> [B, N, feature_width] fused features.

@@ -8,6 +8,11 @@ parameter; a ``Module`` is a child whose names take the attribute as prefix
 (``blocks.0.layers.1``); ``None`` and anything else are skipped.  That
 order and those names are what the optimizer steps and checkpoints store.
 
+Every parameter comes from an ``Init``, the init generator and the dtype,
+which each layer constructor takes first; the model makes its one ``Init``
+from its seed and ``ModelConfig.np_dtype``.  Each weight is drawn in float64,
+in constructor order, and cast to the dtype as it is made.
+
 Every MLP in the model is ``MLP_RATIO`` times as wide as its input.
 """
 
@@ -22,6 +27,25 @@ from .autodiff import Tensor
 
 EMBED_STD = 0.02  # learned embeddings and the decoder query bank
 MLP_RATIO = 4     # hidden width of every MLP, in multiples of its input width
+
+
+class Init:
+    """The init generator and the parameter dtype.  With ``rng=None`` nothing
+    is drawn and Gaussian weights start at zero, for a checkpoint to overwrite."""
+
+    def __init__(self, rng: np.random.Generator | None, dtype):
+        self.rng = rng
+        self.dtype = np.dtype(dtype)
+
+    def gaussian(self, std: float, shape) -> Tensor:
+        """A parameter drawn from N(0, std^2), or zeros with no generator."""
+        if self.rng is None:
+            return self.constant(0.0, shape)
+        return Tensor(self.rng.normal(0.0, std, shape), requires_grad=True, dtype=self.dtype)
+
+    def constant(self, value: float, shape) -> Tensor:
+        """A parameter with every entry ``value``."""
+        return Tensor(np.full(shape, value, self.dtype), requires_grad=True)
 
 
 class Module:
@@ -56,10 +80,9 @@ def _named(name: str, value):
 class Linear(Module):
     """Dense layer with fan-in-scaled Gaussian init."""
 
-    def __init__(self, rng, in_dim: int, out_dim: int, dtype=np.float32):
-        self.weight = Tensor(rng.normal(0.0, 1.0 / math.sqrt(in_dim), (in_dim, out_dim)),
-                             requires_grad=True, dtype=dtype)
-        self.bias = Tensor(np.zeros(out_dim), requires_grad=True, dtype=dtype)
+    def __init__(self, init: Init, in_dim: int, out_dim: int):
+        self.weight = init.gaussian(1.0 / math.sqrt(in_dim), (in_dim, out_dim))
+        self.bias = init.constant(0.0, out_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.matmul(x, self.weight, self.bias)
@@ -68,9 +91,9 @@ class Linear(Module):
 class LayerNorm(Module):
     """Layer norm over the last axis with autodiff's default epsilon, 1e-5."""
 
-    def __init__(self, dim: int, dtype=np.float32):
-        self.gain = Tensor(np.ones(dim), requires_grad=True, dtype=dtype)
-        self.bias = Tensor(np.zeros(dim), requires_grad=True, dtype=dtype)
+    def __init__(self, init: Init, dim: int):
+        self.gain = init.constant(1.0, dim)
+        self.bias = init.constant(0.0, dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gain, self.bias)
@@ -83,12 +106,11 @@ class Conv2d(Module):
 
     KERNEL, STRIDE, PADDING = 3, 2, 1
 
-    def __init__(self, rng, in_channels: int, out_channels: int, dtype=np.float32):
+    def __init__(self, init: Init, in_channels: int, out_channels: int):
         k = self.KERNEL
-        self.weight = Tensor(rng.normal(0.0, math.sqrt(2.0 / (in_channels * k * k)),
-                                        (out_channels, in_channels, k, k)),
-                             requires_grad=True, dtype=dtype)
-        self.bias = Tensor(np.zeros(out_channels), requires_grad=True, dtype=dtype)
+        self.weight = init.gaussian(math.sqrt(2.0 / (in_channels * k * k)),
+                                    (out_channels, in_channels, k, k))
+        self.bias = init.constant(0.0, out_channels)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.conv2d(x, self.weight, self.bias, self.STRIDE, self.PADDING)
@@ -97,11 +119,9 @@ class Conv2d(Module):
 class FeedForward(Module):
     """Two-layer MLP with a GELU between."""
 
-    def __init__(self, rng, dim: int, hidden: int, out_dim: int | None = None,
-                 dtype=np.float32):
-        self.fc1 = Linear(rng, dim, hidden, dtype=dtype)
-        self.fc2 = Linear(rng, hidden, out_dim if out_dim is not None else dim,
-                          dtype=dtype)
+    def __init__(self, init: Init, dim: int, hidden: int, out_dim: int | None = None):
+        self.fc1 = Linear(init, dim, hidden)
+        self.fc2 = Linear(init, hidden, out_dim if out_dim is not None else dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(ad.gelu(self.fc1(x)))
@@ -115,12 +135,12 @@ class MultiHeadAttention(Module):
     parameters and runs its own cross-attention (see ``decoder.py``).
     """
 
-    def __init__(self, rng, dim: int, heads: int, dtype=np.float32):
+    def __init__(self, init: Init, dim: int, heads: int):
         self.heads = heads
-        self.q = Linear(rng, dim, dim, dtype=dtype)
-        self.k = Linear(rng, dim, dim, dtype=dtype)
-        self.v = Linear(rng, dim, dim, dtype=dtype)
-        self.out = Linear(rng, dim, dim, dtype=dtype)
+        self.q = Linear(init, dim, dim)
+        self.k = Linear(init, dim, dim)
+        self.v = Linear(init, dim, dim)
+        self.out = Linear(init, dim, dim)
 
     def __call__(self, x: Tensor, trace: list | None = None) -> Tensor:
         mixed = ad.attention(self.q(x), self.k(x), self.v(x), self.heads, trace=trace)
@@ -134,11 +154,11 @@ class AttentionLayer(Module):
     does (the encoder omits it, the refiner keeps it).
     """
 
-    def __init__(self, rng, dim: int, heads: int, mlp_residual: bool, dtype=np.float32):
-        self.norm_attn = LayerNorm(dim, dtype=dtype)
-        self.attn = MultiHeadAttention(rng, dim, heads, dtype=dtype)
-        self.norm_mlp = LayerNorm(dim, dtype=dtype)
-        self.mlp = FeedForward(rng, dim, dim * MLP_RATIO, dtype=dtype)
+    def __init__(self, init: Init, dim: int, heads: int, mlp_residual: bool):
+        self.norm_attn = LayerNorm(init, dim)
+        self.attn = MultiHeadAttention(init, dim, heads)
+        self.norm_mlp = LayerNorm(init, dim)
+        self.mlp = FeedForward(init, dim, dim * MLP_RATIO)
         self.mlp_residual = mlp_residual
 
     def __call__(self, x: Tensor, trace: list | None = None) -> Tensor:

@@ -12,7 +12,7 @@ from .config import IMAGE_CHANNELS, MAX_VIEWS, ModelConfig
 from .decoder import VolumeDecoder
 from .encoder import MultiViewEncoder, ViewBackbone
 from .errors import ShapeMismatch
-from .layers import Module
+from .layers import Init, Module
 from .refiner import VolumeRefiner
 from .voxels import VoxelGrid
 
@@ -30,16 +30,16 @@ class ModelOutput:
 
 
 class MultiViewReconstructor(Module):
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
-        self._build(cfg, np.random.default_rng([int(seed), 0x5eed]))
-
-    def _build(self, cfg: ModelConfig, rng) -> None:
-        """Builds every module, drawing each initial weight from ``rng``."""
+    def __init__(self, cfg: ModelConfig, seed: int | None = 0):
+        """Builds every module, drawing each initial weight from ``seed``'s
+        generator; ``seed=None`` draws nothing and starts those weights at zero."""
+        rng = None if seed is None else np.random.default_rng([int(seed), 0x5eed])
+        init = Init(rng, cfg.np_dtype)
         self.cfg = cfg
-        self.backbone = ViewBackbone(rng, cfg)
-        self.encoder = MultiViewEncoder(rng, cfg)
-        self.decoder = VolumeDecoder(rng, cfg)
-        self.refiner = VolumeRefiner(rng, cfg) if cfg.use_refiner else None
+        self.backbone = ViewBackbone(init, cfg)
+        self.encoder = MultiViewEncoder(init, cfg)
+        self.decoder = VolumeDecoder(init, cfg)
+        self.refiner = VolumeRefiner(init, cfg) if cfg.use_refiner else None
 
     # --- forward paths ---
 

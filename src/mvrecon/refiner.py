@@ -9,28 +9,24 @@ last block maps the accumulated correction into (0, 1).
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
-from .layers import EMBED_STD, AttentionLayer, Linear, Module
+from .layers import EMBED_STD, AttentionLayer, Init, Linear, Module
 from .voxels import assemble_tokens, partition_tokens
 
 
 class CubeAttentionBlock(Module):
-    def __init__(self, rng, cube_side: int, grid_side: int, layers: int, heads: int,
-                 dtype=np.float32):
+    def __init__(self, init: Init, cube_side: int, grid_side: int, layers: int, heads: int):
         self.cube_side = cube_side
         self.grid_side = grid_side
         width = cube_side ** 3
         n_tokens = (grid_side // cube_side) ** 3
-        self.proj_in = Linear(rng, width, width, dtype=dtype)
-        self.positional = Tensor(rng.normal(0.0, EMBED_STD, (n_tokens, width)),
-                                 requires_grad=True, dtype=dtype)
-        self.layers = [AttentionLayer(rng, width, heads, mlp_residual=True, dtype=dtype)
+        self.proj_in = Linear(init, width, width)
+        self.positional = init.gaussian(EMBED_STD, (n_tokens, width))
+        self.layers = [AttentionLayer(init, width, heads, mlp_residual=True)
                        for _ in range(layers)]
-        self.proj_out = Linear(rng, width, width, dtype=dtype)
+        self.proj_out = Linear(init, width, width)
 
     def __call__(self, volume: Tensor) -> Tensor:
         tokens = partition_tokens(volume, self.cube_side)
@@ -41,13 +37,9 @@ class CubeAttentionBlock(Module):
 
 
 class VolumeRefiner(Module):
-    def __init__(self, rng, cfg: ModelConfig):
-        dtype = cfg.np_dtype
-        self.blocks = [
-            CubeAttentionBlock(rng, cube, cfg.voxel_side, cfg.refiner_layers, heads,
-                               dtype=dtype)
-            for cube, heads in zip(cfg.refiner_cubes, cfg.refiner_heads)
-        ]
+    def __init__(self, init: Init, cfg: ModelConfig):
+        self.blocks = [CubeAttentionBlock(init, cube, cfg.voxel_side, cfg.refiner_layers, heads)
+                       for cube, heads in zip(cfg.refiner_cubes, cfg.refiner_heads)]
 
     def __call__(self, volume: Tensor) -> Tensor:
         """[B, V, V, V] coarse volume in (0, 1) -> refined volume in (0, 1)."""

@@ -4,6 +4,7 @@ import numpy as np
 
 from mvrecon import autodiff as ad
 from mvrecon.config import IMAGE_CHANNELS, tiny_model_config
+from mvrecon.layers import Init
 
 from fd import central_diff_sample
 
@@ -11,6 +12,10 @@ from fd import central_diff_sample
 def tiny64(**overrides):
     overrides.setdefault("dtype", "float64")
     return tiny_model_config(**overrides)
+
+
+def seeded_init(seed, dtype=np.float32):
+    return Init(np.random.default_rng(seed), dtype)
 
 
 def random_images(seed, batch, views, cfg):

@@ -14,7 +14,7 @@ from mvrecon.layers import Conv2d, Linear
 from mvrecon.training import sgd_step
 
 from fd import central_diff, rel_err
-from modelutil import naive_conv
+from modelutil import naive_conv, seeded_init
 
 SEEDS = range(10)
 
@@ -154,11 +154,11 @@ def test_matmul_3d_shape_errors(a_shape, b_shape, bias_shape, match):
 
 
 def test_linear_and_conv_are_one_node_each():
-    rng = np.random.default_rng(0)
-    lin = Linear(rng, 4, 5)
+    init = seeded_init(0)
+    lin = Linear(init, 4, 5)
     y = lin(Tensor(np.ones((2, 3, 4)), requires_grad=True, dtype=np.float32))
     assert y._op == "matmul" and y._parents[2] is lin.bias
-    conv = Conv2d(rng, 2, 3)
+    conv = Conv2d(init, 2, 3)
     x = Tensor(np.ones((1, 6, 6, 2)), requires_grad=True, dtype=np.float32)
     y = conv(x)
     assert y._op == "conv2d" and y._parents == (x, conv.weight, conv.bias)

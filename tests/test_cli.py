@@ -236,12 +236,18 @@ _RECON = ["reconstruct", "--checkpoint", "{ckpt}", "--out", "{out}/r.binvox", "-
      "bad config: model.refiner_cubes is empty"),
     (_TRAIN + ["train.views_per_sample=25"], "bad config: train.views_per_sample = 25 exceeds 24"),
     (_RECON + ["{empty}", "{empty}"], "error: PGM size 0x0 holds no pixel"),
+    (_TRAIN + ["model.voxel_side=16"],
+     "bad config: dataset voxel_side 8 vs model 16; pass --set model.voxel_side=N"),
+    (["rollout", *_CKPT, "--object", "nope"], "error: object 'nope' not in dataset"),
+    (_RECON + ["{sil32}", "{dep32}", "{sil32}"],
+     "bad config: --images expects silhouette/depth PGM pairs"),
 ], ids=["epochs-0", "batch-0", "decay-0", "lr-nan", "eval-views-neg", "occlusion-views-neg",
         "rollout-views-neg", "rollout-views-beyond", "pgm-pair-sizes", "pgm-pairs-sizes",
         "pgm-model-size", "occlusion-box-neg", "eval-threshold-nan", "eval-tau-neg",
         "occlusion-threshold-0", "occlusion-tau-inf", "reconstruct-threshold-above-1",
         "synth-seed-neg", "synth-image-0", "synth-image-neg", "synth-category-unknown",
-        "refiner-empty", "views-per-sample-beyond", "pgm-pair-empty"])
+        "refiner-empty", "views-per-sample-beyond", "pgm-pair-empty", "train-size-mismatch",
+        "rollout-object-unknown", "pgm-count-odd"])
 def test_bad_input_is_one_line_error(workspace, tmp_path, capsys, argv, prefix):
     paths = {"data": workspace["data"], "out": str(tmp_path / "out"),
              "ckpt": os.path.join(workspace["run"], "checkpoint.ckpt")}

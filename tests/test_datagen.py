@@ -194,6 +194,12 @@ def test_occlusion_unknown_mode_is_bad_config():
         occlude(make_views(n=2, size=16), 30, mode="diagonal")
 
 
+@pytest.mark.parametrize("box", [-1, -5, -500])
+def test_occlusion_negative_box_is_bad_config(box):
+    with pytest.raises(BadConfig, match=f"box size {box} is negative"):
+        occlude(make_views(n=2, size=16), box)
+
+
 # --- splits ---
 
 def test_splits_ten_objects():

@@ -9,7 +9,7 @@ from mvrecon.errors import ShapeMismatch
 from mvrecon.model import MultiViewReconstructor
 from mvrecon.voxels import assemble_tokens
 
-from modelutil import check_param_grads, random_images, tiny64
+from modelutil import check_param_grads, random_images, seeded_init, tiny64
 
 
 def rand_features(seed, batch, views, width, dtype=np.float32):
@@ -19,8 +19,7 @@ def rand_features(seed, batch, views, width, dtype=np.float32):
 
 def test_full_scale_decoder_shape():
     cfg = paper_model_config()
-    rng = np.random.default_rng(0)
-    dec = VolumeDecoder(rng, cfg)
+    dec = VolumeDecoder(seeded_init(0, cfg.np_dtype), cfg)
     assert dec.cube_queries.shape == (512, 1344)
     out = dec(rand_features(1, 1, 2, 1344))
     assert out.shape == (1, 32, 32, 32)
@@ -28,7 +27,7 @@ def test_full_scale_decoder_shape():
 
 def test_output_strictly_inside_unit_interval():
     cfg = tiny_model_config()
-    dec = VolumeDecoder(np.random.default_rng(1), cfg)
+    dec = VolumeDecoder(seeded_init(1, cfg.np_dtype), cfg)
     out = dec(rand_features(2, 2, 4, cfg.feature_width)).data
     assert np.all(out > 0.0) and np.all(out < 1.0)
 
@@ -48,7 +47,7 @@ def test_decode_view_permutation_invariance():
 
 def test_decode_handles_duplicate_views():
     cfg = tiny_model_config()
-    dec = VolumeDecoder(np.random.default_rng(6), cfg)
+    dec = VolumeDecoder(seeded_init(6, cfg.np_dtype), cfg)
     f = rand_features(7, 1, 3, cfg.feature_width)
     doubled = ad.concat([f, ad.narrow(f, 1, 0, 1)], axis=1)
     out_plain = dec(f).data
@@ -61,7 +60,7 @@ def test_decode_handles_duplicate_views():
 
 def test_decoder_errors():
     cfg = tiny_model_config()
-    dec = VolumeDecoder(np.random.default_rng(8), cfg)
+    dec = VolumeDecoder(seeded_init(8, cfg.np_dtype), cfg)
     with pytest.raises(ShapeMismatch, match="matmul: inner extents differ"):
         dec(rand_features(9, 1, 2, cfg.feature_width + 1))
 
@@ -70,7 +69,7 @@ def test_decoder_shape_law():
     for cube, side in ((4, 8), (2, 8), (4, 16)):
         cfg = tiny_model_config(voxel_side=side, decoder_cube=cube,
                                 refiner_cubes=(4, 2), decoder_heads=2)
-        dec = VolumeDecoder(np.random.default_rng(10), cfg)
+        dec = VolumeDecoder(seeded_init(10, cfg.np_dtype), cfg)
         g = cfg.cube_count
         assert side == cube * round(g ** (1 / 3))
         out = dec(rand_features(11, 1, 1, cfg.feature_width))
@@ -79,7 +78,7 @@ def test_decoder_shape_law():
 
 def test_decoder_query_grads_vs_fd():
     cfg = tiny64()
-    dec = VolumeDecoder(np.random.default_rng(12), cfg)
+    dec = VolumeDecoder(seeded_init(12, cfg.np_dtype), cfg)
     feats = rand_features(13, 1, 2, cfg.feature_width, dtype=np.float64)
     target = np.random.default_rng(14).random((1, 8, 8, 8))
 
@@ -105,7 +104,7 @@ def reference_decode(dec, features):
 @pytest.mark.parametrize("views", [2, 20])
 def test_decoder_matches_cross_attention_then_mlp(views):
     cfg = tiny64()
-    dec = VolumeDecoder(np.random.default_rng(16), cfg)
+    dec = VolumeDecoder(seeded_init(16, cfg.np_dtype), cfg)
     rng = np.random.default_rng(17)
     for p in dec.parameters():  # non-zero biases, so the out-bias fold is tested
         p.data += rng.normal(0.0, 0.05, p.shape)

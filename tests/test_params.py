@@ -5,11 +5,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from mvrecon.autodiff import Tensor
 from mvrecon.checkpoint import checkpoint_bytes, load_checkpoint_bytes
 from mvrecon.config import desk_model_config, tiny_model_config
-from mvrecon.layers import Linear
+from mvrecon.layers import Init, Linear
 from mvrecon.model import MultiViewReconstructor
+
+from modelutil import seeded_init
 
 
 def names_of(module):
@@ -46,9 +47,35 @@ def weight_digest(module) -> str:
     (desk_model_config, 0, "b9dd346cf0ebd264"),
     (desk_model_config, 1, "05640385b7bb9bb2"),
     (desk_model_config, 2, "e91d8c9c2782587a"),
+    pytest.param(lambda: tiny_model_config(dtype="float64"), 0, "13d79b2434964412",
+                 id="tiny_float64-0-13d79b2434964412"),
+    pytest.param(lambda: desk_model_config(dtype="float64"), 0, "668ac990e5e34180",
+                 id="desk_float64-0-668ac990e5e34180"),
 ])
 def test_initial_weights_are_pinned(make, seed, digest):
     assert weight_digest(MultiViewReconstructor(make(), seed=seed)) == digest
+
+
+def test_layers_take_an_init_not_a_generator():
+    # Generator.normal(std, shape) would build a wrong weight without a word
+    with pytest.raises(AttributeError, match="gaussian"):
+        Linear(np.random.default_rng(0), 4, 5)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_seed_none_draws_nothing_and_zeroes_the_drawn_weights(dtype, monkeypatch):
+    drawn = MultiViewReconstructor(tiny_model_config(dtype=dtype), seed=0)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("seed=None made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    blank = MultiViewReconstructor(tiny_model_config(dtype=dtype), seed=None)
+    assert names_of(blank) == names_of(drawn)
+    for (name, p), (_, q) in zip(drawn.named_params(), blank.named_params()):
+        assert q.shape == p.shape and q.dtype == p.dtype == np.dtype(dtype), name
+        # layer-norm gains are constants, not drawn
+        assert np.all(q.data == (1.0 if name.endswith(".gain") else 0.0)), name
 
 
 @pytest.mark.parametrize("flag,prefix", [("use_refiner", "refiner.")])
@@ -62,14 +89,14 @@ def test_switched_off_part_drops_exactly_its_names(flag, prefix):
 class GatedLinear(Linear):
     """A Linear with one more parameter, declared only here."""
 
-    def __init__(self, rng, in_dim: int, out_dim: int):
-        super().__init__(rng, in_dim, out_dim)
-        self.gate = Tensor(rng.normal(size=out_dim), requires_grad=True, dtype=np.float32)
+    def __init__(self, init: Init, in_dim: int, out_dim: int):
+        super().__init__(init, in_dim, out_dim)
+        self.gate = init.gaussian(1.0, out_dim)
 
 
 def gated_model(seed):
     net = MultiViewReconstructor(tiny_model_config(), seed=seed)
-    net.backbone.head = GatedLinear(np.random.default_rng(seed), *net.backbone.head.weight.shape)
+    net.backbone.head = GatedLinear(seeded_init(seed), *net.backbone.head.weight.shape)
     return net
 
 

@@ -8,7 +8,7 @@ from mvrecon.errors import ShapeMismatch
 from mvrecon.refiner import CubeAttentionBlock, VolumeRefiner
 from mvrecon.voxels import partition_tokens
 
-from modelutil import check_param_grads, tiny64
+from modelutil import check_param_grads, seeded_init, tiny64
 
 
 def rand_volume(seed, side, batch=1, dtype=np.float32):
@@ -23,8 +23,7 @@ def test_full_scale_token_counts():
     second = partition_tokens(vol, cfg.refiner_cubes[1])
     assert first.shape == (1, 64, 512)
     assert second.shape == (1, 512, 64)
-    refiner = VolumeRefiner(np.random.default_rng(1),
-                            paper_model_config(refiner_layers=1))
+    refiner = VolumeRefiner(seeded_init(1), paper_model_config(refiner_layers=1))
     assert refiner.blocks[0].positional.shape == (64, 512)
     assert refiner.blocks[1].positional.shape == (512, 64)
 
@@ -33,7 +32,7 @@ def test_shape_preserved_and_output_in_unit_interval():
     for side, cubes in ((8, (4, 2)), (16, (4, 2)), (16, (8, 4))):
         cfg = tiny_model_config(voxel_side=side, refiner_cubes=cubes,
                                 refiner_heads=(2, 2))
-        refiner = VolumeRefiner(np.random.default_rng(2), cfg)
+        refiner = VolumeRefiner(seeded_init(2, cfg.np_dtype), cfg)
         out = refiner(rand_volume(3, side)).data
         assert out.shape == (1, side, side, side)
         assert np.all(out > 0.0) and np.all(out < 1.0)
@@ -41,7 +40,7 @@ def test_shape_preserved_and_output_in_unit_interval():
 
 def test_zeroed_output_projections_give_constant_half():
     cfg = tiny_model_config()
-    refiner = VolumeRefiner(np.random.default_rng(4), cfg)
+    refiner = VolumeRefiner(seeded_init(4, cfg.np_dtype), cfg)
     for block in refiner.blocks:
         block.proj_out.weight.data[:] = 0.0
         block.proj_out.bias.data[:] = 0.0
@@ -64,16 +63,16 @@ def bump_cube_five(vol):
 def test_locality_with_identity_attention(monkeypatch):
     # with attention replaced by the identity, each cube is refined alone
     monkeypatch.setattr(ad, "attention", lambda q, k, v, heads, trace=None: v)
-    block = CubeAttentionBlock(np.random.default_rng(6), cube_side=4, grid_side=8,
-                               layers=1, heads=4, dtype=np.float64)
+    block = CubeAttentionBlock(seeded_init(6, np.float64), cube_side=4, grid_side=8,
+                               layers=1, heads=4)
     vol = np.random.default_rng(7).random((1, 8, 8, 8))
     changed = changed_cubes(block, vol, bump_cube_five(vol), 1e-12)
     np.testing.assert_array_equal(changed, np.arange(8) == 5)
 
 
 def test_mixing_without_identity_attention():
-    block = CubeAttentionBlock(np.random.default_rng(8), cube_side=4, grid_side=8,
-                               layers=1, heads=4, dtype=np.float64)
+    block = CubeAttentionBlock(seeded_init(8, np.float64), cube_side=4, grid_side=8,
+                               layers=1, heads=4)
     vol = np.random.default_rng(9).random((1, 8, 8, 8))
     changed = changed_cubes(block, vol, bump_cube_five(vol), 1e-9)
     assert changed.sum() == 8  # softmax attention spreads the perturbation
@@ -81,7 +80,7 @@ def test_mixing_without_identity_attention():
 
 def test_wrong_volume_side_rejected():
     cfg = tiny_model_config()
-    refiner = VolumeRefiner(np.random.default_rng(11), cfg)
+    refiner = VolumeRefiner(seeded_init(11, cfg.np_dtype), cfg)
     with pytest.raises(ShapeMismatch, match="add: shapes"):
         refiner(rand_volume(12, 16))
 
@@ -89,7 +88,7 @@ def test_wrong_volume_side_rejected():
 def test_refiner_param_grads_vs_fd():
     cfg = tiny64()  # V=8, cube sides 4 then 2, two layers per block
     assert cfg.refiner_cubes == (4, 2) and cfg.refiner_layers == 2
-    refiner = VolumeRefiner(np.random.default_rng(15), cfg)
+    refiner = VolumeRefiner(seeded_init(15, cfg.np_dtype), cfg)
     vol = rand_volume(16, 8, dtype=np.float64)
     target = np.random.default_rng(17).random((1, 8, 8, 8))
 

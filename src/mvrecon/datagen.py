@@ -478,25 +478,28 @@ def save_dataset(dataset: Dataset, root) -> None:
 
 
 def load_dataset(root) -> Dataset:
-    """The dataset under ``root``; every file must match the manifest's sizes."""
+    """The dataset under ``root``; every listed file must exist and match its sizes."""
     with open(os.path.join(root, "manifest.txt")) as fh:
         dataset = manifest_from_text(fh.read())
-    image_shape = (dataset.image_size, dataset.image_size)
-    for obj in dataset.objects:
-        path = os.path.join(root, "voxels", f"{obj.object_id}.binvox")
-        with open(path, "rb") as fh:
-            grid = voxio.read_binvox(fh.read())
-        if grid.shape[0] != dataset.voxel_side:
-            raise MalformedFile(f"{path}: side {grid.shape[0]}, expected {dataset.voxel_side}")
-        obj.grid = grid
-        view_dir = os.path.join(root, "views", obj.object_id)
-        obj.views = np.zeros((dataset.n_views, 2) + image_shape, dtype=np.float32)
-        for k in range(dataset.n_views):
-            for ch, tag in ((0, "sil"), (1, "dep")):
-                path = os.path.join(view_dir, f"v{k:02d}_{tag}.pgm")
-                with open(path, "rb") as fh:
-                    image = voxio.read_pgm(fh.read())
-                if image.shape != image_shape:
-                    raise MalformedFile(f"{path}: image {image.shape}, expected {image_shape}")
-                obj.views[k, ch] = image
+    side, image_shape = dataset.voxel_side, (dataset.image_size, dataset.image_size)
+    try:
+        for obj in dataset.objects:
+            path = os.path.join(root, "voxels", f"{obj.object_id}.binvox")
+            with open(path, "rb") as fh:
+                grid = voxio.read_binvox(fh.read())
+            if grid.shape[0] != side:
+                raise MalformedFile(f"{path}: side {grid.shape[0]}, expected {side}")
+            obj.grid = grid
+            view_dir = os.path.join(root, "views", obj.object_id)
+            obj.views = np.zeros((dataset.n_views, 2) + image_shape, dtype=np.float32)
+            for k in range(dataset.n_views):
+                for ch, tag in ((0, "sil"), (1, "dep")):
+                    path = os.path.join(view_dir, f"v{k:02d}_{tag}.pgm")
+                    with open(path, "rb") as fh:
+                        image = voxio.read_pgm(fh.read())
+                    if image.shape != image_shape:
+                        raise MalformedFile(f"{path}: image {image.shape}, expected {image_shape}")
+                    obj.views[k, ch] = image
+    except FileNotFoundError as exc:
+        raise MalformedFile(f"{exc.filename}: listed in the manifest but missing") from None
     return dataset

@@ -119,9 +119,9 @@ class Conv2d(Module):
 class FeedForward(Module):
     """Two-layer MLP with a GELU between."""
 
-    def __init__(self, init: Init, dim: int, hidden: int, out_dim: int | None = None):
+    def __init__(self, init: Init, dim: int, hidden: int):
         self.fc1 = Linear(init, dim, hidden)
-        self.fc2 = Linear(init, hidden, out_dim if out_dim is not None else dim)
+        self.fc2 = Linear(init, hidden, dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(ad.gelu(self.fc1(x)))
@@ -130,9 +130,7 @@ class FeedForward(Module):
 class MultiHeadAttention(Module):
     """Scaled dot-product self-attention with per-head splitting.
 
-    ``x`` is [B, N, dim].  ``trace`` collects the softmax attention
-    matrices as numpy arrays.  The decoder holds one of these for its
-    parameters and runs its own cross-attention (see ``decoder.py``).
+    ``x`` is [B, N, dim].  ``trace`` collects the softmax attention matrices as numpy arrays.
     """
 
     def __init__(self, init: Init, dim: int, heads: int):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -304,6 +306,14 @@ def test_load_dataset_rejects_view_of_wrong_size(tmp_path):
     path = _saved_dataset(tmp_path) / "views" / "obj0003" / "v01_dep.pgm"
     path.write_bytes(write_pgm(np.zeros((16, 16))))
     with pytest.raises(MalformedFile, match="obj0003.v01_dep.pgm: image"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("missing", ["views/obj0002/v01_sil.pgm", "voxels/obj0005.binvox"])
+def test_load_dataset_names_a_missing_listed_file(tmp_path, missing):
+    path = _saved_dataset(tmp_path) / missing
+    path.unlink()
+    with pytest.raises(MalformedFile, match=f"^{re.escape(str(path))}: listed in the manifest"):
         load_dataset(tmp_path)
 
 

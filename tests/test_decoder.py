@@ -6,6 +6,7 @@ from mvrecon.autodiff import Tensor
 from mvrecon.config import paper_model_config, tiny_model_config
 from mvrecon.decoder import VolumeDecoder
 from mvrecon.errors import ShapeMismatch
+from mvrecon.layers import EMBED_STD, MLP_RATIO, Linear
 from mvrecon.model import MultiViewReconstructor
 from mvrecon.voxels import assemble_tokens
 
@@ -20,7 +21,8 @@ def rand_features(seed, batch, views, width, dtype=np.float32):
 def test_full_scale_decoder_shape():
     cfg = paper_model_config()
     dec = VolumeDecoder(seeded_init(0, cfg.np_dtype), cfg)
-    assert dec.cube_queries.shape == (512, 1344)
+    assert dec.queries.shape == (512, 1344)
+    assert dec.fc1.weight.shape == (1344, 5376)
     out = dec(rand_features(1, 1, 2, 1344))
     assert out.shape == (1, 32, 32, 32)
 
@@ -90,13 +92,61 @@ def test_decoder_query_grads_vs_fd():
     check_param_grads(table, forward, seed=15, entries=2, tol=1e-4)
 
 
-def reference_decode(dec, features):
-    """The decoder as plain cross-attention then MLP on every cube query."""
-    attn, cfg = dec.attn, dec.cfg
-    queries = dec.cube_queries.expand((features.shape[0],) + dec.cube_queries.shape)
-    mixed = ad.attention(attn.q(queries), attn.k(features), attn.v(features), attn.heads)
-    cube_values = ad.sigmoid(dec.mlp(attn.out(mixed)))
+def test_decoder_holds_only_what_changes_its_function():
+    dec = VolumeDecoder(seeded_init(0), tiny_model_config())
+    assert [name for name, _ in dec.named_params()] == [
+        "queries", "key", "value.weight", "value.bias",
+        "fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias"]
+
+
+def unfolded_maps(cfg, seed, noise=0.0):
+    """The query bank and the maps of the unfolded decoder, drawn in the
+    order ``VolumeDecoder`` draws them: query, key, value and output maps,
+    then the MLP.  ``noise`` perturbs the bank and every bias."""
+    init = seeded_init(seed, cfg.np_dtype)
+    width, hidden = cfg.feature_width, cfg.feature_width * MLP_RATIO
+    bank = init.gaussian(EMBED_STD, (cfg.cube_count, width))
+    shapes = {"q": (width, width), "k": (width, width), "v": (width, width),
+              "out": (width, width), "fc1": (width, hidden),
+              "fc2": (hidden, cfg.decoder_cube ** 3)}
+    maps = {name: Linear(init, *shape) for name, shape in shapes.items()}
+    rng = np.random.default_rng(seed + 1)
+    for p in [bank] + [m.bias for m in maps.values()]:
+        p.data += rng.normal(0.0, noise, p.shape)
+    return bank, maps
+
+
+def reference_decode(cfg, bank, maps, features):
+    """The unfolded decoder: cross-attention of the projected bank over the
+    features with a key bias and an output map, then the MLP, on every cube
+    query."""
+    queries = maps["q"](bank.expand((features.shape[0],) + bank.shape))
+    mixed = ad.attention(queries, maps["k"](features), maps["v"](features),
+                         cfg.decoder_head_count())
+    cube_values = ad.sigmoid(maps["fc2"](ad.gelu(maps["fc1"](maps["out"](mixed)))))
     return assemble_tokens(cube_values, cfg.decoder_cube, cfg.voxel_side)
+
+
+def fold(dec, bank, maps):
+    """Set ``dec`` to the unfolded maps' function.  The key, value and fc2
+    tensors are shared, so both forms put their gradients on them."""
+    q, out, fc1 = maps["q"], maps["out"], maps["fc1"]
+    dec.queries.data = bank.data @ q.weight.data + q.bias.data
+    dec.key, dec.value, dec.fc2 = maps["k"].weight, maps["v"], maps["fc2"]
+    dec.fc1.weight.data = out.weight.data @ fc1.weight.data
+    dec.fc1.bias.data = out.bias.data @ fc1.weight.data + fc1.bias.data
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_untrained_decoder_is_the_unfolded_form(seed):
+    cfg = tiny64()
+    dec = VolumeDecoder(seeded_init(seed, cfg.np_dtype), cfg)
+    bank, maps = unfolded_maps(cfg, seed)
+    assert np.array_equal(dec.key.data, maps["k"].weight.data)
+    assert np.array_equal(dec.fc2.weight.data, maps["fc2"].weight.data)
+    feats = rand_features(seed + 2, 2, 3, cfg.feature_width, dtype=np.float64)
+    want = reference_decode(cfg, bank, maps, feats).data
+    np.testing.assert_allclose(dec(feats).data, want, rtol=1e-12, atol=0)
 
 
 # at 20 views the decoder mixes 4 heads x 20 = 80 value rows, more than
@@ -104,26 +154,24 @@ def reference_decode(dec, features):
 @pytest.mark.parametrize("views", [2, 20])
 def test_decoder_matches_cross_attention_then_mlp(views):
     cfg = tiny64()
+    bank, maps = unfolded_maps(cfg, 16, noise=0.5)
     dec = VolumeDecoder(seeded_init(16, cfg.np_dtype), cfg)
+    fold(dec, bank, maps)
     rng = np.random.default_rng(17)
-    for p in dec.parameters():  # non-zero biases, so the out-bias fold is tested
-        p.data += rng.normal(0.0, 0.05, p.shape)
     feats = rand_features(18, 2, views, cfg.feature_width, dtype=np.float64)
     feats.requires_grad = True
     weights = Tensor(rng.standard_normal((2,) + (cfg.voxel_side,) * 3))
+    shared = {"key": dec.key, "value.weight": dec.value.weight, "value.bias": dec.value.bias,
+              "fc2.weight": dec.fc2.weight, "fc2.bias": dec.fc2.bias}
     results = []
-    for decode in (dec, lambda f: reference_decode(dec, f)):
-        dec.zero_grads()
-        feats.grad = None
+    for decode in (dec, lambda f: reference_decode(cfg, bank, maps, f)):
+        for p in [feats] + list(shared.values()):
+            p.grad = None
         volume = decode(feats)
         ad.mul(volume, weights).sum().backward()
-        grads = {name: p.grad for name, p in dec.named_params()}
-        results.append((volume.data, feats.grad, grads))
+        results.append((volume.data, feats.grad, {n: p.grad for n, p in shared.items()}))
     (got, got_feats, got_grads), (want, want_feats, want_grads) = results
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
     np.testing.assert_allclose(got_feats, want_feats, rtol=1e-9, atol=1e-15)
     for name, g in want_grads.items():
-        # the key bias shifts every score of a query row alike, so its true
-        # gradient is 0 and both sides hold round-off
-        atol = 1e-12 if name == "attn.k.bias" else 1e-15
-        np.testing.assert_allclose(got_grads[name], g, rtol=1e-9, atol=atol, err_msg=name)
+        np.testing.assert_allclose(got_grads[name], g, rtol=1e-9, atol=1e-15, err_msg=name)

@@ -27,6 +27,7 @@ from .config import (
     TrainConfig,
     config_from_text,
     config_to_text,
+    desk_model_config,
 )
 from .datagen import (
     CATEGORIES,
@@ -227,11 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-view voxel reconstruction with coarse-to-fine attention")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    desk = desk_model_config()  # train's default preset, which synth's data fits
     p = sub.add_parser("synth", help="generate a synthetic multi-view dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--objects", type=int, default=64)
-    p.add_argument("--voxel-side", type=int, default=16)
-    p.add_argument("--image-size", type=int, default=64)
+    p.add_argument("--voxel-side", type=int, default=desk.voxel_side)
+    p.add_argument("--image-size", type=int, default=desk.image_size)
     p.add_argument("--views", type=int, default=DEFAULT_N_VIEWS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--categories", default="",

@@ -1,11 +1,14 @@
 """Architecture and training configuration.
 
 ``ModelConfig`` holds the scales a preset varies: image and volume size,
-embedding width, layer and head counts, the refiner's cube sides, whether
-the refiner runs, and the float dtype.  Presets cover the full-scale layout
-(32^3 volumes, 768-wide embeddings), a desk-scale layout that trains in
-minutes on a CPU, and a tiny layout used by gradient checks.  What every
-layout shares is a module constant below, not a field.
+embedding width, layer and head counts, the refiner's first cube side,
+whether the refiner runs, and the float dtype.  Presets cover the full-scale
+layout (32^3 volumes, 768-wide embeddings), a desk-scale layout that trains
+in minutes on a CPU, and a tiny layout used by gradient checks.  What every
+layout shares is a module constant below, not a field: the image channels,
+the backbone's stride-2 stages, the encoder's attention blocks at halving
+widths, the decoder's cube side, the refiner's blocks at halving cube sides,
+and the rows of the view positional table.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ _MAY_BE_ZERO = ("encoder_heads", "decoder_heads", "max_iterations", "seed")
 
 IMAGE_CHANNELS = 2   # silhouette and depth
 BACKBONE_STAGES = 4  # stride-2 conv stages in the view backbone
+ENCODER_BLOCKS = 3   # C2F attention blocks at halving widths
+DECODER_CUBE = 4     # side of the cube each decoder query emits
+REFINER_BLOCKS = 2   # cube attention blocks at halving cube sides
 MAX_VIEWS = 24       # rows of the encoder's view positional table
 
 
@@ -32,15 +38,12 @@ class ModelConfig:
     voxel_side: int = 32
     image_size: int = 224
     embed_dim: int = 768
-    encoder_blocks: int = 3          # attention blocks at halving widths
     encoder_layers: int = 4          # attention layers per block
     encoder_heads: int = 0           # 0 = width // 64, at least 1
     backbone_channels: int = 16      # first conv stage; doubles per stage
-    decoder_cube: int = 4
     decoder_heads: int = 0           # 0 = width // 64, at least 1
-    refiner_cubes: tuple[int, ...] = (8, 4)
+    refiner_cube: int = 8            # first block's cube side; halves per block
     refiner_layers: int = 6
-    refiner_heads: tuple[int, ...] = (8, 4)
     use_refiner: bool = True
     dtype: str = "float32"
 
@@ -55,7 +58,7 @@ class ModelConfig:
 
     @property
     def encoder_widths(self) -> list[int]:
-        return [self.embed_dim >> j for j in range(self.encoder_blocks)]
+        return [self.embed_dim >> j for j in range(ENCODER_BLOCKS)]
 
     @property
     def feature_width(self) -> int:
@@ -63,7 +66,11 @@ class ModelConfig:
 
     @property
     def cube_count(self) -> int:
-        return (self.voxel_side // self.decoder_cube) ** 3
+        return (self.voxel_side // DECODER_CUBE) ** 3
+
+    @property
+    def refiner_cubes(self) -> list[int]:
+        return [self.refiner_cube >> j for j in range(REFINER_BLOCKS)]
 
     def encoder_head_counts(self) -> list[int]:
         return [self.encoder_heads or max(1, w // 64) for w in self.encoder_widths]
@@ -75,29 +82,23 @@ class ModelConfig:
         if self.dtype not in DTYPES:
             raise BadConfig(f"unknown dtype {self.dtype!r}")
         _check_ranges("model", self)  # before any of the divisions below
-        if self.embed_dim % (1 << (self.encoder_blocks - 1)) != 0:
+        if self.embed_dim % (1 << (ENCODER_BLOCKS - 1)) != 0:
             raise BadConfig(
                 f"embed_dim {self.embed_dim} not divisible by "
-                f"2^{self.encoder_blocks - 1}")
+                f"2^{ENCODER_BLOCKS - 1}")
         if self.image_size < (1 << BACKBONE_STAGES):
             raise BadConfig("image smaller than the backbone downsampling")
-        if self.voxel_side % self.decoder_cube != 0:
-            raise BadConfig("decoder cube must divide the voxel side")
-        if len(self.refiner_cubes) != len(self.refiner_heads):
-            raise BadConfig("refiner cube/head lists differ in length")
-        for i, c in enumerate(self.refiner_cubes):
-            if self.voxel_side % c != 0:
-                raise BadConfig(f"refiner cube {c} must divide voxel side")
-            if i > 0 and self.refiner_cubes[i - 1] != 2 * c:
-                raise BadConfig("refiner cube sides must halve per block")
+        if self.voxel_side % DECODER_CUBE != 0:
+            raise BadConfig(f"decoder cube {DECODER_CUBE} must divide the voxel side")
+        multiple = 1 << (REFINER_BLOCKS - 1)  # so that every block's cube side is whole
+        if self.voxel_side % self.refiner_cube or self.refiner_cube % multiple:
+            raise BadConfig(f"model.refiner_cube = {self.refiner_cube} must divide voxel "
+                            f"side {self.voxel_side} and be a multiple of {multiple}")
         for w, h in zip(self.encoder_widths, self.encoder_head_counts()):
             if w % h != 0:
                 raise BadConfig(f"{h} heads do not divide encoder width {w}")
         if self.feature_width % self.decoder_head_count() != 0:
             raise BadConfig("decoder heads do not divide the feature width")
-        for c, h in zip(self.refiner_cubes, self.refiner_heads):
-            if (c ** 3) % h != 0:
-                raise BadConfig(f"{h} heads do not divide cube width {c ** 3}")
 
 
 def paper_model_config(**overrides) -> ModelConfig:
@@ -124,7 +125,7 @@ def tiny_model_config(**overrides) -> ModelConfig:
     """Smallest sensible layout, for gradient checks and fast tests: the desk
     layout at 8^3 voxels and 32 px, with half its channels and cube sides."""
     cfg = desk_model_config(voxel_side=8, image_size=32, backbone_channels=4,
-                            refiner_cubes=(4, 2), refiner_heads=(4, 2))
+                            refiner_cube=4)
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -136,20 +137,17 @@ MODEL_PRESETS = {
 
 
 def _check_ranges(section: str, cfg) -> None:
-    """Every int field (and every int of a tuple field, which is not empty)
-    is at least 1, or at least 0 if named in ``_MAY_BE_ZERO``; every float
-    field is finite and at least 0."""
+    """Every int field is at least 1, or at least 0 if named in
+    ``_MAY_BE_ZERO``; every float field is finite and at least 0."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type == "float":
             if not (math.isfinite(value) and value >= 0):
                 raise BadConfig(f"{section}.{f.name} = {value} must be finite "
                                 f"and at least 0")
-        elif f.type in ("int", "tuple[int, ...]"):
-            if value == ():
-                raise BadConfig(f"{section}.{f.name} is empty")
+        elif f.type == "int":
             least = 0 if f.name in _MAY_BE_ZERO else 1
-            if any(v < least for v in (value if isinstance(value, tuple) else (value,))):
+            if value < least:
                 raise BadConfig(f"{section}.{f.name} = {value} must be at least {least}")
 
 
@@ -187,12 +185,6 @@ class TrainConfig:
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _format_value(v) -> str:
-    if isinstance(v, tuple):
-        return ",".join(str(x) for x in v)
-    return str(v)
-
-
 def _parse_value(text: str, ftype: str):
     """``text`` as a value of the annotated field type ``ftype``."""
     text = text.strip()
@@ -204,14 +196,11 @@ def _parse_value(text: str, ftype: str):
         return int(text)
     if ftype == "float":
         return float(text)
-    if ftype == "str":
-        return text
-    # tuples of ints
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    return text
 
 
 def _section_text(section: str, cfg) -> str:
-    return "".join(f"{section}.{f.name} = {_format_value(getattr(cfg, f.name))}\n"
+    return "".join(f"{section}.{f.name} = {getattr(cfg, f.name)}\n"
                    for f in fields(cfg) if f.name != "model")
 
 

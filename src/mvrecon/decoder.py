@@ -18,7 +18,7 @@ import math
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import ModelConfig
+from .config import DECODER_CUBE, ModelConfig
 from .layers import EMBED_STD, MLP_RATIO, Init, Linear, Module
 from .voxels import assemble_tokens
 
@@ -33,9 +33,10 @@ class VolumeDecoder(Module):
         self.value = Linear(init, width, width)
         out_map = Linear(init, width, width).weight
         self.fc1 = Linear(init, width, hidden)
-        self.fc2 = Linear(init, hidden, cfg.decoder_cube ** 3)
-        self.queries.data = self.queries.data @ query_map.data
-        self.fc1.weight.data = out_map.data @ self.fc1.weight.data
+        self.fc2 = Linear(init, hidden, DECODER_CUBE ** 3)
+        if init.rng is not None:  # nothing to fold in a build a checkpoint overwrites
+            self.queries.data = self.queries.data @ query_map.data
+            self.fc1.weight.data = out_map.data @ self.fc1.weight.data
 
     def __call__(self, features: Tensor) -> Tensor:
         """[B, N, feature_width] view features -> [B, V, V, V] volume in (0, 1)."""
@@ -53,4 +54,4 @@ class VolumeDecoder(Module):
         x = x.reshape(heads, bsz, n, hidden).transpose(1, 0, 2, 3).reshape(bsz, heads * n, hidden)
         x = ad.matmul(probs, x, self.fc1.bias)  # the mix: [B, G, 4W]
         cube_values = ad.sigmoid(self.fc2(ad.gelu(x)))  # [B, G, c^3]
-        return assemble_tokens(cube_values, self.cfg.decoder_cube, self.cfg.voxel_side)
+        return assemble_tokens(cube_values, DECODER_CUBE, self.cfg.voxel_side)

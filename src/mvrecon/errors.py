@@ -23,10 +23,6 @@ class GraphReleased(MvreconError):
 
 # --- voxel grids, files and datasets ---
 
-class EmptyVolume(MvreconError):
-    """A metric needed a non-empty occupied point set."""
-
-
 class MalformedFile(MvreconError):
     """A binvox, PGM, manifest or checkpoint file, or a dataset directory,
     does not hold what its format or its manifest says."""

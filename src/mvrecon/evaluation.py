@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import Dataset, DatasetObject, OCCLUSION_BOX_SIZES, occlude
-from .errors import BadConfig, EmptyVolume, TooFewObjects
+from .errors import BadConfig, TooFewObjects
 from .model import MultiViewReconstructor
 from .voxels import DEFAULT_THRESHOLD, check_scoring, metric_fscore, metric_iou
 
@@ -66,10 +66,7 @@ def _scores(model, dataset: Dataset, split: str, threshold: float, tau: float | 
         ious, fscores, cats, n_empty = [], [], {}, 0
         for obj, vol in zip(objects, reconstruct(model, objects, setting)):
             iou = metric_iou(obj.grid >= 0.5, vol, threshold)
-            try:
-                f = metric_fscore(obj.grid >= 0.5, vol, threshold, tau)
-            except EmptyVolume:
-                f = 0.0  # degenerate prediction scores zero rather than aborting
+            f = metric_fscore(obj.grid >= 0.5, vol, threshold, tau)
             n_empty += not np.any(vol >= threshold)
             ious.append(iou)
             fscores.append(f)

@@ -2,9 +2,9 @@
 
 Each block cuts the running volume into cubes of a fixed side, runs
 attention layers over the flattened cube tokens (residuals on both the
-attention and MLP paths), and reassembles a full volume before the next
-block re-partitions at half the cube side.  A single sigmoid after the
-last block maps the accumulated correction into (0, 1).
+attention and MLP paths) with one head per cube side, and reassembles a
+full volume before the next block re-partitions at half the cube side.  One
+sigmoid after the last block maps the accumulated correction into (0, 1).
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ from .voxels import assemble_tokens, partition_tokens
 
 
 class CubeAttentionBlock(Module):
-    def __init__(self, init: Init, cube_side: int, grid_side: int, layers: int, heads: int):
+    def __init__(self, init: Init, cube_side: int, grid_side: int, layers: int):
         self.cube_side = cube_side
         self.grid_side = grid_side
         width = cube_side ** 3
         n_tokens = (grid_side // cube_side) ** 3
         self.proj_in = Linear(init, width, width)
         self.positional = init.gaussian(EMBED_STD, (n_tokens, width))
-        self.layers = [AttentionLayer(init, width, heads, mlp_residual=True)
+        self.layers = [AttentionLayer(init, width, heads=cube_side, mlp_residual=True)
                        for _ in range(layers)]
         self.proj_out = Linear(init, width, width)
 
@@ -38,8 +38,8 @@ class CubeAttentionBlock(Module):
 
 class VolumeRefiner(Module):
     def __init__(self, init: Init, cfg: ModelConfig):
-        self.blocks = [CubeAttentionBlock(init, cube, cfg.voxel_side, cfg.refiner_layers, heads)
-                       for cube, heads in zip(cfg.refiner_cubes, cfg.refiner_heads)]
+        self.blocks = [CubeAttentionBlock(init, cube, cfg.voxel_side, cfg.refiner_layers)
+                       for cube in cfg.refiner_cubes]
 
     def __call__(self, volume: Tensor) -> Tensor:
         """[B, V, V, V] coarse volume in (0, 1) -> refined volume in (0, 1)."""

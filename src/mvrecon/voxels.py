@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import BadConfig, EmptyVolume, ShapeMismatch
+from .errors import BadConfig, ShapeMismatch
 
 DEFAULT_THRESHOLD = 0.3
 SSIM_C1 = 0.01
@@ -169,12 +169,13 @@ def metric_fscore(y: np.ndarray, y_pred: np.ndarray,
     A voxel is matched when the other grid has one at an integer offset o
     with |o|^2 <= floor((tau*V)^2 * (1 + 1e-9)), so a tie at tau counts
     whatever the rounding.  The cost grows with (tau*V)^2, capped by the grid.
+    An empty grid on either side matches nothing and scores 0.
     """
     a, b = np.asarray(y) >= threshold, np.asarray(y_pred) >= threshold
     if a.shape != b.shape or a.shape != a.shape[:1] * 3:
         raise ShapeMismatch(f"metric_fscore: {a.shape} vs {b.shape}, not two [V, V, V] grids")
     if not a.any() or not b.any():
-        raise EmptyVolume("F-score needs non-empty grids")
+        return 0.0
     v = a.shape[0]
     t = 1.0 if tau is None else tau * v     # in voxel pitches; a negative tau matches nothing
     r2 = int(min(t * t * (1 + 1e-9), 3 * (v - 1) ** 2)) if t >= 0 else -1

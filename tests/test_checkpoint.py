@@ -112,7 +112,7 @@ def test_config_text_readable_from_header(tiny_model):
 @pytest.mark.parametrize("overrides", [{}, {"dtype": "float64"}, {"use_refiner": False}],
                          ids=["tiny", "float64", "no_refiner"])
 def test_load_model_rebuilds_the_model_from_the_file(tmp_path, overrides):
-    # int, tuple, bool and str fields all come back from the text
+    # int, bool and str fields all come back from the text
     model = MultiViewReconstructor(tiny_model_config(**overrides), seed=5)
     images = random_images(1, 2, 3, model.cfg)
     path = tmp_path / "model.ckpt"
@@ -154,4 +154,18 @@ def test_non_utf8_head_is_corrupt(tiny_model, tmp_path):
     path = tmp_path / "model.ckpt"
     path.write_bytes(resigned(bytes(data)))
     with pytest.raises(MalformedFile, match="checkpoint config"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("line", [b"model.encoder_blocks = 3", b"model.decoder_cube = 4",
+                                  b"model.refiner_cubes = 4,2", b"model.refiner_heads = 4,2"])
+def test_checkpoint_naming_a_fixed_shape_setting_is_corrupt(tiny_model, tmp_path, line):
+    # checkpoints written while these were settings carry them in the head
+    data = checkpoint_bytes(tiny_model)
+    head_end = 16 + int.from_bytes(data[12:16], "little")
+    head = line + b"\n" + data[16:head_end]
+    old = data[:12] + len(head).to_bytes(4, "little") + head + data[head_end:]
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(resigned(old))
+    with pytest.raises(MalformedFile, match="checkpoint config: unknown model field"):
         load_model(path)

@@ -4,7 +4,8 @@ import shutil
 import numpy as np
 import pytest
 
-from mvrecon.cli import main
+from mvrecon.cli import build_parser, main
+from mvrecon.config import MODEL_PRESETS
 from mvrecon.datagen import load_dataset
 from mvrecon.voxio import read_binvox, write_pgm
 
@@ -131,6 +132,13 @@ def test_train_rejects_bad_set(workspace, tmp_path, override):
               "--preset", "tiny", "--set", override])
 
 
+def test_synth_defaults_fit_the_default_train_preset():
+    synth = build_parser().parse_args(["synth", "--out", "d"])
+    train = build_parser().parse_args(["train", "--data", "d", "--out", "r"])
+    cfg = MODEL_PRESETS[train.preset]()
+    assert (synth.voxel_side, synth.image_size) == (cfg.voxel_side, cfg.image_size)
+
+
 def test_synth_rejects_small_voxel_side(tmp_path):
     with pytest.raises(SystemExit, match="^bad config: voxel side 4"):
         main(["synth", "--out", str(tmp_path / "d"), "--objects", "10",
@@ -232,8 +240,8 @@ _RECON = ["reconstruct", "--checkpoint", "{ckpt}", "--out", "{out}/r.binvox", "-
     (_SYNTH + ["--image-size=0"], "bad config: image size 0 px"),
     (_SYNTH + ["--image-size=-3"], "bad config: image size -3 px"),
     (_SYNTH + ["--categories=box,nope"], "bad config: categories ('box', 'nope') are not"),
-    (_TRAIN + ["model.refiner_cubes=", "--set", "model.refiner_heads="],
-     "bad config: model.refiner_cubes is empty"),
+    (_TRAIN + ["model.refiner_cube=3"],
+     "bad config: model.refiner_cube = 3 must divide voxel side 8 and be a multiple of 2"),
     (_TRAIN + ["train.views_per_sample=25"], "bad config: train.views_per_sample = 25 exceeds 24"),
     (_RECON + ["{empty}", "{empty}"], "error: PGM size 0x0 holds no pixel"),
     (_TRAIN + ["model.voxel_side=16"],
@@ -246,7 +254,7 @@ _RECON = ["reconstruct", "--checkpoint", "{ckpt}", "--out", "{out}/r.binvox", "-
         "pgm-model-size", "occlusion-box-neg", "eval-threshold-nan", "eval-tau-neg",
         "occlusion-threshold-0", "occlusion-tau-inf", "reconstruct-threshold-above-1",
         "synth-seed-neg", "synth-image-0", "synth-image-neg", "synth-category-unknown",
-        "refiner-empty", "views-per-sample-beyond", "pgm-pair-empty", "train-size-mismatch",
+        "refiner-cube-3", "views-per-sample-beyond", "pgm-pair-empty", "train-size-mismatch",
         "rollout-object-unknown", "pgm-count-odd"])
 def test_bad_input_is_one_line_error(workspace, tmp_path, capsys, argv, prefix):
     paths = {"data": workspace["data"], "out": str(tmp_path / "out"),

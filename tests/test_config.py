@@ -1,6 +1,13 @@
 import pytest
 
-from mvrecon.config import TrainConfig, config_from_text, config_to_text, tiny_model_config
+from mvrecon.config import (
+    TrainConfig,
+    config_from_text,
+    config_to_text,
+    desk_model_config,
+    paper_model_config,
+    tiny_model_config,
+)
 from mvrecon.errors import BadConfig, MvreconError
 
 BASE = config_to_text(TrainConfig(model=tiny_model_config()))
@@ -27,11 +34,9 @@ def test_misspelt_bool_is_rejected(text):
 
 
 @pytest.mark.parametrize("line", [
-    "model.decoder_cube = 0",
-    "model.refiner_heads = 4,0",
-    "model.encoder_blocks = 0",
+    "model.refiner_cube = 0",
     "model.voxel_side = -8",
-    "model.refiner_cubes = 4,-2",
+    "model.refiner_cube = -2",
     "model.encoder_heads = -1",
     "model.decoder_heads = -4",
     "train.views_per_sample = 0",
@@ -43,10 +48,31 @@ def test_non_positive_extent_or_head_count_is_rejected(line):
         config_from_text(BASE + line + "\n")
 
 
-def test_empty_tuple_is_rejected():
-    # an empty refiner list would build a refiner of no blocks: sigmoid(coarse)
-    with pytest.raises(BadConfig, match="model.refiner_cubes is empty"):
-        config_from_text(BASE + "model.refiner_cubes =\nmodel.refiner_heads =\n")
+@pytest.mark.parametrize("name", ["encoder_blocks", "decoder_cube", "refiner_cubes",
+                                  "refiner_heads"])
+def test_fixed_shape_settings_are_unknown_fields(name):
+    # constants since they stopped being settings; config text naming one
+    # predates that and is rejected, not ignored
+    with pytest.raises(BadConfig, match=f"unknown model field '{name}'"):
+        config_from_text(BASE + f"model.{name} = 4\n")
+
+
+def test_refiner_cubes_halve_from_refiner_cube():
+    assert paper_model_config().refiner_cubes == [8, 4]
+    assert desk_model_config().refiner_cubes == [8, 4]
+    assert tiny_model_config().refiner_cubes == [4, 2]
+    assert tiny_model_config(voxel_side=12, refiner_cube=6).refiner_cubes == [6, 3]
+
+
+@pytest.mark.parametrize("lines", [
+    "model.voxel_side = 12\nmodel.refiner_cube = 3",   # divides, does not halve
+    "model.refiner_cube = 1",                          # divides, does not halve
+    "model.refiner_cube = 16",                         # halves, does not divide 8
+    "model.refiner_cube = 6",                          # halves, does not divide 8
+])
+def test_refiner_cube_must_divide_the_voxel_side_and_halve(lines):
+    with pytest.raises(BadConfig, match="must divide voxel side .* and be a multiple of 2"):
+        config_from_text(BASE + lines + "\n")
 
 
 @pytest.mark.parametrize("line", [

@@ -3,7 +3,7 @@ import pytest
 
 from mvrecon import autodiff as ad
 from mvrecon.autodiff import Tensor
-from mvrecon.config import paper_model_config, tiny_model_config
+from mvrecon.config import DECODER_CUBE, paper_model_config, tiny_model_config
 from mvrecon.decoder import VolumeDecoder
 from mvrecon.errors import ShapeMismatch
 from mvrecon.layers import EMBED_STD, MLP_RATIO, Linear
@@ -68,12 +68,11 @@ def test_decoder_errors():
 
 
 def test_decoder_shape_law():
-    for cube, side in ((4, 8), (2, 8), (4, 16)):
-        cfg = tiny_model_config(voxel_side=side, decoder_cube=cube,
-                                refiner_cubes=(4, 2), decoder_heads=2)
+    for side in (8, 16):
+        cfg = tiny_model_config(voxel_side=side, decoder_heads=2)
         dec = VolumeDecoder(seeded_init(10, cfg.np_dtype), cfg)
         g = cfg.cube_count
-        assert side == cube * round(g ** (1 / 3))
+        assert side == DECODER_CUBE * round(g ** (1 / 3))
         out = dec(rand_features(11, 1, 1, cfg.feature_width))
         assert out.shape == (1, side, side, side)
 
@@ -108,7 +107,7 @@ def unfolded_maps(cfg, seed, noise=0.0):
     bank = init.gaussian(EMBED_STD, (cfg.cube_count, width))
     shapes = {"q": (width, width), "k": (width, width), "v": (width, width),
               "out": (width, width), "fc1": (width, hidden),
-              "fc2": (hidden, cfg.decoder_cube ** 3)}
+              "fc2": (hidden, DECODER_CUBE ** 3)}
     maps = {name: Linear(init, *shape) for name, shape in shapes.items()}
     rng = np.random.default_rng(seed + 1)
     for p in [bank] + [m.bias for m in maps.values()]:
@@ -124,7 +123,7 @@ def reference_decode(cfg, bank, maps, features):
     mixed = ad.attention(queries, maps["k"](features), maps["v"](features),
                          cfg.decoder_head_count())
     cube_values = ad.sigmoid(maps["fc2"](ad.gelu(maps["fc1"](maps["out"](mixed)))))
-    return assemble_tokens(cube_values, cfg.decoder_cube, cfg.voxel_side)
+    return assemble_tokens(cube_values, DECODER_CUBE, cfg.voxel_side)
 
 
 def fold(dec, bank, maps):

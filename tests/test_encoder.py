@@ -6,7 +6,8 @@ from scipy.special import erf
 
 from mvrecon import autodiff as ad
 from mvrecon.autodiff import Tensor
-from mvrecon.config import IMAGE_CHANNELS, ModelConfig, paper_model_config, tiny_model_config
+from mvrecon.config import (
+    ENCODER_BLOCKS, IMAGE_CHANNELS, ModelConfig, paper_model_config, tiny_model_config)
 from mvrecon.errors import ShapeMismatch
 from mvrecon.model import MultiViewReconstructor
 
@@ -18,8 +19,7 @@ def small_cfg(**overrides):
     base = dict(
         voxel_side=8, image_size=16, embed_dim=8, encoder_layers=1,
         encoder_heads=2, backbone_channels=3,
-        decoder_heads=2, refiner_cubes=(4, 2), refiner_layers=1,
-        refiner_heads=(4, 2), dtype="float64",
+        decoder_heads=2, refiner_cube=4, refiner_layers=1, dtype="float64",
     )
     base.update(overrides)
     return ModelConfig(**base)
@@ -39,9 +39,9 @@ def test_tiny_width_law():
     assert cfg.feature_width == 56
 
 
-@pytest.mark.parametrize("blocks", [3, 4, 5])
+@pytest.mark.parametrize("blocks", [ENCODER_BLOCKS])
 def test_width_law_deeper_stacks(blocks):
-    cfg = tiny_model_config(embed_dim=64, encoder_blocks=blocks, encoder_heads=4)
+    cfg = tiny_model_config(embed_dim=64, encoder_heads=4)
     assert cfg.feature_width == sum(64 >> j for j in range(blocks))
     model = MultiViewReconstructor(cfg, seed=0)
     feats = model.encode(random_images(0, 1, 2, cfg))

@@ -29,9 +29,8 @@ def test_full_scale_token_counts():
 
 
 def test_shape_preserved_and_output_in_unit_interval():
-    for side, cubes in ((8, (4, 2)), (16, (4, 2)), (16, (8, 4))):
-        cfg = tiny_model_config(voxel_side=side, refiner_cubes=cubes,
-                                refiner_heads=(2, 2))
+    for side, cube in ((8, 4), (16, 4), (16, 8)):
+        cfg = tiny_model_config(voxel_side=side, refiner_cube=cube)
         refiner = VolumeRefiner(seeded_init(2, cfg.np_dtype), cfg)
         out = refiner(rand_volume(3, side)).data
         assert out.shape == (1, side, side, side)
@@ -64,7 +63,7 @@ def test_locality_with_identity_attention(monkeypatch):
     # with attention replaced by the identity, each cube is refined alone
     monkeypatch.setattr(ad, "attention", lambda q, k, v, heads, trace=None: v)
     block = CubeAttentionBlock(seeded_init(6, np.float64), cube_side=4, grid_side=8,
-                               layers=1, heads=4)
+                               layers=1)
     vol = np.random.default_rng(7).random((1, 8, 8, 8))
     changed = changed_cubes(block, vol, bump_cube_five(vol), 1e-12)
     np.testing.assert_array_equal(changed, np.arange(8) == 5)
@@ -72,7 +71,7 @@ def test_locality_with_identity_attention(monkeypatch):
 
 def test_mixing_without_identity_attention():
     block = CubeAttentionBlock(seeded_init(8, np.float64), cube_side=4, grid_side=8,
-                               layers=1, heads=4)
+                               layers=1)
     vol = np.random.default_rng(9).random((1, 8, 8, 8))
     changed = changed_cubes(block, vol, bump_cube_five(vol), 1e-9)
     assert changed.sum() == 8  # softmax attention spreads the perturbation
@@ -87,7 +86,7 @@ def test_wrong_volume_side_rejected():
 
 def test_refiner_param_grads_vs_fd():
     cfg = tiny64()  # V=8, cube sides 4 then 2, two layers per block
-    assert cfg.refiner_cubes == (4, 2) and cfg.refiner_layers == 2
+    assert cfg.refiner_cubes == [4, 2] and cfg.refiner_layers == 2
     refiner = VolumeRefiner(seeded_init(15, cfg.np_dtype), cfg)
     vol = rand_volume(16, 8, dtype=np.float64)
     target = np.random.default_rng(17).random((1, 8, 8, 8))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvrecon.config import tiny_model_config
+from mvrecon.config import ENCODER_BLOCKS, tiny_model_config
 from mvrecon.model import MultiViewReconstructor
 from mvrecon.rollout import (
     attention_rollout,
@@ -55,7 +55,7 @@ def test_model_rollout_shapes_and_stochasticity():
     model = MultiViewReconstructor(cfg, seed=0)
     views = random_images(1, 1, 5, cfg)[0]
     maps = attention_rollout(model, views)
-    assert len(maps) == cfg.encoder_blocks
+    assert len(maps) == ENCODER_BLOCKS
     for mat in maps:
         assert mat.shape == (5, 5)
         np.testing.assert_allclose(mat.sum(axis=-1), np.ones(5), atol=1e-6)
@@ -68,7 +68,7 @@ def test_save_rollout_maps(tmp_path):
     views = random_images(2, 1, 3, cfg)[0]
     maps = attention_rollout(model, views)
     paths = save_rollout_maps(maps, str(tmp_path), prefix="demo")
-    assert len(paths) == cfg.encoder_blocks * 3
+    assert len(paths) == ENCODER_BLOCKS * 3
     img = read_pgm(open(paths[0], "rb").read())
     assert img.shape == (1, 3)
     assert img.max() == pytest.approx(1.0, abs=1 / 255)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import mvrecon
 from mvrecon.autodiff import Tensor
-from mvrecon.errors import EmptyVolume, ShapeMismatch
+from mvrecon.errors import ShapeMismatch
 from mvrecon.voxels import (
     assemble_tokens,
     loss_mse,
@@ -392,11 +392,10 @@ def test_fscore_needs_two_cubic_grids():
         metric_fscore(flat, flat.copy())
 
 
-def test_fscore_empty_is_error():
+def test_fscore_of_an_empty_grid_is_zero():
     side = 4
     empty = zeros(side)
     full = np.ones((side,) * 3, dtype=np.float32)
-    with pytest.raises(EmptyVolume):
-        metric_fscore(full, empty, 0.5)
-    with pytest.raises(EmptyVolume):
-        metric_fscore(empty, full, 0.5)
+    assert metric_fscore(full, empty, 0.5) == 0.0
+    assert metric_fscore(empty, full, 0.5) == 0.0
+    assert metric_fscore(empty, empty.copy(), 0.5) == 0.0

@@ -15,7 +15,7 @@ rebuilds the model from the file alone: ``MultiViewReconstructor(cfg,
 seed=None)`` draws no weight, and the file's are assigned.  Parameters follow
 ``model.named_params()`` and take the config's dtype.  The config alone fixes
 every shape; the parameter table is there so that a code change that reorders
-or reshapes parameters under an unchanged config (``attn.q`` and ``attn.k``
+or reshapes parameters under an unchanged config (``attn.k`` and ``attn.v``
 swapped, say) raises ``ConfigMismatch`` instead of loading each weight into
 the other's place.  A checkpoint stores no optimizer, data-order or RNG
 state: it restores weights, not a run.

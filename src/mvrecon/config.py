@@ -23,7 +23,7 @@ from .errors import BadConfig
 DTYPES = {"float32": np.float32, "float64": np.float64}
 # ints that may be 0: a head count picks one from the width, max_iterations
 # runs every epoch, and seed 0 is a seed
-_MAY_BE_ZERO = ("encoder_heads", "decoder_heads", "max_iterations", "seed")
+_MAY_BE_ZERO = ("heads", "max_iterations", "seed")
 
 IMAGE_CHANNELS = 2   # silhouette and depth
 BACKBONE_STAGES = 4  # stride-2 conv stages in the view backbone
@@ -39,9 +39,8 @@ class ModelConfig:
     image_size: int = 224
     embed_dim: int = 768
     encoder_layers: int = 4          # attention layers per block
-    encoder_heads: int = 0           # 0 = width // 64, at least 1
+    heads: int = 0                   # encoder and decoder; 0 = width // 64, at least 1
     backbone_channels: int = 16      # first conv stage; doubles per stage
-    decoder_heads: int = 0           # 0 = width // 64, at least 1
     refiner_cube: int = 8            # first block's cube side; halves per block
     refiner_layers: int = 6
     use_refiner: bool = True
@@ -72,11 +71,9 @@ class ModelConfig:
     def refiner_cubes(self) -> list[int]:
         return [self.refiner_cube >> j for j in range(REFINER_BLOCKS)]
 
-    def encoder_head_counts(self) -> list[int]:
-        return [self.encoder_heads or max(1, w // 64) for w in self.encoder_widths]
-
-    def decoder_head_count(self) -> int:
-        return self.decoder_heads or max(1, self.feature_width // 64)
+    def head_count(self, width: int) -> int:
+        """Heads of the encoder or decoder attention at ``width``."""
+        return self.heads or max(1, width // 64)
 
     def validate(self) -> None:
         if self.dtype not in DTYPES:
@@ -94,11 +91,9 @@ class ModelConfig:
         if self.voxel_side % self.refiner_cube or self.refiner_cube % multiple:
             raise BadConfig(f"model.refiner_cube = {self.refiner_cube} must divide voxel "
                             f"side {self.voxel_side} and be a multiple of {multiple}")
-        for w, h in zip(self.encoder_widths, self.encoder_head_counts()):
-            if w % h != 0:
-                raise BadConfig(f"{h} heads do not divide encoder width {w}")
-        if self.feature_width % self.decoder_head_count() != 0:
-            raise BadConfig("decoder heads do not divide the feature width")
+        for w in self.encoder_widths + [self.feature_width]:
+            if w % self.head_count(w) != 0:
+                raise BadConfig(f"{self.head_count(w)} heads do not divide width {w}")
 
 
 def paper_model_config(**overrides) -> ModelConfig:
@@ -113,9 +108,8 @@ def desk_model_config(**overrides) -> ModelConfig:
         image_size=64,
         embed_dim=32,
         encoder_layers=2,
-        encoder_heads=4,
+        heads=4,
         backbone_channels=8,
-        decoder_heads=4,
         refiner_layers=2,
     )
     return replace(cfg, **overrides) if overrides else cfg

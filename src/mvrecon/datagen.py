@@ -491,7 +491,6 @@ def load_dataset(root) -> Dataset:
                 raise MalformedFile(f"{path}: side {grid.shape[0]}, expected {side}")
             obj.grid = grid
             view_dir = os.path.join(root, "views", obj.object_id)
-            obj.views = np.zeros((dataset.n_views, 2) + image_shape, dtype=np.float32)
             for k in range(dataset.n_views):
                 for ch, tag in ((0, "sil"), (1, "dep")):
                     path = os.path.join(view_dir, f"v{k:02d}_{tag}.pgm")
@@ -499,6 +498,10 @@ def load_dataset(root) -> Dataset:
                         image = voxio.read_pgm(fh.read())
                     if image.shape != image_shape:
                         raise MalformedFile(f"{path}: image {image.shape}, expected {image_shape}")
+                    if obj.views is None:  # allocate once the files bear out the header:
+                        # this view has its image size, and the last listed view exists
+                        os.stat(os.path.join(view_dir, f"v{dataset.n_views - 1:02d}_dep.pgm"))
+                        obj.views = np.empty((dataset.n_views, 2) + image_shape, np.float32)
                     obj.views[k, ch] = image
     except FileNotFoundError as exc:
         raise MalformedFile(f"{exc.filename}: listed in the manifest but missing") from None

@@ -7,7 +7,8 @@ sigmoid-squashed cubes are assembled into the coarse volume.
 Only weights that change the function are kept.  The query and output
 projections are drawn, then folded at init into the bank and ``fc1``: one
 acts on the learned bank alone, the other feeds ``fc1`` with nothing
-nonlinear between.  The softmax over views cancels a key bias.  Each head's
+nonlinear between.  The softmax over views cancels a key bias, and makes a
+value bias a constant that ``fc1.bias`` states.  Each head's
 d-wide value rows run through its d rows of ``fc1`` before the mix, not
 every cube query after it: 21 x 8 rows against 512 at paper scale.
 """
@@ -30,7 +31,7 @@ class VolumeDecoder(Module):
         self.queries = init.gaussian(EMBED_STD, (cfg.cube_count, width))  # one per cube
         query_map = Linear(init, width, width).weight
         self.key = Linear(init, width, width).weight
-        self.value = Linear(init, width, width)
+        self.value = Linear(init, width, width).weight
         out_map = Linear(init, width, width).weight
         self.fc1 = Linear(init, width, hidden)
         self.fc2 = Linear(init, hidden, DECODER_CUBE ** 3)
@@ -41,11 +42,11 @@ class VolumeDecoder(Module):
     def __call__(self, features: Tensor) -> Tensor:
         """[B, N, feature_width] view features -> [B, V, V, V] volume in (0, 1)."""
         bsz, n, width = features.shape
-        heads, cubes = self.cfg.decoder_head_count(), self.queries.shape[0]
+        heads, cubes = self.cfg.head_count(width), self.queries.shape[0]
         d, hidden = width // heads, self.fc1.weight.shape[1]
         q = self.queries.reshape(cubes, heads, d).transpose(1, 0, 2)
         k = ad.matmul(features, self.key).reshape(bsz * n, heads, d).transpose(1, 2, 0)
-        v = self.value(features).reshape(bsz * n, heads, d).transpose(1, 0, 2)
+        v = ad.matmul(features, self.value).reshape(bsz * n, heads, d).transpose(1, 0, 2)
         scores = ad.scale(ad.matmul(q, k), 1.0 / math.sqrt(d))  # [H, G, B*N]
         probs = ad.softmax(scores.reshape(heads, cubes, bsz, n))
         probs = probs.transpose(2, 1, 0, 3).reshape(bsz, cubes, heads * n)

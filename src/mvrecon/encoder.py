@@ -61,12 +61,11 @@ class MultiViewEncoder(Module):
     def __init__(self, init: Init, cfg: ModelConfig):
         self.positional = init.gaussian(EMBED_STD, (MAX_VIEWS, cfg.embed_dim))
         widths = cfg.encoder_widths
-        heads = cfg.encoder_head_counts()
         self.blocks = []
-        for j, (w, h) in enumerate(zip(widths, heads)):
+        for j, w in enumerate(widths):
             last = j == len(widths) - 1
-            self.blocks.append(PatchAttentionBlock(init, w, cfg.encoder_layers, h,
-                                                   reduce=not last))
+            self.blocks.append(PatchAttentionBlock(init, w, cfg.encoder_layers,
+                                                   cfg.head_count(w), reduce=not last))
         self.final_norm = LayerNorm(init, cfg.feature_width)
 
     def __call__(self, tokens: Tensor, trace: list | None = None) -> Tensor:

@@ -11,7 +11,9 @@ order and those names are what the optimizer steps and checkpoints store.
 Every parameter comes from an ``Init``, the init generator and the dtype,
 which each layer constructor takes first; the model makes its one ``Init``
 from its seed and ``ModelConfig.np_dtype``.  Each weight is drawn in float64,
-in constructor order, and cast to the dtype as it is made.
+in constructor order, and cast to the dtype as it is made.  A layer keeps
+only weights that change its function: a map whose bias another term states,
+or a softmax cancels, is ``Linear(init, a, b).weight``, drawn as before.
 
 Every MLP in the model is ``MLP_RATIO`` times as wide as its input.
 """
@@ -131,17 +133,22 @@ class MultiHeadAttention(Module):
     """Scaled dot-product self-attention with per-head splitting.
 
     ``x`` is [B, N, dim].  ``trace`` collects the softmax attention matrices as numpy arrays.
+
+    The key and value maps have no bias: the softmax over keys cancels a key
+    bias, and since each head's probabilities sum to 1 a value bias comes out
+    as ``b @ out.weight``, which ``out.bias`` already states.
     """
 
     def __init__(self, init: Init, dim: int, heads: int):
         self.heads = heads
         self.q = Linear(init, dim, dim)
-        self.k = Linear(init, dim, dim)
-        self.v = Linear(init, dim, dim)
+        self.k = Linear(init, dim, dim).weight
+        self.v = Linear(init, dim, dim).weight
         self.out = Linear(init, dim, dim)
 
     def __call__(self, x: Tensor, trace: list | None = None) -> Tensor:
-        mixed = ad.attention(self.q(x), self.k(x), self.v(x), self.heads, trace=trace)
+        mixed = ad.attention(self.q(x), ad.matmul(x, self.k), ad.matmul(x, self.v),
+                             self.heads, trace=trace)
         return self.out(mixed)
 
 

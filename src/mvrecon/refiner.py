@@ -5,6 +5,7 @@ attention layers over the flattened cube tokens (residuals on both the
 attention and MLP paths) with one head per cube side, and reassembles a
 full volume before the next block re-partitions at half the cube side.  One
 sigmoid after the last block maps the accumulated correction into (0, 1).
+The input map has no bias: the positional table already adds to each token.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class CubeAttentionBlock(Module):
         self.grid_side = grid_side
         width = cube_side ** 3
         n_tokens = (grid_side // cube_side) ** 3
-        self.proj_in = Linear(init, width, width)
+        self.proj_in = Linear(init, width, width).weight
         self.positional = init.gaussian(EMBED_STD, (n_tokens, width))
         self.layers = [AttentionLayer(init, width, heads=cube_side, mlp_residual=True)
                        for _ in range(layers)]
@@ -30,7 +31,7 @@ class CubeAttentionBlock(Module):
 
     def __call__(self, volume: Tensor) -> Tensor:
         tokens = partition_tokens(volume, self.cube_side)
-        x = ad.add(self.proj_in(tokens), self.positional)
+        x = ad.add(ad.matmul(tokens, self.proj_in), self.positional)
         for layer in self.layers:
             x = layer(x)
         return assemble_tokens(self.proj_out(x), self.cube_side, self.grid_side)

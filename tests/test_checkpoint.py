@@ -90,11 +90,11 @@ def test_config_mismatch(tiny_model, tmp_path):
 
 
 def test_swapped_parameters_are_a_config_mismatch(tiny_model):
-    # the table of a build that declares attn.k before attn.q: same config,
+    # the table of a build that declares attn.v before attn.k: same config,
     # same shapes, so only the parameter table tells the weights apart
     data = checkpoint_bytes(tiny_model)
-    swapped = (data.replace(b".attn.q.", b".attn.x.").replace(b".attn.k.", b".attn.q.")
-               .replace(b".attn.x.", b".attn.k."))
+    swapped = (data.replace(b".attn.k ", b".attn.x ").replace(b".attn.v ", b".attn.k ")
+               .replace(b".attn.x ", b".attn.v "))
     assert swapped != data and len(swapped) == len(data)
     other = MultiViewReconstructor(tiny_model.cfg, seed=2)
     assert_load_fails_unchanged(resigned(swapped), other, ConfigMismatch)
@@ -106,7 +106,7 @@ def test_config_text_readable_from_header(tiny_model):
     data = checkpoint_bytes(tiny_model)
     text = model_config_to_text(tiny_model.cfg).encode()
     assert data[16:16 + len(text) + 1] == text + b"\n"
-    assert b"model.encoder_heads = 4\n" in text
+    assert b"model.heads = 4\n" in text
 
 
 @pytest.mark.parametrize("overrides", [{}, {"dtype": "float64"}, {"use_refiner": False}],
@@ -140,9 +140,9 @@ def test_load_model_draws_no_weights(tiny_model, tmp_path, monkeypatch):
 def test_config_text_is_guarded_by_its_crc(tiny_model):
     # same length and the same parameter shapes: only the CRC can tell
     data = checkpoint_bytes(tiny_model)
-    edited = data.replace(b"model.encoder_heads = 4", b"model.encoder_heads = 8", 1)
+    edited = data.replace(b"model.heads = 4", b"model.heads = 8", 1)
     assert edited != data and len(edited) == len(data)
-    eight_heads = MultiViewReconstructor(tiny_model_config(encoder_heads=8))
+    eight_heads = MultiViewReconstructor(tiny_model_config(heads=8))
     assert ([p.shape for p in eight_heads.parameters()]
             == [p.shape for p in tiny_model.parameters()])
     assert_load_fails_unchanged(edited, tiny_model, MalformedFile, "checksum mismatch")
@@ -158,7 +158,8 @@ def test_non_utf8_head_is_corrupt(tiny_model, tmp_path):
 
 
 @pytest.mark.parametrize("line", [b"model.encoder_blocks = 3", b"model.decoder_cube = 4",
-                                  b"model.refiner_cubes = 4,2", b"model.refiner_heads = 4,2"])
+                                  b"model.refiner_cubes = 4,2", b"model.refiner_heads = 4,2",
+                                  b"model.encoder_heads = 4"])
 def test_checkpoint_naming_a_fixed_shape_setting_is_corrupt(tiny_model, tmp_path, line):
     # checkpoints written while these were settings carry them in the head
     data = checkpoint_bytes(tiny_model)

@@ -37,8 +37,7 @@ def test_misspelt_bool_is_rejected(text):
     "model.refiner_cube = 0",
     "model.voxel_side = -8",
     "model.refiner_cube = -2",
-    "model.encoder_heads = -1",
-    "model.decoder_heads = -4",
+    "model.heads = -1",
     "train.views_per_sample = 0",
     "train.seed = -1",
     "train.max_iterations = -1",
@@ -49,10 +48,10 @@ def test_non_positive_extent_or_head_count_is_rejected(line):
 
 
 @pytest.mark.parametrize("name", ["encoder_blocks", "decoder_cube", "refiner_cubes",
-                                  "refiner_heads"])
+                                  "refiner_heads", "encoder_heads", "decoder_heads"])
 def test_fixed_shape_settings_are_unknown_fields(name):
-    # constants since they stopped being settings; config text naming one
-    # predates that and is rejected, not ignored
+    # constants, or merged into ``heads``, since they stopped being settings;
+    # config text naming one predates that and is rejected, not ignored
     with pytest.raises(BadConfig, match=f"unknown model field '{name}'"):
         config_from_text(BASE + f"model.{name} = 4\n")
 
@@ -86,9 +85,11 @@ def test_non_finite_or_negative_float_is_rejected(line):
 
 
 def test_zero_head_count_picks_one_from_the_width():
-    cfg = config_from_text(BASE + "model.encoder_heads = 0\nmodel.decoder_heads = 0\n")
-    assert cfg.model.encoder_head_counts() == [1, 1, 1]
-    assert cfg.model.decoder_head_count() == 1
+    cfg = config_from_text(BASE + "model.heads = 0\n").model
+    assert [cfg.head_count(w) for w in cfg.encoder_widths + [cfg.feature_width]] == [1] * 4
+    paper = paper_model_config()
+    assert [paper.head_count(w) for w in paper.encoder_widths] == [12, 6, 3]
+    assert paper.head_count(paper.feature_width) == 21
 
 
 @pytest.mark.parametrize("line", [
@@ -99,6 +100,7 @@ def test_zero_head_count_picks_one_from_the_width():
     "model.nope = 1",
     "other.seed = 1",
     "model.dtype = float16",
+    "model.heads = 3",
 ])
 def test_malformed_line_raises_bad_config(line):
     with pytest.raises(BadConfig):

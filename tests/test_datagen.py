@@ -317,6 +317,19 @@ def test_load_dataset_names_a_missing_listed_file(tmp_path, missing):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("header,message", [
+    ("n_views 999999999", "v999999998_dep.pgm: listed in the manifest but missing"),
+    ("image_size 9999999", "v00_sil.pgm: image"),
+])
+def test_load_dataset_allocates_nothing_the_files_do_not_bear_out(tmp_path, header, message):
+    # either header would ask for terabytes of views before any file is read
+    manifest = _saved_dataset(tmp_path) / "manifest.txt"
+    key = header.split()[0]
+    manifest.write_text(re.sub(f"# {key} \\d+", f"# {header}", manifest.read_text()))
+    with pytest.raises(MalformedFile, match=re.escape(message)):
+        load_dataset(tmp_path)
+
+
 def test_load_dataset_rejects_grid_of_wrong_side(tmp_path):
     path = _saved_dataset(tmp_path) / "voxels" / "obj0004.binvox"
     path.write_bytes(write_binvox(gen_object("box", 0, 16)))

@@ -69,7 +69,7 @@ def test_decoder_errors():
 
 def test_decoder_shape_law():
     for side in (8, 16):
-        cfg = tiny_model_config(voxel_side=side, decoder_heads=2)
+        cfg = tiny_model_config(voxel_side=side, heads=2)
         dec = VolumeDecoder(seeded_init(10, cfg.np_dtype), cfg)
         g = cfg.cube_count
         assert side == DECODER_CUBE * round(g ** (1 / 3))
@@ -94,7 +94,7 @@ def test_decoder_query_grads_vs_fd():
 def test_decoder_holds_only_what_changes_its_function():
     dec = VolumeDecoder(seeded_init(0), tiny_model_config())
     assert [name for name, _ in dec.named_params()] == [
-        "queries", "key", "value.weight", "value.bias",
+        "queries", "key", "value",
         "fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias"]
 
 
@@ -117,23 +117,26 @@ def unfolded_maps(cfg, seed, noise=0.0):
 
 def reference_decode(cfg, bank, maps, features):
     """The unfolded decoder: cross-attention of the projected bank over the
-    features with a key bias and an output map, then the MLP, on every cube
-    query."""
+    features with key and value biases and an output map, then the MLP, on
+    every cube query."""
     queries = maps["q"](bank.expand((features.shape[0],) + bank.shape))
     mixed = ad.attention(queries, maps["k"](features), maps["v"](features),
-                         cfg.decoder_head_count())
+                         cfg.head_count(cfg.feature_width))
     cube_values = ad.sigmoid(maps["fc2"](ad.gelu(maps["fc1"](maps["out"](mixed)))))
     return assemble_tokens(cube_values, DECODER_CUBE, cfg.voxel_side)
 
 
 def fold(dec, bank, maps):
-    """Set ``dec`` to the unfolded maps' function.  The key, value and fc2
-    tensors are shared, so both forms put their gradients on them."""
-    q, out, fc1 = maps["q"], maps["out"], maps["fc1"]
+    """Set ``dec`` to the unfolded maps' function.  The key and value
+    weights and fc2 are shared, so both forms put their gradients on them.
+    Each head's probabilities sum to 1, so the value bias leaves the
+    attention as it came and folds into ``fc1.bias`` with the output bias."""
+    q, v, out, fc1 = maps["q"], maps["v"], maps["out"], maps["fc1"]
     dec.queries.data = bank.data @ q.weight.data + q.bias.data
-    dec.key, dec.value, dec.fc2 = maps["k"].weight, maps["v"], maps["fc2"]
+    dec.key, dec.value, dec.fc2 = maps["k"].weight, v.weight, maps["fc2"]
     dec.fc1.weight.data = out.weight.data @ fc1.weight.data
-    dec.fc1.bias.data = out.bias.data @ fc1.weight.data + fc1.bias.data
+    dec.fc1.bias.data = ((v.bias.data @ out.weight.data + out.bias.data) @ fc1.weight.data
+                         + fc1.bias.data)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -160,7 +163,7 @@ def test_decoder_matches_cross_attention_then_mlp(views):
     feats = rand_features(18, 2, views, cfg.feature_width, dtype=np.float64)
     feats.requires_grad = True
     weights = Tensor(rng.standard_normal((2,) + (cfg.voxel_side,) * 3))
-    shared = {"key": dec.key, "value.weight": dec.value.weight, "value.bias": dec.value.bias,
+    shared = {"key": dec.key, "value": dec.value,
               "fc2.weight": dec.fc2.weight, "fc2.bias": dec.fc2.bias}
     results = []
     for decode in (dec, lambda f: reference_decode(cfg, bank, maps, f)):

@@ -18,8 +18,7 @@ from modelutil import check_param_grads, naive_conv, random_images, tiny64
 def small_cfg(**overrides):
     base = dict(
         voxel_side=8, image_size=16, embed_dim=8, encoder_layers=1,
-        encoder_heads=2, backbone_channels=3,
-        decoder_heads=2, refiner_cube=4, refiner_layers=1, dtype="float64",
+        heads=2, backbone_channels=3, refiner_cube=4, refiner_layers=1, dtype="float64",
     )
     base.update(overrides)
     return ModelConfig(**base)
@@ -41,7 +40,7 @@ def test_tiny_width_law():
 
 @pytest.mark.parametrize("blocks", [ENCODER_BLOCKS])
 def test_width_law_deeper_stacks(blocks):
-    cfg = tiny_model_config(embed_dim=64, encoder_heads=4)
+    cfg = tiny_model_config(embed_dim=64, heads=4)
     assert cfg.feature_width == sum(64 >> j for j in range(blocks))
     model = MultiViewReconstructor(cfg, seed=0)
     feats = model.encode(random_images(0, 1, 2, cfg))

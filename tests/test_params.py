@@ -5,27 +5,34 @@ import hashlib
 import numpy as np
 import pytest
 
+from mvrecon import autodiff as ad
+from mvrecon import decoder, layers, refiner
+from mvrecon.autodiff import Tensor
 from mvrecon.checkpoint import checkpoint_bytes, load_checkpoint_bytes
 from mvrecon.config import desk_model_config, tiny_model_config
 from mvrecon.layers import Init, Linear
 from mvrecon.model import MultiViewReconstructor
+from mvrecon.voxels import loss_total
 
-from modelutil import seeded_init
+from modelutil import random_images, seeded_init, tiny64
 
 
 def names_of(module):
     return [name for name, _ in module.named_params()]
 
 
-@pytest.mark.parametrize("make,count", [(tiny_model_config, 187_636),
-                                        (desk_model_config, 7_045_432)], ids=["tiny", "desk"])
+@pytest.mark.parametrize("make,count", [(tiny_model_config, 186_996),
+                                        (desk_model_config, 7_042_272)], ids=["tiny", "desk"])
 def test_registry_names_and_counts(make, count):
     net = MultiViewReconstructor(make(), seed=0)
     names = names_of(net)
-    assert len(names) == len(set(names)) == 195
+    assert len(names) == len(set(names)) == 172
     assert net.num_params() == count
     assert names[0] == "backbone.convs.0.weight"
-    assert "encoder.blocks.0.layers.1.attn.q.weight" in names
+    assert names[names.index("encoder.blocks.0.layers.1.attn.q.weight"):][:5] == [
+        "encoder.blocks.0.layers.1.attn.q.weight", "encoder.blocks.0.layers.1.attn.q.bias",
+        "encoder.blocks.0.layers.1.attn.k", "encoder.blocks.0.layers.1.attn.v",
+        "encoder.blocks.0.layers.1.attn.out.weight"]
     assert names[-1] == "refiner.blocks.1.proj_out.bias"
 
 
@@ -43,24 +50,102 @@ def weight_digest(module, skip: str = "") -> str:
 # The learning gate's numbers rest on these initial weights.  The second
 # digest leaves out the decoder, so it shows that a change to the decoder's
 # own weights kept every other weight's bits.  The paper preset, seed 0,
-# gives b5ed3c8aa58fd959 and c22e7474bd3e8feb; it is too slow to build on
+# gives 7986cfce6782ed19 and f40f75916c67d8be; it is too slow to build on
 # every run.  The ids leave the digests out, so new pins keep the names.
+# Dropping a bias left these digests equal to the old weights' over the
+# names that remain, so every kept weight has its old bits.
 @pytest.mark.parametrize("make,seed,digest,outside_decoder", [
-    pytest.param(tiny_model_config, 0, "69f7462fd1d08962", "02512f1b69b3064a", id="tiny-0"),
-    pytest.param(tiny_model_config, 1, "4aa6c63bf91cc6e1", "a562f148e34cb9f3", id="tiny-1"),
-    pytest.param(tiny_model_config, 2, "f8929030a63331c8", "3f9aee82209abab6", id="tiny-2"),
-    pytest.param(desk_model_config, 0, "db9c0ea720235705", "2963e555777aee54", id="desk-0"),
-    pytest.param(desk_model_config, 1, "d866f05c283425da", "2d5e2f920e3c6244", id="desk-1"),
-    pytest.param(desk_model_config, 2, "7289d509d16dbdcb", "565d0a3241db739f", id="desk-2"),
-    pytest.param(lambda: tiny_model_config(dtype="float64"), 0, "c14849c9a6ac54da",
-                 "253239a4e9154400", id="tiny_float64-0"),
-    pytest.param(lambda: desk_model_config(dtype="float64"), 0, "077c886cbe962c3e",
-                 "79412d21eb83fc19", id="desk_float64-0"),
+    pytest.param(tiny_model_config, 0, "ca59fe6c0e8b733d", "48340472532e81b9", id="tiny-0"),
+    pytest.param(tiny_model_config, 1, "8d2f4b6b0d314fed", "3cfb542ffad2a50c", id="tiny-1"),
+    pytest.param(tiny_model_config, 2, "8ce74a3db04941eb", "adb551181411e074", id="tiny-2"),
+    pytest.param(desk_model_config, 0, "f7e0e5054263cf50", "b3b998327fd2d642", id="desk-0"),
+    pytest.param(desk_model_config, 1, "2b2b93a03650eeff", "248229cce591c448", id="desk-1"),
+    pytest.param(desk_model_config, 2, "1ef504874193079f", "be63093f2bfd9753", id="desk-2"),
+    pytest.param(lambda: tiny_model_config(dtype="float64"), 0, "85fa5ccbd17dfe53",
+                 "0123834cc6df3afc", id="tiny_float64-0"),
+    pytest.param(lambda: desk_model_config(dtype="float64"), 0, "de116b0b309efc39",
+                 "569f6d4ef5989c21", id="desk_float64-0"),
 ])
 def test_initial_weights_are_pinned(make, seed, digest, outside_decoder):
     net = MultiViewReconstructor(make(), seed=seed)
     assert weight_digest(net, skip="decoder.") == outside_decoder
     assert weight_digest(net) == digest
+
+
+def test_untrained_refined_volume_is_pinned():
+    # the untrained function the learning gate starts from; dropping a bias
+    # that is zero at init left every bit of it
+    cfg = tiny_model_config()
+    volume = MultiViewReconstructor(cfg, seed=0).forward(random_images(0, 2, 5, cfg)).refined
+    assert hashlib.sha256(volume.data.tobytes()).hexdigest()[:16] == "548df9293aabbe24"
+
+
+def test_every_parameter_changes_the_loss():
+    # a tensor whose gradient is zero up to round-off changes nothing the
+    # model computes: a key bias read 1e-18 here, and the smallest gradient
+    # of a kept tensor, the last encoder layer's attn.k, reads 1.2e-7
+    cfg = tiny64()
+    net = MultiViewReconstructor(cfg, seed=0)
+    targets = (np.random.default_rng(1).random((2,) + (cfg.voxel_side,) * 3) < 0.3) * 1.0
+    loss_total(targets, net.forward(random_images(2, 2, 5, cfg)).refined).backward()
+    dead = [name for name, p in net.named_params()
+            if p.grad is None or np.max(np.abs(p.grad)) <= 1e-12]
+    assert dead == []
+
+
+class WithBiases:
+    """``autodiff`` with a bias added to every product by a weight that
+    ``biases`` maps to one: the model as it was with a bias on every map."""
+
+    def __init__(self, biases: dict):
+        self.biases = biases
+
+    def __getattr__(self, name):
+        return getattr(ad, name)
+
+    def matmul(self, a, b, bias=None):
+        return ad.matmul(a, b, self.biases.get(b, bias))
+
+
+def test_pruned_model_with_the_folds_is_the_form_with_every_bias(monkeypatch):
+    cfg = tiny64()
+    net = MultiViewReconstructor(cfg, seed=0)
+    rng = np.random.default_rng(3)
+    attention = [layer.attn for block in net.encoder.blocks + net.refiner.blocks
+                 for layer in block.layers]
+    weights = ([a.k for a in attention] + [a.v for a in attention] + [net.decoder.value]
+               + [block.proj_in for block in net.refiner.blocks])
+    biases = {w: Tensor(rng.standard_normal(w.shape[1])) for w in weights}
+    images = random_images(4, 2, 3, cfg)
+    loss_weights = Tensor(rng.standard_normal((2,) + (cfg.voxel_side,) * 3))
+
+    def run():
+        net.zero_grads()
+        volume = net.forward(images).refined
+        ad.mul(volume, loss_weights).sum().backward()
+        return volume.data, {p: p.grad for p in net.parameters()}
+
+    with monkeypatch.context() as m:
+        for module in (layers, decoder, refiner):
+            m.setattr(module, "ad", WithBiases(biases))
+        want, want_grads = run()
+    assert np.max(np.abs(run()[0] - want)) > 1e-3  # the biases change the function...
+    # ...and fold: the softmax cancels a key bias, and the probabilities,
+    # which sum to 1, carry a value bias to out.bias or fc1.bias
+    carried = [(a.v, a.out) for a in attention] + [(net.decoder.value, net.decoder.fc1)]
+    for value, linear in carried:
+        linear.bias.data += biases[value].data @ linear.weight.data
+    for block in net.refiner.blocks:
+        block.positional.data += biases[block.proj_in].data
+    got, got_grads = run()
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+    # a weight the value bias went through had it in its input, so its
+    # gradient also held the bias times that of the weight's own bias
+    for value, linear in carried:
+        got_grads[linear.weight] += np.outer(biases[value].data, got_grads[linear.bias])
+    for name, p in net.named_params():
+        np.testing.assert_allclose(got_grads[p], want_grads[p], rtol=1e-9, atol=1e-15,
+                                   err_msg=name)
 
 
 def test_layers_take_an_init_not_a_generator():

@@ -12,7 +12,10 @@ Layout, version 4 (integers are little-endian u32):
 
 The config lines are what ``model_config_to_text`` writes, so ``load_model``
 rebuilds the model from the file alone: ``MultiViewReconstructor(cfg,
-seed=None)`` draws no weight, and the file's are assigned.  Parameters follow
+seed=None)`` draws and allocates no weight, and the file's are assigned.
+Before it assigns them, ``load_model`` checks the payload length against the
+shapes the config implies, so a head asking for shapes too large to hold is
+a ``MalformedFile``, not a failed allocation.  Parameters follow
 ``model.named_params()`` and take the config's dtype.  The config alone fixes
 every shape; the parameter table is there so that a code change that reorders
 or reshapes parameters under an unchanged config (``attn.k`` and ``attn.v``
@@ -34,7 +37,7 @@ import zlib
 import numpy as np
 
 from .config import config_from_text, model_config_to_text
-from .errors import BadConfig, ConfigMismatch, MalformedFile
+from .errors import ConfigMismatch, MalformedFile
 from .model import MultiViewReconstructor
 
 MAGIC = b"MVRCKPT\x00"
@@ -106,8 +109,10 @@ def load_model(path) -> MultiViewReconstructor:
         head, payload = _checked(fh.read())
     try:
         cfg = config_from_text(head.decode().partition("\n\n")[0]).model
-    except (UnicodeDecodeError, BadConfig) as exc:
+        model = MultiViewReconstructor(cfg, seed=None)  # allocates no weight
+    except ValueError as exc:  # not UTF-8, a BadConfig, or shapes numpy cannot hold
         raise MalformedFile(f"checkpoint config: {exc}") from None
-    model = MultiViewReconstructor(cfg, seed=None)
+    if len(payload) != sum(p.data.nbytes for p in model.parameters()):
+        raise MalformedFile("checkpoint payload length does not fit its config")
     _assign(model, head, payload)
     return model

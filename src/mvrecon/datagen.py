@@ -30,6 +30,7 @@ DEFAULT_ELEVATION_DEG = 30.0
 DEFAULT_N_VIEWS = 24
 OCCLUSION_REFERENCE_SIZE = 224  # box sizes are quoted at this image size
 OCCLUSION_BOX_SIZES = (10, 15, 20, 25, 30, 35, 40)
+OCCLUDED_VIEWS = slice(0, None, 2)  # the views ``occlude`` hits: 1st, 3rd, 5th, ...
 
 
 # --- procedural generators ---
@@ -256,10 +257,11 @@ def scaled_box_size(box: int, image_size: int) -> int:
 
 def occlude(images: np.ndarray, box: int, mode: str = "center",
             seed: int = 0) -> np.ndarray:
-    """Overwrite a box x box patch with background on the odd-indexed views.
+    """Overwrite a box x box patch with background on the odd-numbered views.
 
     ``box`` is quoted at ``OCCLUSION_REFERENCE_SIZE`` and scales with the image.
-    Views are numbered from 1, so array indices 0, 2, 4, ... are hit.  The
+    Views are numbered from 1, so array indices 0, 2, 4, ... are hit
+    (``OCCLUDED_VIEWS``); the rest are copied unchanged.  The
     box is centered on the silhouette bounding box (mode="center") or
     placed seeded-randomly inside it (mode="random"), then clamped so it
     stays within the image.
@@ -276,7 +278,7 @@ def occlude(images: np.ndarray, box: int, mode: str = "center",
     if size > min(h, w):
         raise ShapeMismatch(f"box {size} exceeds image {h}x{w}")
     rng = np.random.default_rng([int(seed), 0x0cc1])
-    for idx in range(0, out.shape[0], 2):
+    for idx in range(out.shape[0])[OCCLUDED_VIEWS]:
         fg = np.argwhere(out[idx, 0] > 0)
         if fg.size == 0:
             cr, cc = h // 2, w // 2

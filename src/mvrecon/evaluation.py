@@ -2,9 +2,18 @@
 
 A row holds the mean IoU and F-score at one setting (a view count or a box
 size), its count of empty predictions and a per-category breakdown; one loop,
-``_scores``, fills both tables.  Views are the first k poses of the ring, and
-``reconstruct_batch`` runs objects in fixed chunks, so an object's volume and
-score do not depend on the objects evaluated with it.
+``_scores``, fills both tables.  Views are the first k poses of the ring.
+
+Each distinct view image is embedded once.  Every view count is a prefix of
+the same poses, so ``evaluate`` embeds each object's first ``max(view_counts)``
+views and reconstructs every count from a prefix of those tokens.
+``occlusion_sweep`` embeds the clean views once, then, one box at a time,
+only the views ``occlude`` hits (``OCCLUDED_VIEWS``).  The bits are those of
+reconstructing each setting's own views: the backbone runs passes of exactly
+``EMBED_CHUNK`` images, so an image's token does not depend on the images it
+shares a pass with, and the token stage runs exactly ``RECONSTRUCT_CHUNK``
+objects at a time, so an object's volume and score do not depend on the
+objects evaluated with it.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import Dataset, DatasetObject, OCCLUSION_BOX_SIZES, occlude
+from .datagen import Dataset, DatasetObject, OCCLUDED_VIEWS, OCCLUSION_BOX_SIZES, occlude
 from .errors import BadConfig, TooFewObjects
 from .model import MultiViewReconstructor
 from .voxels import DEFAULT_THRESHOLD, check_scoring, metric_fscore, metric_iou
@@ -43,28 +52,35 @@ class EvalReport:
 
 
 def reconstruct_objects(model: MultiViewReconstructor, objects: list[DatasetObject],
-                        n_views: int, view_transform=None) -> np.ndarray:
-    """Reconstruct each object from its first ``n_views`` poses."""
-    views = []
-    for obj in objects:
-        selected = obj.first_views(n_views)
-        if view_transform is not None:
-            selected = view_transform(obj, selected)
-        views.append(selected)
-    return model.reconstruct_batch(views)
+                        n_views: int, tokens: np.ndarray | None = None) -> np.ndarray:
+    """Reconstruct each object from its first ``n_views`` poses.
+
+    ``tokens``, when given, are the objects' embedded views, at least
+    ``n_views`` per object, and only their first ``n_views`` are used;
+    otherwise the views are embedded here.
+    """
+    views = [obj.first_views(n_views) for obj in objects]  # checks n_views
+    if tokens is None:
+        tokens = model.embed_views(views)
+    return model.volumes_from_tokens(tokens[:, :n_views])
 
 
-def _scores(model, dataset: Dataset, split: str, threshold: float, tau: float | None,
-            settings, reconstruct) -> list[Score]:
-    """Score ``reconstruct(model, objects, setting)`` for each setting."""
+def _scored_objects(dataset: Dataset, split: str, threshold: float,
+                    tau: float | None) -> list[DatasetObject]:
     check_scoring(threshold, tau)
     objects = dataset.split(split)
     if not objects:
         raise TooFewObjects(f"split {split!r} is empty")
+    return objects
+
+
+def _scores(objects: list[DatasetObject], threshold: float, tau: float | None,
+            settings, reconstruct) -> list[Score]:
+    """Score the volumes ``reconstruct(setting)`` gives for each setting."""
     rows = []
     for setting in settings:
         ious, fscores, cats, n_empty = [], [], {}, 0
-        for obj, vol in zip(objects, reconstruct(model, objects, setting)):
+        for obj, vol in zip(objects, reconstruct(setting)):
             iou = metric_iou(obj.grid >= 0.5, vol, threshold)
             f = metric_fscore(obj.grid >= 0.5, vol, threshold, tau)
             n_empty += not np.any(vol >= threshold)
@@ -82,8 +98,11 @@ def _scores(model, dataset: Dataset, split: str, threshold: float, tau: float | 
 def evaluate(model: MultiViewReconstructor, dataset: Dataset, split: str = "test",
              view_counts=DEFAULT_VIEW_COUNTS, threshold: float = DEFAULT_THRESHOLD,
              tau: float | None = None) -> EvalReport:
-    return EvalReport(_scores(model, dataset, split, threshold, tau, view_counts,
-                              reconstruct_objects))
+    objects = _scored_objects(dataset, split, threshold, tau)
+    longest = max(view_counts, default=0)
+    tokens = model.embed_views([obj.first_views(longest) for obj in objects])
+    return EvalReport(_scores(objects, threshold, tau, view_counts,
+                              lambda k: reconstruct_objects(model, objects, k, tokens)))
 
 
 def occlusion_sweep(model: MultiViewReconstructor, dataset: Dataset,
@@ -93,14 +112,20 @@ def occlusion_sweep(model: MultiViewReconstructor, dataset: Dataset,
                     seed: int = 0) -> list[Score]:
     if min(sizes, default=0) < 0:
         raise BadConfig(f"box size {min(sizes)} is negative")
+    objects = _scored_objects(dataset, split, threshold, tau)
+    clean = [obj.first_views(n_views) for obj in objects]
+    clean_tokens = model.embed_views(clean)
 
-    def occluded(model, objects, box):
-        def blocked(obj, views):
-            return occlude(views, box, mode=mode, seed=seed * 100_003 + obj.seed)
-        return reconstruct_objects(model, objects, n_views,
-                                   view_transform=blocked if box else None)
+    def occluded(box):
+        if not box:
+            return reconstruct_objects(model, objects, n_views, clean_tokens)
+        hit = [occlude(views, box, mode=mode, seed=seed * 100_003 + obj.seed)[OCCLUDED_VIEWS]
+               for obj, views in zip(objects, clean)]
+        tokens = clean_tokens.copy()
+        tokens[:, OCCLUDED_VIEWS] = model.embed_views(hit)
+        return reconstruct_objects(model, objects, n_views, tokens)
 
-    return _scores(model, dataset, split, threshold, tau, sizes, occluded)
+    return _scores(objects, threshold, tau, sizes, occluded)
 
 
 # --- report rendering ---

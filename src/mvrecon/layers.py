@@ -33,7 +33,8 @@ MLP_RATIO = 4     # hidden width of every MLP, in multiples of its input width
 
 class Init:
     """The init generator and the parameter dtype.  With ``rng=None`` nothing
-    is drawn and Gaussian weights start at zero, for a checkpoint to overwrite."""
+    is drawn or allocated: each weight is a read-only broadcast of its start
+    value, zero for Gaussian weights, for a checkpoint to replace."""
 
     def __init__(self, rng: np.random.Generator | None, dtype):
         self.rng = rng
@@ -47,6 +48,8 @@ class Init:
 
     def constant(self, value: float, shape) -> Tensor:
         """A parameter with every entry ``value``."""
+        if self.rng is None:
+            return Tensor(np.broadcast_to(self.dtype.type(value), shape), requires_grad=True)
         return Tensor(np.full(shape, value, self.dtype), requires_grad=True)
 
 

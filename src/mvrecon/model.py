@@ -16,10 +16,15 @@ from .layers import Init, Module
 from .refiner import VolumeRefiner
 from .voxels import VoxelGrid
 
-# Objects per reconstruction forward.  float32 GEMM blocking depends on the
-# batch shape, so an object's volume would differ in its last bits with the
-# number of objects it shares a forward with.  Every volume is computed in a
-# batch of exactly this many, so each row's bits are independent of the rest.
+# No-grad reconstruction runs in two stages, each in batches of one fixed
+# size padded with zeros.  float32 GEMM blocking depends on the batch shape,
+# so a row's last bits would differ with the number of rows it shares a GEMM
+# with; at a fixed shape they do not depend on the other rows.
+# EMBED_CHUNK fixes the backbone stage: images embedded per pass.
+# RECONSTRUCT_CHUNK fixes the token stage (encoder, decoder, refiner):
+# objects per pass.  So each image's token and each object's volume has the
+# same bits whatever it is reconstructed with.
+EMBED_CHUNK = 16
 RECONSTRUCT_CHUNK = 8
 
 
@@ -43,35 +48,39 @@ class MultiViewReconstructor(Module):
 
     # --- forward paths ---
 
-    def encode(self, images, trace: list | None = None) -> Tensor:
-        """[B, N, C, H, W] view images -> [B, N, feature_width] features.
+    def _check_views(self, shape) -> None:
+        """The one check of the model's input: ``shape`` must be [B, N, C, S, S]
+        with 1 <= N <= MAX_VIEWS.  Every module after the backbone takes what
+        the module before it produced."""
+        side = self.cfg.image_size
+        if len(shape) != 5 or tuple(shape[2:]) != (IMAGE_CHANNELS, side, side):
+            raise ShapeMismatch(f"encode expects [B, N, {IMAGE_CHANNELS}, {side}, {side}], "
+                                f"got {tuple(shape)}")
+        _check_view_count(shape[1])
 
-        The one check of the model's input: every module after the backbone
-        takes what the module before it produced.
-        """
+    def encode(self, images, trace: list | None = None) -> Tensor:
+        """[B, N, C, H, W] view images -> [B, N, feature_width] features."""
         t = images if isinstance(images, Tensor) else Tensor(
             np.asarray(images, dtype=self.cfg.np_dtype))
-        side = self.cfg.image_size
-        if t.ndim != 5 or t.shape[2:] != (IMAGE_CHANNELS, side, side):
-            raise ShapeMismatch(f"encode expects [B, N, {IMAGE_CHANNELS}, {side}, {side}], "
-                                f"got {t.shape}")
+        self._check_views(t.shape)
         bsz, n_views = t.shape[0], t.shape[1]
-        if n_views < 1:
-            raise ShapeMismatch("encode needs at least one view")
-        if n_views > MAX_VIEWS:
-            raise ShapeMismatch(f"{n_views} views exceed limit {MAX_VIEWS}")
         flat = t.reshape((bsz * n_views,) + t.shape[2:])
         embedded = self.backbone(flat)
         tokens = embedded.reshape(bsz, n_views, self.cfg.embed_dim)
         return self.encoder(tokens, trace=trace)
 
-    def forward(self, images) -> ModelOutput:
-        features = self.encode(images)
+    def decode(self, features: Tensor) -> ModelOutput:
+        """[B, N, feature_width] features -> the coarse and refined volumes."""
         coarse = self.decoder(features)
         refined = self.refiner(coarse) if self.refiner is not None else coarse
         return ModelOutput(coarse=coarse, refined=refined)
 
+    def forward(self, images) -> ModelOutput:
+        return self.decode(self.encode(images))
+
     __call__ = forward
+
+    # --- no-grad reconstruction, in two stages ---
 
     def reconstruct(self, views: np.ndarray) -> VoxelGrid:
         """[N, C, H, W] views of one object -> continuous voxel grid."""
@@ -79,25 +88,60 @@ class MultiViewReconstructor(Module):
 
     def reconstruct_batch(self, views) -> np.ndarray:
         """Per-object [N, C, H, W] views (a sequence, or a [B, N, C, H, W]
-        array) -> [B, V, V, V] continuous volumes, without grad.
+        array) -> [B, V, V, V] continuous volumes, without grad."""
+        return self.volumes_from_tokens(self.embed_views(views))
 
-        Objects run ``RECONSTRUCT_CHUNK`` at a time; the last chunk is padded
-        with zero views, and only the real rows are returned.  Every object
-        must have the same [N, C, H, W] views.
+    def embed_views(self, views) -> np.ndarray:
+        """Per-object [N, C, H, W] views (a sequence, or a [B, N, C, H, W]
+        array) -> [B, N, embed_dim] backbone tokens, without grad.
+
+        Images run ``EMBED_CHUNK`` at a time; the last chunk is padded with
+        zero images.  Every object must have the same [N, C, H, W] views.
         """
         for i, obj_views in enumerate(views):
             if np.shape(obj_views) != np.shape(views[0]):
                 raise ShapeMismatch(f"object {i} has views {np.shape(obj_views)}, "
                                     f"object 0 has {np.shape(views[0])}")
-        volumes = np.empty((len(views),) + (self.cfg.voxel_side,) * 3,
-                           dtype=self.cfg.np_dtype)
-        for start in range(0, len(views), RECONSTRUCT_CHUNK):
-            chunk = views[start:start + RECONSTRUCT_CHUNK]
-            batch = np.zeros((RECONSTRUCT_CHUNK,) + np.shape(chunk[0]),
-                             dtype=self.cfg.np_dtype)
+        shape = (len(views),) + (np.shape(views[0]) if len(views) else ())
+        self._check_views(shape)
+        images = [image for obj_views in views for image in obj_views]
+        tokens = np.empty((len(images), self.cfg.embed_dim), dtype=self.cfg.np_dtype)
+        for start in range(0, len(images), EMBED_CHUNK):
+            chunk = images[start:start + EMBED_CHUNK]
+            batch = np.zeros((EMBED_CHUNK,) + shape[2:], dtype=self.cfg.np_dtype)
             batch[:len(chunk)] = chunk
             with ad.no_grad():
-                refined = self.forward(batch).refined.data
+                embedded = self.backbone(Tensor(batch)).data
+            tokens[start:start + len(chunk)] = embedded[:len(chunk)]
+        return tokens.reshape(shape[:2] + (self.cfg.embed_dim,))
+
+    def volumes_from_tokens(self, tokens) -> np.ndarray:
+        """[B, N, embed_dim] backbone tokens -> [B, V, V, V] continuous
+        volumes, without grad.
+
+        Objects run ``RECONSTRUCT_CHUNK`` at a time; the last chunk is padded
+        with zero tokens, and only the real rows are returned.
+        """
+        tokens = np.asarray(tokens)
+        if tokens.ndim != 3 or tokens.shape[2] != self.cfg.embed_dim:
+            raise ShapeMismatch(f"volumes_from_tokens expects [B, N, {self.cfg.embed_dim}], "
+                                f"got {tokens.shape}")
+        _check_view_count(tokens.shape[1])
+        volumes = np.empty((len(tokens),) + (self.cfg.voxel_side,) * 3,
+                           dtype=self.cfg.np_dtype)
+        for start in range(0, len(tokens), RECONSTRUCT_CHUNK):
+            chunk = tokens[start:start + RECONSTRUCT_CHUNK]
+            batch = np.zeros((RECONSTRUCT_CHUNK,) + chunk.shape[1:], dtype=self.cfg.np_dtype)
+            batch[:len(chunk)] = chunk
+            with ad.no_grad():
+                refined = self.decode(self.encoder(Tensor(batch))).refined.data
             # sigmoid output is strictly inside (0, 1) but guard float round-off
             volumes[start:start + len(chunk)] = np.clip(refined[:len(chunk)], 0.0, 1.0)
         return volumes
+
+
+def _check_view_count(n_views: int) -> None:
+    if n_views < 1:
+        raise ShapeMismatch("encode needs at least one view")
+    if n_views > MAX_VIEWS:
+        raise ShapeMismatch(f"{n_views} views exceed limit {MAX_VIEWS}")

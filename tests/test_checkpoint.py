@@ -1,3 +1,4 @@
+import re
 import zlib
 
 import numpy as np
@@ -25,6 +26,13 @@ def tiny_model():
 def resigned(data: bytes) -> bytes:
     """``data`` with its CRC recomputed, as a deliberate edit would be."""
     return data[:-4] + zlib.crc32(data[12:-4]).to_bytes(4, "little")
+
+
+def with_head(data: bytes, edit) -> bytes:
+    """``data`` with its head replaced by ``edit(head)``, re-signed."""
+    head_end = 16 + int.from_bytes(data[12:16], "little")
+    head = edit(data[16:head_end])
+    return resigned(data[:12] + len(head).to_bytes(4, "little") + head + data[head_end:])
 
 
 def assert_load_fails_unchanged(data, model, error, match=None):
@@ -162,11 +170,23 @@ def test_non_utf8_head_is_corrupt(tiny_model, tmp_path):
                                   b"model.encoder_heads = 4"])
 def test_checkpoint_naming_a_fixed_shape_setting_is_corrupt(tiny_model, tmp_path, line):
     # checkpoints written while these were settings carry them in the head
-    data = checkpoint_bytes(tiny_model)
-    head_end = 16 + int.from_bytes(data[12:16], "little")
-    head = line + b"\n" + data[16:head_end]
-    old = data[:12] + len(head).to_bytes(4, "little") + head + data[head_end:]
     path = tmp_path / "model.ckpt"
-    path.write_bytes(resigned(old))
+    path.write_bytes(with_head(checkpoint_bytes(tiny_model), lambda head: line + b"\n" + head))
     with pytest.raises(MalformedFile, match="checkpoint config: unknown model field"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("line,match", [
+    # numpy cannot hold the decoder's query bank: 2e6^3 cubes
+    (b"model.voxel_side = 8000000", "checkpoint config: "),
+    # buildable, but not the shapes of the payload the file carries
+    (b"model.embed_dim = 512", "payload length does not fit its config"),
+])
+def test_config_asking_for_other_shapes_is_corrupt(tiny_model, tmp_path, line, match):
+    field = line.split(b" = ")[0]
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(with_head(checkpoint_bytes(tiny_model), lambda head: re.sub(
+        rb"^" + re.escape(field) + rb" = \d+$", line, head, count=1, flags=re.M)))
+    assert line in path.read_bytes()
+    with pytest.raises(MalformedFile, match=match):
         load_model(path)

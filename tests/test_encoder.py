@@ -82,6 +82,36 @@ def test_encode_rejects_wrong_image_shape(shape):
         model.encode(np.zeros(shape, dtype=np.float32))
 
 
+@pytest.mark.parametrize("shape,match", [
+    ((1, 2, 2, 16, 16), r"encode expects \[B, N, 2, 32, 32\]"),
+    ((1, 2, 3, 32, 32), r"encode expects \[B, N, 2, 32, 32\]"),
+    ((2, 32, 32), r"encode expects \[B, N, 2, 32, 32\]"),
+    ((1, 0, 2, 32, 32), "encode needs at least one view"),
+    ((1, 25, 2, 32, 32), "25 views exceed limit 24"),
+], ids=["side", "channels", "rank", "no-view", "too-many"])
+def test_embedding_path_checks_images_like_encode(shape, match):
+    # the backbone itself takes any image size
+    model = MultiViewReconstructor(tiny_model_config(), seed=0)
+    images = np.zeros(shape, dtype=np.float32)
+    for path in (model.embed_views, model.reconstruct_batch):
+        with pytest.raises(ShapeMismatch, match=match):
+            path(images)
+        with pytest.raises(ShapeMismatch, match=match):
+            path(list(images))
+
+
+@pytest.mark.parametrize("shape,match", [
+    ((1, 2, 16), r"volumes_from_tokens expects \[B, N, 32\]"),
+    ((2, 32), r"volumes_from_tokens expects \[B, N, 32\]"),
+    ((1, 0, 32), "encode needs at least one view"),
+    ((1, 25, 32), "25 views exceed limit 24"),
+], ids=["width", "rank", "no-view", "too-many"])
+def test_volumes_from_tokens_checks_its_tokens(shape, match):
+    model = MultiViewReconstructor(tiny_model_config(), seed=0)
+    with pytest.raises(ShapeMismatch, match=match):
+        model.volumes_from_tokens(np.zeros(shape, dtype=np.float32))
+
+
 # --- backbone ---
 
 def gelu_np(x):

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +8,14 @@ import pytest
 
 import mvrecon
 from mvrecon.config import tiny_model_config
-from mvrecon.datagen import CATEGORIES, build_dataset
+from mvrecon.datagen import (
+    CATEGORIES,
+    OCCLUDED_VIEWS,
+    OCCLUSION_BOX_SIZES,
+    build_dataset,
+    occlude,
+)
+from mvrecon.encoder import ViewBackbone
 from mvrecon.errors import BadConfig, MissingViews, ShapeMismatch, TooFewObjects
 from mvrecon.evaluation import (
     DEFAULT_VIEW_COUNTS,
@@ -17,7 +25,7 @@ from mvrecon.evaluation import (
     scores_csv,
     scores_markdown,
 )
-from mvrecon.model import MultiViewReconstructor
+from mvrecon.model import EMBED_CHUNK, MultiViewReconstructor
 
 
 @pytest.fixture(scope="module")
@@ -26,28 +34,35 @@ def dataset():
                          categories=CATEGORIES[:3], n_views=24)
 
 
-class CyclingStub:
+class Stub:
+    """Embeds each view as one zero; subclasses make volumes from the tokens."""
+
+    def embed_views(self, views):
+        return np.zeros((len(views), len(views[0]), 1), dtype=np.float32)
+
+
+class CyclingStub(Stub):
     """Returns prepared volumes for objects visited in evaluation order."""
 
     def __init__(self, volumes):
         self.volumes = volumes
         self.cursor = 0
 
-    def reconstruct_batch(self, views):
-        n = len(views)
+    def volumes_from_tokens(self, tokens):
+        n = len(tokens)
         out = [self.volumes[(self.cursor + i) % len(self.volumes)]
                for i in range(n)]
         self.cursor = (self.cursor + n) % len(self.volumes)
         return np.stack(out)
 
 
-class ConstantStub:
+class ConstantStub(Stub):
     def __init__(self, value, side):
         self.value = value
         self.side = side
 
-    def reconstruct_batch(self, views):
-        return np.full((len(views),) + (self.side,) * 3, self.value,
+    def volumes_from_tokens(self, tokens):
+        return np.full((len(tokens),) + (self.side,) * 3, self.value,
                        dtype=np.float32)
 
 
@@ -99,6 +114,13 @@ def test_missing_views_error(dataset):
     stub = ConstantStub(0.5, dataset.voxel_side)
     with pytest.raises(MissingViews):
         evaluate(stub, dataset, view_counts=(25,))
+
+
+@pytest.mark.parametrize("view_counts", [(-1, 8), (0,)])
+def test_every_view_count_is_checked_before_tokens_are_sliced(dataset, view_counts):
+    # a bare tokens[:, :-1] would score 7 of 8 views without a word
+    with pytest.raises(MissingViews, match=f"asked for {view_counts[0]} views"):
+        evaluate(ConstantStub(0.5, dataset.voxel_side), dataset, view_counts=view_counts)
 
 
 def test_empty_split_error(dataset):
@@ -255,3 +277,112 @@ def test_random_occlusion_does_not_depend_on_hash_seed():
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 4
     assert outputs[0] == outputs[1]
+
+
+# --- each view image is embedded once ---
+
+class Recorder:
+    """The model, keeping every volume batch the evaluation scores."""
+
+    def __init__(self, model):
+        self.model = model
+        self.volumes = []
+
+    def embed_views(self, views):
+        return self.model.embed_views(views)
+
+    def volumes_from_tokens(self, tokens):
+        self.volumes.append(self.model.volumes_from_tokens(tokens))
+        return self.volumes[-1]
+
+
+@pytest.fixture(scope="module")
+def twenty_views():
+    """The tiny preset, whose second conv stage rounds differently with the
+    number of images in a pass, and 12 test objects with 20 views each."""
+    dataset = build_dataset(60, 8, 32, seed=5, n_views=20)
+    assert len(dataset.split("test")) == 12
+    return MultiViewReconstructor(tiny_model_config(), seed=2), dataset
+
+
+def test_view_counts_from_one_embedding_match_their_own_views_bitwise(twenty_views):
+    model, dataset = twenty_views
+    objects = dataset.split("test")
+    recorder = Recorder(model)
+    rows = evaluate(recorder, dataset).view_counts
+    assert len(recorder.volumes) == len(DEFAULT_VIEW_COUNTS)
+    for k, volumes, row in zip(DEFAULT_VIEW_COUNTS, recorder.volumes, rows):
+        own = model.reconstruct_batch([obj.first_views(k) for obj in objects])
+        assert np.array_equal(volumes, own), k
+        assert row == evaluate(model, dataset, view_counts=(k,)).view_counts[0]
+
+
+@pytest.mark.parametrize("mode", ["center", "random"])
+def test_occlusion_from_reembedded_hit_views_matches_bitwise(twenty_views, mode):
+    model, dataset = twenty_views
+    objects = dataset.split("test")
+    recorder = Recorder(model)
+    rows = occlusion_sweep(recorder, dataset, sizes=(0, 10, 40), n_views=12, mode=mode)
+    for box, volumes, row in zip((0, 10, 40), recorder.volumes, rows):
+        # the sweep's seed 0 gives each object its own seed
+        own = model.reconstruct_batch([occlude(obj.first_views(12), box, mode=mode,
+                                               seed=obj.seed) for obj in objects])
+        assert np.array_equal(volumes, own), box
+        assert row == occlusion_sweep(model, dataset, sizes=(box,), n_views=12, mode=mode)[0]
+
+
+@pytest.fixture()
+def embedded_images(monkeypatch):
+    """The number of images each backbone pass is handed, padding included."""
+    counts = []
+    backbone = ViewBackbone.__call__
+
+    def counting(self, images):
+        counts.append(images.shape[0])
+        return backbone(self, images)
+
+    monkeypatch.setattr(ViewBackbone, "__call__", counting)
+    return counts
+
+
+def test_each_view_image_is_embedded_once(embedded_images):
+    # the eval-desk benchmark op at tiny size: 8 test objects, the default
+    # view counts, then the centre sweep at 12 views
+    dataset = build_dataset(40, 8, 32, seed=1)
+    n_test = len(dataset.split("test"))
+    assert n_test == 8
+    model = MultiViewReconstructor(tiny_model_config(), seed=0)
+    evaluate(model, dataset)
+    assert sum(embedded_images) == 20 * n_test
+    embedded_images.clear()
+    occlusion_sweep(model, dataset, n_views=12)
+    hit = len(range(12)[OCCLUDED_VIEWS])
+    assert hit == 6
+    assert sum(embedded_images) == (12 + len(OCCLUSION_BOX_SIZES) * hit) * n_test
+    assert set(embedded_images) == {EMBED_CHUNK}
+
+
+@pytest.mark.parametrize("n_views", [1, 12, 16, 20])
+def test_one_object_embeds_its_views_in_whole_passes(embedded_images, n_views):
+    model = MultiViewReconstructor(tiny_model_config(), seed=0)
+    views = np.zeros((n_views, 2, 32, 32), dtype=np.float32)
+    model.reconstruct(views)
+    assert sum(embedded_images) == -(-n_views // EMBED_CHUNK) * EMBED_CHUNK
+
+
+def test_traced_eval_benchmark_finds_every_span():
+    # the tracer wraps evaluation.reconstruct_objects, evaluation.occlude,
+    # the metrics, ViewBackbone.__call__ and MultiViewReconstructor.forward
+    # by name; a missing one fails the run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run([sys.executable, os.path.join(root, "benchmark", "run.py"),
+                           "--workload", "eval-desk", "--seed", "1", "--trace", "1",
+                           "--tiny", "--ops", "1"],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    for name in ("evaluation.reconstruct_ms", "datagen.occlude_ms", "voxels.iou_ms",
+                 "voxels.fscore_ms", "encoder.backbone_ms"):
+        assert metrics[name] > 0, name

@@ -1,6 +1,7 @@
 """The parameter registry that ``Module.named_params`` walks."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from mvrecon import autodiff as ad
 from mvrecon import decoder, layers, refiner
 from mvrecon.autodiff import Tensor
 from mvrecon.checkpoint import checkpoint_bytes, load_checkpoint_bytes
-from mvrecon.config import desk_model_config, tiny_model_config
+from mvrecon.config import desk_model_config, paper_model_config, tiny_model_config
 from mvrecon.layers import Init, Linear
 from mvrecon.model import MultiViewReconstructor
 from mvrecon.voxels import loss_total
@@ -168,6 +169,19 @@ def test_seed_none_draws_nothing_and_zeroes_the_drawn_weights(dtype, monkeypatch
         assert q.shape == p.shape and q.dtype == p.dtype == np.dtype(dtype), name
         # layer-norm gains are constants, not drawn
         assert np.all(q.data == (1.0 if name.endswith(".gain") else 0.0)), name
+
+
+def test_seed_none_allocates_no_weight():
+    # a checkpoint replaces every weight, so a paper-scale build costs nothing
+    tracemalloc.start()
+    try:
+        blank = MultiViewReconstructor(paper_model_config(), seed=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert blank.num_params() > 60_000_000
+    assert peak < 4 << 20
+    assert not any(p.data.flags.writeable for p in blank.parameters())
 
 
 @pytest.mark.parametrize("flag,prefix", [("use_refiner", "refiner.")])

@@ -307,31 +307,18 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    w = a.shape[-1]
-    if gain.shape != (w,) or bias.shape != (w,):
-        raise ShapeMismatch(
-            f"layer_norm: gain/bias {gain.shape}/{bias.shape} vs last axis {w}")
-    _check_dtypes("layer_norm", a, gain, bias)
-    x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + a.dtype.type(eps))
-    xhat = xc * inv
-    data = (xhat * gain.data + bias.data).astype(a.dtype, copy=False)
+def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
+    """Each last-axis row of ``a`` at zero mean and unit variance, with no gain or bias."""
+    xc = a.data - a.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + a.dtype.type(eps))
+    data = xc * inv
 
     def vjp(g):
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        reduce_axes = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=reduce_axes)
-        dbias = g.sum(axis=reduce_axes)
-        return dx.astype(a.dtype, copy=False), dgain, dbias
+        m1 = g.mean(axis=-1, keepdims=True)
+        m2 = (g * data).mean(axis=-1, keepdims=True)
+        return (inv * (g - m1 - data * m2),)
 
-    return _make(data, "layer_norm", (a, gain, bias), vjp)
+    return _make(data, "layer_norm", (a,), vjp)
 
 
 # --- movement ---

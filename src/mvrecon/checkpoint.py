@@ -77,6 +77,8 @@ def _checked(data: bytes) -> tuple[bytes, memoryview]:
     if len(data) < 20 or zlib.crc32(view[12:-4]) != int.from_bytes(view[-4:], "little"):
         raise MalformedFile("checkpoint checksum mismatch")
     head_end = 16 + int.from_bytes(view[12:16], "little")
+    if head_end > len(data) - 4:
+        raise MalformedFile("checkpoint head runs past the end of the file")
     return bytes(view[16:head_end]), view[head_end:-4]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import BACKBONE_STAGES, IMAGE_CHANNELS, MAX_VIEWS, ModelConfig
-from .layers import EMBED_STD, AttentionLayer, Conv2d, Init, LayerNorm, Linear, Module
+from .layers import EMBED_STD, AttentionLayer, Conv2d, Init, Linear, Module
 
 
 class ViewBackbone(Module):
@@ -66,7 +66,6 @@ class MultiViewEncoder(Module):
             last = j == len(widths) - 1
             self.blocks.append(PatchAttentionBlock(init, w, cfg.encoder_layers,
                                                    cfg.head_count(w), reduce=not last))
-        self.final_norm = LayerNorm(init, cfg.feature_width)
 
     def __call__(self, tokens: Tensor, trace: list | None = None) -> Tensor:
         """[B, N, d] view tokens -> [B, N, feature_width] fused features.
@@ -84,4 +83,4 @@ class MultiViewEncoder(Module):
             collected.append(out)
             x = reduced if reduced is not None else out
         fused = ad.concat(collected, axis=-1)
-        return self.final_norm(fused)
+        return ad.layer_norm(fused)

@@ -14,6 +14,10 @@ from its seed and ``ModelConfig.np_dtype``.  Each weight is drawn in float64,
 in constructor order, and cast to the dtype as it is made.  A layer keeps
 only weights that change its function: a map whose bias another term states,
 or a softmax cancels, is ``Linear(init, a, b).weight``, drawn as before.
+Every layer norm is affine-free (``ad.layer_norm`` has no gain or bias):
+each feeds only linear maps, so a gain would scale the rows of the map it
+feeds, and a bias would be a key bias the softmax cancels or a bias that
+``q.bias``, ``out.bias`` or ``fc1.bias`` already states.
 
 Every MLP in the model is ``MLP_RATIO`` times as wide as its input.
 """
@@ -43,14 +47,14 @@ class Init:
     def gaussian(self, std: float, shape) -> Tensor:
         """A parameter drawn from N(0, std^2), or zeros with no generator."""
         if self.rng is None:
-            return self.constant(0.0, shape)
+            return self.zeros(shape)
         return Tensor(self.rng.normal(0.0, std, shape), requires_grad=True, dtype=self.dtype)
 
-    def constant(self, value: float, shape) -> Tensor:
-        """A parameter with every entry ``value``."""
+    def zeros(self, shape) -> Tensor:
+        """A parameter of zeros: every bias starts here."""
         if self.rng is None:
-            return Tensor(np.broadcast_to(self.dtype.type(value), shape), requires_grad=True)
-        return Tensor(np.full(shape, value, self.dtype), requires_grad=True)
+            return Tensor(np.broadcast_to(self.dtype.type(0.0), shape), requires_grad=True)
+        return Tensor(np.zeros(shape, self.dtype), requires_grad=True)
 
 
 class Module:
@@ -87,21 +91,10 @@ class Linear(Module):
 
     def __init__(self, init: Init, in_dim: int, out_dim: int):
         self.weight = init.gaussian(1.0 / math.sqrt(in_dim), (in_dim, out_dim))
-        self.bias = init.constant(0.0, out_dim)
+        self.bias = init.zeros(out_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.matmul(x, self.weight, self.bias)
-
-
-class LayerNorm(Module):
-    """Layer norm over the last axis with autodiff's default epsilon, 1e-5."""
-
-    def __init__(self, init: Init, dim: int):
-        self.gain = init.constant(1.0, dim)
-        self.bias = init.constant(0.0, dim)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gain, self.bias)
 
 
 class Conv2d(Module):
@@ -115,7 +108,7 @@ class Conv2d(Module):
         k = self.KERNEL
         self.weight = init.gaussian(math.sqrt(2.0 / (in_channels * k * k)),
                                     (out_channels, in_channels, k, k))
-        self.bias = init.constant(0.0, out_channels)
+        self.bias = init.zeros(out_channels)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.conv2d(x, self.weight, self.bias, self.STRIDE, self.PADDING)
@@ -163,13 +156,11 @@ class AttentionLayer(Module):
     """
 
     def __init__(self, init: Init, dim: int, heads: int, mlp_residual: bool):
-        self.norm_attn = LayerNorm(init, dim)
         self.attn = MultiHeadAttention(init, dim, heads)
-        self.norm_mlp = LayerNorm(init, dim)
         self.mlp = FeedForward(init, dim, dim * MLP_RATIO)
         self.mlp_residual = mlp_residual
 
     def __call__(self, x: Tensor, trace: list | None = None) -> Tensor:
-        attended = ad.add(x, self.attn(self.norm_attn(x), trace=trace))
-        fed = self.mlp(self.norm_mlp(attended))
+        attended = ad.add(x, self.attn(ad.layer_norm(x), trace=trace))
+        fed = self.mlp(ad.layer_norm(attended))
         return ad.add(attended, fed) if self.mlp_residual else fed

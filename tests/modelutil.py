@@ -1,5 +1,10 @@
 """Shared helpers for the model test modules."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 
 from mvrecon import autodiff as ad
@@ -7,6 +12,20 @@ from mvrecon.config import IMAGE_CHANNELS, tiny_model_config
 from mvrecon.layers import Init
 
 from fd import central_diff_sample
+
+
+def traced_tiny_benchmark(workload: str) -> dict:
+    """Each metric's value from one traced tiny op of a ``benchmark/run.py``
+    workload, after checking that the run exits 0 and passes its checks."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run([sys.executable, os.path.join(root, "benchmark", "run.py"),
+                           "--workload", workload, "--seed", "1", "--trace", "1",
+                           "--tiny", "--ops", "1"],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    return {k: v["value"] for k, v in result["metrics"].items()}
 
 
 def tiny64(**overrides):

@@ -76,6 +76,19 @@ def test_truncated_checkpoint_is_detected(tiny_model):
                                 "payload length mismatch")
 
 
+@pytest.mark.parametrize("head_len", [lambda n: n - 19, lambda n: n, lambda n: 2 ** 32 - 1],
+                         ids=["into-crc", "file-length", "u32-max"])
+def test_head_running_past_the_file_is_corrupt(tiny_model, tmp_path, head_len):
+    data = checkpoint_bytes(tiny_model)
+    data = resigned(data[:12] + head_len(len(data)).to_bytes(4, "little") + data[16:])
+    other = MultiViewReconstructor(tiny_model.cfg, seed=2)
+    assert_load_fails_unchanged(data, other, MalformedFile, "head runs past the end")
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(data)
+    with pytest.raises(MalformedFile, match="head runs past the end"):
+        load_model(path)
+
+
 def test_version_mismatch(tiny_model):
     data = bytearray(checkpoint_bytes(tiny_model))
     # 1 carried resume state; 2 a hash of the config, not its text; 3 one

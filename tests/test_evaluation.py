@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -26,6 +25,8 @@ from mvrecon.evaluation import (
     scores_markdown,
 )
 from mvrecon.model import EMBED_CHUNK, MultiViewReconstructor
+
+from modelutil import traced_tiny_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -374,15 +375,7 @@ def test_traced_eval_benchmark_finds_every_span():
     # the tracer wraps evaluation.reconstruct_objects, evaluation.occlude,
     # the metrics, ViewBackbone.__call__ and MultiViewReconstructor.forward
     # by name; a missing one fails the run
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    done = subprocess.run([sys.executable, os.path.join(root, "benchmark", "run.py"),
-                           "--workload", "eval-desk", "--seed", "1", "--trace", "1",
-                           "--tiny", "--ops", "1"],
-                          cwd=root, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
-    assert result["correct"] is True
-    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    metrics = traced_tiny_benchmark("eval-desk")
     for name in ("evaluation.reconstruct_ms", "datagen.occlude_ms", "voxels.iou_ms",
                  "voxels.fscore_ms", "encoder.backbone_ms"):
         assert metrics[name] > 0, name

@@ -17,6 +17,8 @@ from mvrecon.training import (
     train_step,
 )
 
+from modelutil import traced_tiny_benchmark
+
 
 @pytest.fixture(scope="module")
 def tiny_dataset():
@@ -194,3 +196,11 @@ def test_loss_curve_csv_shape(tiny_dataset):
     lines = text.strip().splitlines()
     assert lines[0] == "iteration,lr,loss"
     assert len(lines) == 4
+
+
+def test_traced_train_benchmark_times_the_layer_norms():
+    # the tracer wraps autodiff.layer_norm by name and passes its arguments
+    # through; the norms have no parameters of their own to find them by
+    metrics = traced_tiny_benchmark("train-desk")
+    assert metrics["autodiff.layer_norm_calls"] > 0
+    assert metrics["autodiff.layer_norm_ms"] > 0

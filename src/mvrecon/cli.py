@@ -34,6 +34,7 @@ from .datagen import (
     DEFAULT_N_VIEWS,
     OCCLUSION_BOX_SIZES,
     build_dataset,
+    levels_to_images,
     load_dataset,
     save_dataset,
 )
@@ -198,7 +199,7 @@ def cmd_reconstruct(args) -> int:
         if images[-1].shape != images[0].shape:
             raise ShapeMismatch(f"{path} is {images[-1].shape}, "
                                 f"{args.images[0]} is {images[0].shape}")
-    views = np.stack(images).reshape((-1, 2) + images[0].shape)
+    views = levels_to_images(np.stack(images).reshape((-1, 2) + images[0].shape))
     occupied = model.reconstruct(views).values >= args.threshold
     with open(args.out, "wb") as fh:
         fh.write(write_binvox(occupied))

@@ -5,6 +5,11 @@ fully deterministic from (category, seed, side).  Views are orthographic
 silhouette + nearest-depth renders from a ring of azimuths at a fixed
 elevation.  The occlusion protocol overwrites a square patch on the
 odd-indexed views with background.
+
+A dataset holds each object's views as 8-bit levels, the bytes of its PGM
+files: one byte per pixel, level k standing for k/255.  ``levels_to_images``
+turns them into float32 images, and only the views a step or a pass reads
+are turned: a float copy of every view would take four times the memory.
 """
 
 from __future__ import annotations
@@ -340,21 +345,42 @@ def make_splits(entries: list[tuple[str, str]], seed: int = 0) -> dict[str, str]
 
 # --- full datasets (in memory and on disk) ---
 
+def levels_to_images(levels: np.ndarray) -> np.ndarray:
+    """8-bit levels as float32 images in [0, 1]: level k becomes k/255, the
+    float the renders are quantized to, bit for bit (a division, not a
+    product with 1/255, which rounds some levels differently)."""
+    return np.divide(levels, np.float32(255.0), dtype=np.float32)
+
+
 @dataclass
 class DatasetObject:
+    """One object: its ground-truth grid and its views as uint8 levels.
+
+    ``first_levels`` and ``first_views`` hand out the first poses of the
+    ring, as levels or as float32 images.  ``views`` converts them all, for
+    callers that read every view at once, such as the benchmark's checks.
+    """
     object_id: str
     category: str
     seed: int
     split: str
     grid: np.ndarray    # [V, V, V] float32 binary; None in a parsed manifest
-    views: np.ndarray   # [n_views, 2, H, W] float32; None in a parsed manifest
+    levels: np.ndarray  # [n_views, 2, H, W] uint8, as in the PGMs; None in a parsed manifest
+
+    @property
+    def views(self) -> np.ndarray:
+        """Every view as a float32 image, converted on each read."""
+        return levels_to_images(self.levels)
+
+    def first_levels(self, n: int) -> np.ndarray:
+        """The levels of the views from the first ``n`` poses of the ring."""
+        if not 1 <= n <= len(self.levels):
+            raise MissingViews(f"asked for {n} views, {self.object_id} has {len(self.levels)}")
+        return self.levels[:n]
 
     def first_views(self, n: int) -> np.ndarray:
-        """The views from the first ``n`` poses of the ring."""
-        if not 1 <= n <= self.views.shape[0]:
-            raise MissingViews(
-                f"asked for {n} views, {self.object_id} has {self.views.shape[0]}")
-        return self.views[:n]
+        """The views from the first ``n`` poses of the ring, as float32 images."""
+        return levels_to_images(self.first_levels(n))
 
 
 @dataclass
@@ -433,11 +459,6 @@ def manifest_from_text(text: str) -> Dataset:
         raise MalformedFile(f"bad manifest header: {exc!r}") from None
 
 
-def _quantize(images: np.ndarray) -> np.ndarray:
-    # match the 8-bit precision of the on-disk PGM renders
-    return np.rint(images * 255.0).astype(np.float32) / 255.0
-
-
 def build_dataset(n_objects: int, voxel_side: int, image_size: int, seed: int = 0,
                   categories: tuple[str, ...] = CATEGORIES, n_views: int = DEFAULT_N_VIEWS,
                   elevation_deg: float = DEFAULT_ELEVATION_DEG) -> Dataset:
@@ -455,7 +476,9 @@ def build_dataset(n_objects: int, voxel_side: int, image_size: int, seed: int = 
     assignment = make_splits([(o.object_id, o.category) for o in dataset.objects], seed=seed)
     for obj in dataset.objects:
         obj.split = assignment[obj.object_id]
-        obj.views = _quantize(render_views(obj.grid, n_views, image_size, elevation_deg))
+        views = render_views(obj.grid, n_views, image_size, elevation_deg)
+        views *= 255.0  # in place: a 224-px object's views are ~10 MB of float32
+        obj.levels = np.rint(views, out=views).astype(np.uint8)  # the PGMs' 8 bits
     return dataset
 
 
@@ -472,11 +495,11 @@ def save_dataset(dataset: Dataset, root) -> None:
             fh.write(voxio.write_binvox(obj.grid))
         view_dir = os.path.join(root, "views", obj.object_id)
         os.makedirs(view_dir, exist_ok=True)
-        for k in range(obj.views.shape[0]):
+        for k in range(len(obj.levels)):
             for ch, tag in ((0, "sil"), (1, "dep")):
                 path = os.path.join(view_dir, f"v{k:02d}_{tag}.pgm")
                 with open(path, "wb") as fh:
-                    fh.write(voxio.write_pgm(obj.views[k, ch]))
+                    fh.write(voxio.write_pgm(obj.levels[k, ch]))
 
 
 def load_dataset(root) -> Dataset:
@@ -500,11 +523,11 @@ def load_dataset(root) -> Dataset:
                         image = voxio.read_pgm(fh.read())
                     if image.shape != image_shape:
                         raise MalformedFile(f"{path}: image {image.shape}, expected {image_shape}")
-                    if obj.views is None:  # allocate once the files bear out the header:
+                    if obj.levels is None:  # allocate once the files bear out the header:
                         # this view has its image size, and the last listed view exists
                         os.stat(os.path.join(view_dir, f"v{dataset.n_views - 1:02d}_dep.pgm"))
-                        obj.views = np.empty((dataset.n_views, 2) + image_shape, np.float32)
-                    obj.views[k, ch] = image
+                        obj.levels = np.empty((dataset.n_views, 2) + image_shape, np.uint8)
+                    obj.levels[k, ch] = image
     except FileNotFoundError as exc:
         raise MalformedFile(f"{exc.filename}: listed in the manifest but missing") from None
     return dataset

@@ -7,9 +7,10 @@ size), its count of empty predictions and a per-category breakdown; one loop,
 Each distinct view image is embedded once.  Every view count is a prefix of
 the same poses, so ``evaluate`` embeds each object's first ``max(view_counts)``
 views and reconstructs every count from a prefix of those tokens.
-``occlusion_sweep`` embeds the clean views once, then, one box at a time,
-only the views ``occlude`` hits (``OCCLUDED_VIEWS``).  The bits are those of
-reconstructing each setting's own views: the backbone runs passes of exactly
+``occlusion_sweep`` embeds the clean views no box replaces once, then, one
+box at a time, the views ``occlude`` hits (``OCCLUDED_VIEWS``); a box of 0
+leaves them clean, so only it embeds their clean images.  The bits are those
+of reconstructing each setting's own views: the backbone runs passes of exactly
 ``EMBED_CHUNK`` images, so an image's token does not depend on the images it
 shares a pass with, and the token stage runs exactly ``RECONSTRUCT_CHUNK``
 objects at a time, so an object's volume and score do not depend on the
@@ -22,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import Dataset, DatasetObject, OCCLUDED_VIEWS, OCCLUSION_BOX_SIZES, occlude
+from .datagen import (Dataset, DatasetObject, OCCLUDED_VIEWS, OCCLUSION_BOX_SIZES,
+                      levels_to_images, occlude)
 from .errors import BadConfig, TooFewObjects
 from .model import MultiViewReconstructor
 from .voxels import DEFAULT_THRESHOLD, check_scoring, metric_fscore, metric_iou
@@ -59,9 +61,9 @@ def reconstruct_objects(model: MultiViewReconstructor, objects: list[DatasetObje
     ``n_views`` per object, and only their first ``n_views`` are used;
     otherwise the views are embedded here.
     """
-    views = [obj.first_views(n_views) for obj in objects]  # checks n_views
+    levels = [obj.first_levels(n_views) for obj in objects]  # checks n_views
     if tokens is None:
-        tokens = model.embed_views(views)
+        tokens = model.embed_views([levels_to_images(x) for x in levels])
     return model.volumes_from_tokens(tokens[:, :n_views])
 
 
@@ -114,15 +116,18 @@ def occlusion_sweep(model: MultiViewReconstructor, dataset: Dataset,
         raise BadConfig(f"box size {min(sizes)} is negative")
     objects = _scored_objects(dataset, split, threshold, tau)
     clean = [obj.first_views(n_views) for obj in objects]
-    clean_tokens = model.embed_views(clean)
+    hit = np.zeros(n_views, dtype=bool)
+    hit[OCCLUDED_VIEWS] = True
+    # the views no box replaces, embedded once (a lone view is always hit)
+    kept_tokens = model.embed_views([views[~hit] for views in clean]) if not hit.all() else 0
 
     def occluded(box):
-        if not box:
-            return reconstruct_objects(model, objects, n_views, clean_tokens)
-        hit = [occlude(views, box, mode=mode, seed=seed * 100_003 + obj.seed)[OCCLUDED_VIEWS]
-               for obj, views in zip(objects, clean)]
-        tokens = clean_tokens.copy()
-        tokens[:, OCCLUDED_VIEWS] = model.embed_views(hit)
+        hit_tokens = model.embed_views(
+            [occlude(views, box, mode=mode, seed=seed * 100_003 + obj.seed)[hit]
+             for obj, views in zip(objects, clean)])
+        tokens = np.empty((len(objects), n_views, hit_tokens.shape[2]), hit_tokens.dtype)
+        tokens[:, hit] = hit_tokens
+        tokens[:, ~hit] = kept_tokens
         return reconstruct_objects(model, objects, n_views, tokens)
 
     return _scores(objects, threshold, tau, sizes, occluded)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import TrainConfig
-from .datagen import Dataset, DatasetObject
+from .datagen import Dataset, DatasetObject, levels_to_images
 from .errors import (DivergedLoss, MissingViews, NumericalOverflow, ShapeMismatch,
                      TooFewObjects)
 from .model import MultiViewReconstructor
@@ -27,17 +27,18 @@ def data_rng(seed: int) -> np.random.Generator:
 
 def sample_batch(objects: list[DatasetObject], cfg: TrainConfig,
                  rng: np.random.Generator):
-    """Stack a batch, sampling views per object without replacement."""
-    images, grids = [], []
+    """Stack a batch, sampling views per object without replacement; only
+    the sampled views become float32 images."""
+    levels, grids = [], []
     for obj in objects:
-        pool = obj.views.shape[0]
+        pool = len(obj.levels)
         if cfg.views_per_sample > pool:
             raise MissingViews(
                 f"need {cfg.views_per_sample} views, object has {pool}")
         picked = rng.choice(pool, size=cfg.views_per_sample, replace=False)
-        images.append(obj.views[picked])
+        levels.append(obj.levels[picked])
         grids.append(obj.grid)
-    return np.stack(images), np.stack(grids)
+    return levels_to_images(np.stack(levels)), np.stack(grids)
 
 
 def sgd_step(params: list[Tensor], grads: list[np.ndarray], lr: float) -> None:

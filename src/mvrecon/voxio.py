@@ -8,6 +8,9 @@ z, then x), so arrays are transposed between our native (x, y, z) order and
 the wire order on read/write.
 
 PGM: binary P5, maxval 255, used for rendered view channels and heatmaps.
+``write_pgm`` takes a float image in [0, 1] or uint8 levels, and
+``read_pgm`` returns the file's pixel bytes as uint8 levels, unconverted;
+a float view is ``datagen.levels_to_images`` of them.
 """
 
 from __future__ import annotations
@@ -125,7 +128,8 @@ def write_pgm(image: np.ndarray) -> bytes:
 
 
 def read_pgm(data: bytes) -> np.ndarray:
-    """Binary P5 bytes to a float32 image in [0, 1]."""
+    """Binary P5 bytes to a uint8 [H, W] image: the file's pixel bytes, level k
+    standing for k/255."""
     fields: list[bytes] = []
     pos = 0
     while len(fields) < 4:
@@ -156,5 +160,4 @@ def read_pgm(data: bytes) -> np.ndarray:
     body = data[pos:pos + w * h]
     if len(body) != w * h:
         raise MalformedFile(f"payload is {len(body)} bytes, expected {w * h}")
-    img = np.frombuffer(body, dtype=np.uint8).reshape(h, w)
-    return img.astype(np.float32) / 255.0
+    return np.frombuffer(body, dtype=np.uint8).reshape(h, w).copy()

@@ -4,9 +4,12 @@ import shutil
 import numpy as np
 import pytest
 
+from mvrecon.checkpoint import load_model
 from mvrecon.cli import build_parser, main
 from mvrecon.config import MODEL_PRESETS
 from mvrecon.datagen import load_dataset
+from mvrecon.model import MultiViewReconstructor
+from mvrecon.voxels import DEFAULT_THRESHOLD
 from mvrecon.voxio import read_binvox, write_pgm
 
 
@@ -110,6 +113,31 @@ def test_reconstruct_command(workspace, tmp_path):
                  "--images"] + images + ["--out", out]) == 0
     grid = read_binvox(open(out, "rb").read())
     assert grid.shape == (8, 8, 8)
+
+
+def test_reconstruct_command_matches_the_model_on_the_dataset_views(workspace, tmp_path,
+                                                                   monkeypatch):
+    views_dir = os.path.join(workspace["data"], "views", "obj0002")
+    images = [os.path.join(views_dir, f"v{k:02d}_{tag}.pgm")
+              for k in range(3) for tag in ("sil", "dep")]
+    ckpt = os.path.join(workspace["run"], "checkpoint.ckpt")
+    out = str(tmp_path / "recon.binvox")
+    volumes = []
+    reconstruct = MultiViewReconstructor.reconstruct
+
+    def recording(self, views):
+        grid = reconstruct(self, views)
+        volumes.append(grid.values)
+        return grid
+
+    monkeypatch.setattr(MultiViewReconstructor, "reconstruct", recording)
+    assert main(["reconstruct", "--checkpoint", ckpt, "--images", *images, "--out", out]) == 0
+    monkeypatch.undo()
+    obj = load_dataset(workspace["data"]).objects[2]
+    expected = load_model(ckpt).reconstruct(obj.first_views(3)).values
+    assert len(volumes) == 1 and volumes[0].tobytes() == expected.tobytes()
+    occupied = (expected >= DEFAULT_THRESHOLD).astype(np.float32)
+    assert np.array_equal(read_binvox(open(out, "rb").read()), occupied)
 
 
 def test_train_rejects_mismatched_geometry(workspace, tmp_path):

@@ -10,6 +10,7 @@ from mvrecon.datagen import (
     _project,
     build_dataset,
     gen_object,
+    levels_to_images,
     load_dataset,
     make_splits,
     manifest_from_text,
@@ -295,6 +296,37 @@ def test_build_dataset_deterministic_and_split():
     names = {s: len(ds1.split(s)) for s in ("train", "val", "test")}
     assert sum(names.values()) == 18
     assert min(names.values()) >= 1
+
+
+# --- views as 8-bit levels ---
+
+def test_levels_to_images_is_the_float_quantization_for_every_level():
+    # floats across each level's rounding interval, quantized as build_dataset does
+    x = np.clip((np.arange(256)[:, None] + np.linspace(-0.49, 0.49, 9)) / 255, 0, 1)
+    x = x.astype(np.float32)
+    levels = np.rint(x * 255.0).astype(np.uint8)
+    assert np.array_equal(np.unique(levels), np.arange(256))
+    images = levels_to_images(levels)
+    assert images.dtype == np.float32
+    assert images.tobytes() == (np.rint(x * 255.0).astype(np.float32) / 255.0).tobytes()
+
+
+def test_build_dataset_stores_views_as_one_byte_per_pixel():
+    dataset = build_dataset(10, 8, 32, seed=4, n_views=5, categories=("box", "ring"))
+    for obj in dataset.objects:
+        assert obj.levels.dtype == np.uint8 and obj.levels.shape == (5, 2, 32, 32)
+        assert obj.levels.nbytes == 5 * 2 * 32 * 32
+        rendered = render_views(obj.grid, 5, 32)
+        quantized = np.rint(rendered * 255.0).astype(np.float32) / 255.0
+        assert obj.views.tobytes() == quantized.tobytes()
+        assert obj.first_views(3).tobytes() == quantized[:3].tobytes()
+
+
+def test_save_load_roundtrip_keeps_levels_bitwise(tmp_path):
+    built = build_dataset(10, 8, 32, n_views=2, categories=("box",))
+    save_dataset(built, tmp_path)
+    for a, b in zip(built.objects, load_dataset(tmp_path).objects):
+        assert b.levels.dtype == np.uint8 and np.array_equal(a.levels, b.levels)
 
 
 def _saved_dataset(root):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import mvrecon
+from mvrecon import datagen, evaluation
 from mvrecon.config import tiny_model_config
 from mvrecon.datagen import (
     CATEGORIES,
     OCCLUDED_VIEWS,
     OCCLUSION_BOX_SIZES,
     build_dataset,
+    levels_to_images,
     occlude,
 )
 from mvrecon.encoder import ViewBackbone
@@ -115,6 +117,26 @@ def test_missing_views_error(dataset):
     stub = ConstantStub(0.5, dataset.voxel_side)
     with pytest.raises(MissingViews):
         evaluate(stub, dataset, view_counts=(25,))
+
+
+def test_given_tokens_are_checked_without_converting_a_view(dataset, monkeypatch):
+    model = MultiViewReconstructor(tiny_model_config(), seed=0)
+    objects = dataset.split("test")[:2]
+    tokens = model.embed_views([obj.first_views(24) for obj in objects])
+    converted = []
+
+    def counting(levels):
+        converted.append(levels.shape)
+        return levels_to_images(levels)
+
+    monkeypatch.setattr(datagen, "levels_to_images", counting)
+    monkeypatch.setattr(evaluation, "levels_to_images", counting)
+    reconstruct_objects(model, objects, 3, tokens)
+    with pytest.raises(MissingViews, match="asked for 25 views"):
+        reconstruct_objects(model, objects, 25, tokens)
+    assert converted == []
+    reconstruct_objects(model, objects, 3)  # no tokens: each object's views convert
+    assert converted == [(3, 2, 32, 32)] * 2
 
 
 @pytest.mark.parametrize("view_counts", [(-1, 8), (0,)])
@@ -359,7 +381,8 @@ def test_each_view_image_is_embedded_once(embedded_images):
     occlusion_sweep(model, dataset, n_views=12)
     hit = len(range(12)[OCCLUDED_VIEWS])
     assert hit == 6
-    assert sum(embedded_images) == (12 + len(OCCLUSION_BOX_SIZES) * hit) * n_test
+    # the views no box hits once, then each box's hit views; no box is 0
+    assert sum(embedded_images) == (12 - hit + len(OCCLUSION_BOX_SIZES) * hit) * n_test
     assert set(embedded_images) == {EMBED_CHUNK}
 
 

@@ -71,4 +71,4 @@ def test_save_rollout_maps(tmp_path):
     assert len(paths) == ENCODER_BLOCKS * 3
     img = read_pgm(open(paths[0], "rb").read())
     assert img.shape == (1, 3)
-    assert img.max() == pytest.approx(1.0, abs=1 / 255)
+    assert img.max() == 255  # the peak of each map is 1

@@ -6,7 +6,7 @@ import pytest
 from mvrecon import autodiff as ad
 from mvrecon import training
 from mvrecon.config import TrainConfig, tiny_model_config
-from mvrecon.datagen import build_dataset, CATEGORIES
+from mvrecon.datagen import build_dataset, CATEGORIES, levels_to_images
 from mvrecon.errors import DivergedLoss, MissingViews, TooFewObjects
 from mvrecon.model import MultiViewReconstructor
 from mvrecon.training import (
@@ -50,6 +50,24 @@ def test_view_sampling_without_replacement(tiny_dataset):
     images, grids = sample_batch(objs, cfg, rng)
     assert images.shape == (2, 5, 2, 32, 32)
     assert grids.shape == (2, 8, 8, 8)
+
+
+def test_sample_batch_converts_only_the_picked_views(tiny_dataset, monkeypatch):
+    converted = []
+
+    def counting(levels):
+        converted.append(levels.shape)
+        return levels_to_images(levels)
+
+    monkeypatch.setattr(training, "levels_to_images", counting)
+    cfg = make_cfg(views_per_sample=5)
+    objs = tiny_dataset.split("train")[:2]
+    images, _ = sample_batch(objs, cfg, data_rng(0))
+    assert converted == [(2, 5, 2, 32, 32)]
+    rng = data_rng(0)
+    picked = [rng.choice(len(obj.levels), size=5, replace=False) for obj in objs]
+    expected = np.stack([levels_to_images(obj.levels[p]) for obj, p in zip(objs, picked)])
+    assert images.dtype == np.float32 and images.tobytes() == expected.tobytes()
 
 
 def test_view_sampling_missing_views(tiny_dataset):

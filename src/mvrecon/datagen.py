@@ -356,9 +356,9 @@ def levels_to_images(levels: np.ndarray) -> np.ndarray:
 class DatasetObject:
     """One object: its ground-truth grid and its views as uint8 levels.
 
-    ``first_levels`` and ``first_views`` hand out the first poses of the
-    ring, as levels or as float32 images.  ``views`` converts them all, for
-    callers that read every view at once, such as the benchmark's checks.
+    ``first_views`` hands out the views from the first poses of the ring as
+    float32 images.  ``views`` converts them all, for callers that read every
+    view at once, such as the benchmark's checks.
     """
     object_id: str
     category: str
@@ -372,15 +372,11 @@ class DatasetObject:
         """Every view as a float32 image, converted on each read."""
         return levels_to_images(self.levels)
 
-    def first_levels(self, n: int) -> np.ndarray:
-        """The levels of the views from the first ``n`` poses of the ring."""
-        if not 1 <= n <= len(self.levels):
-            raise MissingViews(f"asked for {n} views, {self.object_id} has {len(self.levels)}")
-        return self.levels[:n]
-
     def first_views(self, n: int) -> np.ndarray:
         """The views from the first ``n`` poses of the ring, as float32 images."""
-        return levels_to_images(self.first_levels(n))
+        if not 1 <= n <= len(self.levels):
+            raise MissingViews(f"asked for {n} views, {self.object_id} has {len(self.levels)}")
+        return levels_to_images(self.levels[:n])
 
 
 @dataclass

@@ -10,10 +10,10 @@ views and reconstructs every count from a prefix of those tokens.
 ``occlusion_sweep`` embeds the clean views no box replaces once, then, one
 box at a time, the views ``occlude`` hits (``OCCLUDED_VIEWS``); a box of 0
 leaves them clean, so only it embeds their clean images.  The bits are those
-of reconstructing each setting's own views: the backbone runs passes of exactly
-``EMBED_CHUNK`` images, so an image's token does not depend on the images it
-shares a pass with, and the token stage runs exactly ``RECONSTRUCT_CHUNK``
-objects at a time, so an object's volume and score do not depend on the
+of reconstructing each setting's own views with ``embed_views`` and
+``volumes_from_tokens``: each runs passes of one fixed size (``EMBED_CHUNK``
+images, ``RECONSTRUCT_CHUNK`` objects), so an image's token does not depend
+on the images it shares a pass with, nor an object's volume and score on the
 objects evaluated with it.
 """
 
@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import (Dataset, DatasetObject, OCCLUDED_VIEWS, OCCLUSION_BOX_SIZES,
-                      levels_to_images, occlude)
-from .errors import BadConfig, TooFewObjects
+from .datagen import Dataset, DatasetObject, OCCLUDED_VIEWS, OCCLUSION_BOX_SIZES, occlude
+from .errors import BadConfig, MissingViews, TooFewObjects
 from .model import MultiViewReconstructor
 from .voxels import DEFAULT_THRESHOLD, check_scoring, metric_fscore, metric_iou
 
@@ -53,17 +52,12 @@ class EvalReport:
         raise KeyError(view_count)
 
 
-def reconstruct_objects(model: MultiViewReconstructor, objects: list[DatasetObject],
-                        n_views: int, tokens: np.ndarray | None = None) -> np.ndarray:
-    """Reconstruct each object from its first ``n_views`` poses.
-
-    ``tokens``, when given, are the objects' embedded views, at least
-    ``n_views`` per object, and only their first ``n_views`` are used;
-    otherwise the views are embedded here.
-    """
-    levels = [obj.first_levels(n_views) for obj in objects]  # checks n_views
-    if tokens is None:
-        tokens = model.embed_views([levels_to_images(x) for x in levels])
+def reconstruct_objects(model: MultiViewReconstructor, tokens: np.ndarray,
+                        n_views: int) -> np.ndarray:
+    """Reconstruct each object from the first ``n_views`` of its embedded
+    views, ``tokens`` [B, N, embed_dim]."""
+    if not 1 <= n_views <= tokens.shape[1]:
+        raise MissingViews(f"asked for {n_views} views, the tokens hold {tokens.shape[1]}")
     return model.volumes_from_tokens(tokens[:, :n_views])
 
 
@@ -101,10 +95,11 @@ def evaluate(model: MultiViewReconstructor, dataset: Dataset, split: str = "test
              view_counts=DEFAULT_VIEW_COUNTS, threshold: float = DEFAULT_THRESHOLD,
              tau: float | None = None) -> EvalReport:
     objects = _scored_objects(dataset, split, threshold, tau)
-    longest = max(view_counts, default=0)
-    tokens = model.embed_views([obj.first_views(longest) for obj in objects])
+    if not view_counts:
+        return EvalReport([])
+    tokens = model.embed_views([obj.first_views(max(view_counts)) for obj in objects])
     return EvalReport(_scores(objects, threshold, tau, view_counts,
-                              lambda k: reconstruct_objects(model, objects, k, tokens)))
+                              lambda k: reconstruct_objects(model, tokens, k)))
 
 
 def occlusion_sweep(model: MultiViewReconstructor, dataset: Dataset,
@@ -128,7 +123,7 @@ def occlusion_sweep(model: MultiViewReconstructor, dataset: Dataset,
         tokens = np.empty((len(objects), n_views, hit_tokens.shape[2]), hit_tokens.dtype)
         tokens[:, hit] = hit_tokens
         tokens[:, ~hit] = kept_tokens
-        return reconstruct_objects(model, objects, n_views, tokens)
+        return reconstruct_objects(model, tokens, n_views)
 
     return _scores(objects, threshold, tau, sizes, occluded)
 

@@ -16,21 +16,21 @@ from .layers import Init, Module
 from .refiner import VolumeRefiner
 from .voxels import VoxelGrid
 
-# No-grad reconstruction runs in two stages, each in batches of one fixed
-# size padded with zeros.  float32 GEMM blocking depends on the batch shape,
-# so a row's last bits would differ with the number of rows it shares a GEMM
-# with; at a fixed shape they do not depend on the other rows.
-# EMBED_CHUNK fixes the backbone stage: images embedded per pass.
-# RECONSTRUCT_CHUNK fixes the token stage (encoder, decoder, refiner):
-# objects per pass.  So each image's token and each object's volume has the
-# same bits whatever it is reconstructed with.
+# Each stage's no-grad form runs in passes of one fixed size padded with
+# zero rows.  float32 GEMM blocking depends on the batch shape, so a row's
+# last bits would differ with the number of rows it shares a GEMM with; at a
+# fixed shape they do not depend on the other rows.  EMBED_CHUNK fixes the
+# embed stage (the backbone): images per pass.  RECONSTRUCT_CHUNK fixes the
+# decode stage (encoder, decoder, refiner): objects per pass.  So each
+# image's token and each object's volume has the same bits whatever it is
+# reconstructed with.
 EMBED_CHUNK = 16
 RECONSTRUCT_CHUNK = 8
 
 
 @dataclass
 class ModelOutput:
-    coarse: Tensor    # decoder volume, [B, V, V, V] in (0, 1)
+    coarse: Tensor    # decoder volume, [B, V, V, V] in [0, 1]
     refined: Tensor   # final volume (same tensor as coarse when no refiner)
 
 
@@ -46,7 +46,7 @@ class MultiViewReconstructor(Module):
         self.decoder = VolumeDecoder(init, cfg)
         self.refiner = VolumeRefiner(init, cfg) if cfg.use_refiner else None
 
-    # --- forward paths ---
+    # --- the two stages, in their graph form ---
 
     def _check_views(self, shape) -> None:
         """The one check of the model's input: ``shape`` must be [B, N, C, S, S]
@@ -54,49 +54,42 @@ class MultiViewReconstructor(Module):
         the module before it produced."""
         side = self.cfg.image_size
         if len(shape) != 5 or tuple(shape[2:]) != (IMAGE_CHANNELS, side, side):
-            raise ShapeMismatch(f"encode expects [B, N, {IMAGE_CHANNELS}, {side}, {side}], "
+            raise ShapeMismatch(f"embed expects [B, N, {IMAGE_CHANNELS}, {side}, {side}], "
                                 f"got {tuple(shape)}")
-        _check_view_count(shape[1])
+        _check_view_count(shape[1], "embed")
 
-    def encode(self, images, trace: list | None = None) -> Tensor:
-        """[B, N, C, H, W] view images -> [B, N, feature_width] features."""
+    def embed(self, images) -> Tensor:
+        """[B, N, C, H, W] view images -> [B, N, embed_dim] backbone tokens."""
         t = images if isinstance(images, Tensor) else Tensor(
             np.asarray(images, dtype=self.cfg.np_dtype))
         self._check_views(t.shape)
         bsz, n_views = t.shape[0], t.shape[1]
         flat = t.reshape((bsz * n_views,) + t.shape[2:])
-        embedded = self.backbone(flat)
-        tokens = embedded.reshape(bsz, n_views, self.cfg.embed_dim)
-        return self.encoder(tokens, trace=trace)
+        return self.backbone(flat).reshape(bsz, n_views, self.cfg.embed_dim)
 
-    def decode(self, features: Tensor) -> ModelOutput:
-        """[B, N, feature_width] features -> the coarse and refined volumes."""
-        coarse = self.decoder(features)
+    def decode(self, tokens: Tensor) -> ModelOutput:
+        """[B, N, embed_dim] backbone tokens -> the coarse and refined volumes."""
+        coarse = self.decoder(self.encoder(tokens))
         refined = self.refiner(coarse) if self.refiner is not None else coarse
         return ModelOutput(coarse=coarse, refined=refined)
 
     def forward(self, images) -> ModelOutput:
-        return self.decode(self.encode(images))
+        return self.decode(self.embed(images))
 
     __call__ = forward
 
-    # --- no-grad reconstruction, in two stages ---
+    # --- the two stages, in their no-grad form ---
 
     def reconstruct(self, views: np.ndarray) -> VoxelGrid:
         """[N, C, H, W] views of one object -> continuous voxel grid."""
-        return VoxelGrid(self.reconstruct_batch([views])[0])
-
-    def reconstruct_batch(self, views) -> np.ndarray:
-        """Per-object [N, C, H, W] views (a sequence, or a [B, N, C, H, W]
-        array) -> [B, V, V, V] continuous volumes, without grad."""
-        return self.volumes_from_tokens(self.embed_views(views))
+        return VoxelGrid(self.volumes_from_tokens(self.embed_views([views]))[0])
 
     def embed_views(self, views) -> np.ndarray:
         """Per-object [N, C, H, W] views (a sequence, or a [B, N, C, H, W]
         array) -> [B, N, embed_dim] backbone tokens, without grad.
 
-        Images run ``EMBED_CHUNK`` at a time; the last chunk is padded with
-        zero images.  Every object must have the same [N, C, H, W] views.
+        Images run ``EMBED_CHUNK`` at a time.  Every object must have the
+        same [N, C, H, W] views.
         """
         for i, obj_views in enumerate(views):
             if np.shape(obj_views) != np.shape(views[0]):
@@ -105,43 +98,37 @@ class MultiViewReconstructor(Module):
         shape = (len(views),) + (np.shape(views[0]) if len(views) else ())
         self._check_views(shape)
         images = [image for obj_views in views for image in obj_views]
-        tokens = np.empty((len(images), self.cfg.embed_dim), dtype=self.cfg.np_dtype)
-        for start in range(0, len(images), EMBED_CHUNK):
-            chunk = images[start:start + EMBED_CHUNK]
-            batch = np.zeros((EMBED_CHUNK,) + shape[2:], dtype=self.cfg.np_dtype)
-            batch[:len(chunk)] = chunk
-            with ad.no_grad():
-                embedded = self.backbone(Tensor(batch)).data
-            tokens[start:start + len(chunk)] = embedded[:len(chunk)]
+        tokens = self._padded_passes(self.backbone, images, EMBED_CHUNK, (self.cfg.embed_dim,))
         return tokens.reshape(shape[:2] + (self.cfg.embed_dim,))
 
     def volumes_from_tokens(self, tokens) -> np.ndarray:
         """[B, N, embed_dim] backbone tokens -> [B, V, V, V] continuous
-        volumes, without grad.
-
-        Objects run ``RECONSTRUCT_CHUNK`` at a time; the last chunk is padded
-        with zero tokens, and only the real rows are returned.
-        """
+        volumes, without grad.  Objects run ``RECONSTRUCT_CHUNK`` at a time."""
         tokens = np.asarray(tokens)
         if tokens.ndim != 3 or tokens.shape[2] != self.cfg.embed_dim:
             raise ShapeMismatch(f"volumes_from_tokens expects [B, N, {self.cfg.embed_dim}], "
                                 f"got {tokens.shape}")
-        _check_view_count(tokens.shape[1])
-        volumes = np.empty((len(tokens),) + (self.cfg.voxel_side,) * 3,
-                           dtype=self.cfg.np_dtype)
-        for start in range(0, len(tokens), RECONSTRUCT_CHUNK):
-            chunk = tokens[start:start + RECONSTRUCT_CHUNK]
-            batch = np.zeros((RECONSTRUCT_CHUNK,) + chunk.shape[1:], dtype=self.cfg.np_dtype)
-            batch[:len(chunk)] = chunk
+        _check_view_count(tokens.shape[1], "volumes_from_tokens")
+        return self._padded_passes(lambda batch: self.decode(batch).refined, tokens,
+                                   RECONSTRUCT_CHUNK, (self.cfg.voxel_side,) * 3)
+
+    def _padded_passes(self, stage, rows, chunk: int, row_shape: tuple) -> np.ndarray:
+        """``stage`` run without grad on ``rows`` (a sequence of equal-shape
+        arrays), ``chunk`` rows per pass; the last pass is padded with zero
+        rows, and only the real rows' outputs are kept.  ``rows`` is sliced,
+        never stacked whole."""
+        out = np.empty((len(rows),) + row_shape, dtype=self.cfg.np_dtype)
+        for start in range(0, len(rows), chunk):
+            part = rows[start:start + chunk]
+            batch = np.zeros((chunk,) + np.shape(part[0]), dtype=self.cfg.np_dtype)
+            batch[:len(part)] = part
             with ad.no_grad():
-                refined = self.decode(self.encoder(Tensor(batch))).refined.data
-            # sigmoid output is strictly inside (0, 1) but guard float round-off
-            volumes[start:start + len(chunk)] = np.clip(refined[:len(chunk)], 0.0, 1.0)
-        return volumes
+                out[start:start + len(part)] = stage(Tensor(batch)).data[:len(part)]
+        return out
 
 
-def _check_view_count(n_views: int) -> None:
+def _check_view_count(n_views: int, stage: str) -> None:
     if n_views < 1:
-        raise ShapeMismatch("encode needs at least one view")
+        raise ShapeMismatch(f"{stage} needs at least one view")
     if n_views > MAX_VIEWS:
         raise ShapeMismatch(f"{n_views} views exceed limit {MAX_VIEWS}")

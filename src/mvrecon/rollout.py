@@ -4,6 +4,9 @@ Per block: average each layer's attention over heads, add the identity
 (the residual path), re-normalize rows, and multiply the layer matrices
 together.  Row-stochasticity is preserved, so each view's row reads as a
 distribution over the input views.
+
+The encoder runs on the tokens ``embed_views`` gives, the ones evaluation
+reconstructs from, so a map reads the same embedded views a score does.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import os
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import Tensor
 from .model import MultiViewReconstructor
 from .voxio import write_pgm
 
@@ -38,7 +42,7 @@ def attention_rollout(model: MultiViewReconstructor,
     """[N, C, H, W] views of one sample -> one [N, N] map per encoder block."""
     trace: list = []
     with ad.no_grad():
-        model.encode(np.asarray(views)[None], trace=trace)
+        model.encoder(Tensor(model.embed_views([views])), trace=trace)
     maps = []
     for block_trace in trace:
         maps.append(rollout_from_trace([layer[0] for layer in block_trace]))

@@ -175,6 +175,17 @@ def test_sigmoid_extreme_is_finite():
     assert np.all(np.isfinite(out.data))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_stays_in_the_unit_interval(dtype):
+    # 1/(1+e) with e >= 0, or e/(1+e) with e <= 1: no volume needs a clip
+    big = np.finfo(dtype).max
+    x = np.array([-big, -1e4, -50.0, 0.0, 50.0, 1e4, big], dtype=dtype)
+    out = ad.sigmoid(Tensor(x)).data
+    assert out.dtype == dtype
+    assert out.min() == 0.0 and out.max() == 1.0
+    assert np.all(np.diff(out) >= 0)
+
+
 def test_gelu_at_zero():
     assert ad.gelu(Tensor(0.0)).item() == 0.0
 

@@ -256,7 +256,7 @@ _RECON = ["reconstruct", "--checkpoint", "{ckpt}", "--out", "{out}/r.binvox", "-
     (["rollout", *_CKPT, "--object", "obj0000", "--views=30"], "error: asked for 30 views"),
     (_RECON + ["{sil32}", "{dep16}"], "error: {dep16} is (16, 16), {sil32} is (32, 32)"),
     (_RECON + ["{sil32}", "{dep32}", "{sil16}", "{dep16}"], "error: {sil16} is (16, 16)"),
-    (_RECON + ["{sil16}", "{dep16}"], "error: encode expects [B, N, 2, 32, 32]"),
+    (_RECON + ["{sil16}", "{dep16}"], "error: embed expects [B, N, 2, 32, 32]"),
     (_OCCL + ["--sizes=-5,0"], "bad config: box size -5 is negative"),
     (_EVAL + ["--threshold", "nan"], "bad config: threshold nan is outside (0, 1]"),
     (_EVAL + ["--tau=-1"], "bad config: tau -1.0 is not a positive finite distance"),

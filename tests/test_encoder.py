@@ -15,6 +15,11 @@ from fd import central_diff, rel_err
 from modelutil import check_param_grads, naive_conv, random_images, tiny64
 
 
+def encode(model, images):
+    """[B, N, C, H, W] images -> [B, N, feature_width] encoder features."""
+    return model.encoder(model.embed(images))
+
+
 def small_cfg(**overrides):
     base = dict(
         voxel_side=8, image_size=16, embed_dim=8, encoder_layers=1,
@@ -43,15 +48,15 @@ def test_width_law_deeper_stacks(blocks):
     cfg = tiny_model_config(embed_dim=64, heads=4)
     assert cfg.feature_width == sum(64 >> j for j in range(blocks))
     model = MultiViewReconstructor(cfg, seed=0)
-    feats = model.encode(random_images(0, 1, 2, cfg))
+    feats = encode(model, random_images(0, 1, 2, cfg))
     assert feats.shape == (1, 2, cfg.feature_width)
 
 
 def test_encoded_width_independent_of_view_count():
     cfg = tiny_model_config()
     model = MultiViewReconstructor(cfg, seed=1)
-    f1 = model.encode(random_images(1, 1, 1, cfg))
-    f8 = model.encode(random_images(2, 1, 8, cfg))
+    f1 = encode(model, random_images(1, 1, 1, cfg))
+    f8 = encode(model, random_images(2, 1, 8, cfg))
     assert f1.shape[-1] == f8.shape[-1] == 56
 
 
@@ -69,31 +74,32 @@ def test_view_count_errors():
     cfg = tiny_model_config()
     model = MultiViewReconstructor(cfg, seed=0)
     with pytest.raises(ShapeMismatch, match="25 views exceed limit 24"):
-        model.encode(random_images(0, 1, 25, cfg))
-    with pytest.raises(ShapeMismatch, match="encode needs at least one view"):
-        model.encode(np.zeros((1, 0, 2, 32, 32), dtype=np.float32))
+        model.embed(random_images(0, 1, 25, cfg))
+    with pytest.raises(ShapeMismatch, match="embed needs at least one view"):
+        model.embed(np.zeros((1, 0, 2, 32, 32), dtype=np.float32))
 
 
 @pytest.mark.parametrize("shape", [(1, 2, 3, 32, 32), (1, 2, 2, 16, 16), (1, 2, 2, 32, 16)],
                          ids=["channels", "side", "non-square"])
 def test_encode_rejects_wrong_image_shape(shape):
     model = MultiViewReconstructor(tiny_model_config(), seed=0)
-    with pytest.raises(ShapeMismatch, match=r"encode expects \[B, N, 2, 32, 32\]"):
-        model.encode(np.zeros(shape, dtype=np.float32))
+    with pytest.raises(ShapeMismatch, match=r"embed expects \[B, N, 2, 32, 32\]"):
+        model.embed(np.zeros(shape, dtype=np.float32))
 
 
 @pytest.mark.parametrize("shape,match", [
-    ((1, 2, 2, 16, 16), r"encode expects \[B, N, 2, 32, 32\]"),
-    ((1, 2, 3, 32, 32), r"encode expects \[B, N, 2, 32, 32\]"),
-    ((2, 32, 32), r"encode expects \[B, N, 2, 32, 32\]"),
-    ((1, 0, 2, 32, 32), "encode needs at least one view"),
+    ((1, 2, 2, 16, 16), r"embed expects \[B, N, 2, 32, 32\]"),
+    ((1, 2, 3, 32, 32), r"embed expects \[B, N, 2, 32, 32\]"),
+    ((2, 32, 32), r"embed expects \[B, N, 2, 32, 32\]"),
+    ((1, 0, 2, 32, 32), "embed needs at least one view"),
     ((1, 25, 2, 32, 32), "25 views exceed limit 24"),
 ], ids=["side", "channels", "rank", "no-view", "too-many"])
 def test_embedding_path_checks_images_like_encode(shape, match):
-    # the backbone itself takes any image size
+    # the backbone itself takes any image size; the graph and the no-grad
+    # form of the embed stage check the images alike
     model = MultiViewReconstructor(tiny_model_config(), seed=0)
     images = np.zeros(shape, dtype=np.float32)
-    for path in (model.embed_views, model.reconstruct_batch):
+    for path in (model.forward, model.embed_views):
         with pytest.raises(ShapeMismatch, match=match):
             path(images)
         with pytest.raises(ShapeMismatch, match=match):
@@ -103,7 +109,7 @@ def test_embedding_path_checks_images_like_encode(shape, match):
 @pytest.mark.parametrize("shape,match", [
     ((1, 2, 16), r"volumes_from_tokens expects \[B, N, 32\]"),
     ((2, 32), r"volumes_from_tokens expects \[B, N, 32\]"),
-    ((1, 0, 32), "encode needs at least one view"),
+    ((1, 0, 32), "volumes_from_tokens needs at least one view"),
     ((1, 25, 32), "25 views exceed limit 24"),
 ], ids=["width", "rank", "no-view", "too-many"])
 def test_volumes_from_tokens_checks_its_tokens(shape, match):
@@ -188,11 +194,11 @@ def test_permutation_equivariance_without_positions():
     model = MultiViewReconstructor(cfg, seed=7)
     model.encoder.positional.data[...] = 0.0  # x + 0 is bitwise x
     images = random_images(8, 2, 6, cfg)
-    feats = model.encode(images).data
+    feats = encode(model, images).data
     rng = np.random.default_rng(9)
     for _ in range(5):
         perm = rng.permutation(6)
-        permuted = model.encode(images[:, perm]).data
+        permuted = encode(model, images[:, perm]).data
         assert np.max(np.abs(permuted - feats[:, perm])) < 1e-5
 
 
@@ -200,9 +206,9 @@ def test_positions_break_permutation_equivariance():
     cfg = tiny_model_config()
     model = MultiViewReconstructor(cfg, seed=8)
     images = random_images(10, 1, 4, cfg)
-    feats = model.encode(images).data
+    feats = encode(model, images).data
     perm = np.array([1, 0, 3, 2])
-    permuted = model.encode(images[:, perm]).data
+    permuted = encode(model, images[:, perm]).data
     assert np.max(np.abs(permuted - feats[:, perm])) > 1e-4
 
 
@@ -210,7 +216,7 @@ def test_encode_deterministic_bitwise():
     cfg = tiny_model_config()
     model = MultiViewReconstructor(cfg, seed=9)
     images = random_images(11, 1, 3, cfg)
-    assert np.array_equal(model.encode(images).data, model.encode(images).data)
+    assert np.array_equal(encode(model, images).data, encode(model, images).data)
 
 
 # --- gradients through every encoder parameter group ---
@@ -225,6 +231,6 @@ def test_encoder_param_grads_vs_fd():
     table.update({f"encoder.{n}": p for n, p in model.encoder.named_params()})
 
     def forward():
-        return ad.mul(model.encode(images), head).sum()
+        return ad.mul(encode(model, images), head).sum()
 
     check_param_grads(table, forward, seed=14, entries=2, tol=1e-4)

@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 
 import mvrecon
-from mvrecon import datagen, evaluation
 from mvrecon.config import tiny_model_config
 from mvrecon.datagen import (
     CATEGORIES,
     OCCLUDED_VIEWS,
     OCCLUSION_BOX_SIZES,
     build_dataset,
-    levels_to_images,
     occlude,
 )
 from mvrecon.encoder import ViewBackbone
 from mvrecon.errors import BadConfig, MissingViews, ShapeMismatch, TooFewObjects
 from mvrecon.evaluation import (
     DEFAULT_VIEW_COUNTS,
+    EvalReport,
     evaluate,
     occlusion_sweep,
     reconstruct_objects,
@@ -119,24 +118,23 @@ def test_missing_views_error(dataset):
         evaluate(stub, dataset, view_counts=(25,))
 
 
-def test_given_tokens_are_checked_without_converting_a_view(dataset, monkeypatch):
+def test_given_tokens_are_checked_without_converting_a_view(dataset):
+    # reconstruct_objects takes tokens only, so it has no view to convert
     model = MultiViewReconstructor(tiny_model_config(), seed=0)
-    objects = dataset.split("test")[:2]
-    tokens = model.embed_views([obj.first_views(24) for obj in objects])
-    converted = []
+    tokens = model.embed_views([obj.first_views(24) for obj in dataset.split("test")[:2]])
+    assert reconstruct_objects(model, tokens, 3).shape == (2, 8, 8, 8)
+    for n_views in (25, 0, -1):
+        with pytest.raises(MissingViews, match=f"asked for {n_views} views, the tokens hold 24"):
+            reconstruct_objects(model, tokens, n_views)
 
-    def counting(levels):
-        converted.append(levels.shape)
-        return levels_to_images(levels)
 
-    monkeypatch.setattr(datagen, "levels_to_images", counting)
-    monkeypatch.setattr(evaluation, "levels_to_images", counting)
-    reconstruct_objects(model, objects, 3, tokens)
-    with pytest.raises(MissingViews, match="asked for 25 views"):
-        reconstruct_objects(model, objects, 25, tokens)
-    assert converted == []
-    reconstruct_objects(model, objects, 3)  # no tokens: each object's views convert
-    assert converted == [(3, 2, 32, 32)] * 2
+def test_no_setting_embeds_nothing_and_scores_no_row(dataset):
+    stub = ConstantStub(0.5, dataset.voxel_side)
+    embedded = []
+    stub.embed_views = embedded.append
+    assert evaluate(stub, dataset, view_counts=()) == EvalReport([])
+    assert embedded == []
+    assert occlusion_sweep(ConstantStub(0.5, dataset.voxel_side), dataset, sizes=()) == []
 
 
 @pytest.mark.parametrize("view_counts", [(-1, 8), (0,)])
@@ -228,6 +226,12 @@ def test_report_renderings(dataset):
     assert "| Metric | 10x10 | 40x40 |" in scores_markdown(occlusion, "occlusion", "{0}x{0}")
 
 
+def own_volumes(model, views):
+    """The volumes of reconstructing ``views``, one [N, C, H, W] array per
+    object, all at once."""
+    return model.volumes_from_tokens(model.embed_views(views))
+
+
 @pytest.fixture(scope="module")
 def two_chunks():
     """A tiny model and 12 test objects: one full chunk and one padded."""
@@ -235,7 +239,7 @@ def two_chunks():
     objects = dataset.split("test")
     assert len(objects) == 12
     model = MultiViewReconstructor(tiny_model_config(), seed=1)
-    return model, objects, reconstruct_objects(model, objects, 12)
+    return model, objects, own_volumes(model, [obj.first_views(12) for obj in objects])
 
 
 @pytest.mark.parametrize("size", [1, 3, 9])
@@ -244,7 +248,7 @@ def test_volumes_do_not_depend_on_the_other_objects(two_chunks, size):
     rng = np.random.default_rng(size)
     for _ in range(2):
         pick = rng.permutation(len(objects))[:size]
-        volumes = reconstruct_objects(model, [objects[i] for i in pick], 12)
+        volumes = own_volumes(model, [objects[i].first_views(12) for i in pick])
         assert np.array_equal(volumes, whole[pick])
 
 
@@ -255,11 +259,11 @@ def test_single_reconstruct_matches_evaluated_volume(two_chunks):
         assert np.array_equal(grid.values, whole[i])
 
 
-def test_reconstruct_batch_rejects_mixed_view_counts(two_chunks):
+def test_embed_views_rejects_mixed_view_counts(two_chunks):
     model, objects, _ = two_chunks
     views = [objects[0].views[:3], objects[1].views[:2]]
     with pytest.raises(ShapeMismatch, match="object 1 has views"):
-        model.reconstruct_batch(views)
+        model.embed_views(views)
 
 
 def test_evaluate_does_not_touch_model_params(dataset):
@@ -335,7 +339,7 @@ def test_view_counts_from_one_embedding_match_their_own_views_bitwise(twenty_vie
     rows = evaluate(recorder, dataset).view_counts
     assert len(recorder.volumes) == len(DEFAULT_VIEW_COUNTS)
     for k, volumes, row in zip(DEFAULT_VIEW_COUNTS, recorder.volumes, rows):
-        own = model.reconstruct_batch([obj.first_views(k) for obj in objects])
+        own = own_volumes(model, [obj.first_views(k) for obj in objects])
         assert np.array_equal(volumes, own), k
         assert row == evaluate(model, dataset, view_counts=(k,)).view_counts[0]
 
@@ -348,8 +352,8 @@ def test_occlusion_from_reembedded_hit_views_matches_bitwise(twenty_views, mode)
     rows = occlusion_sweep(recorder, dataset, sizes=(0, 10, 40), n_views=12, mode=mode)
     for box, volumes, row in zip((0, 10, 40), recorder.volumes, rows):
         # the sweep's seed 0 gives each object its own seed
-        own = model.reconstruct_batch([occlude(obj.first_views(12), box, mode=mode,
-                                               seed=obj.seed) for obj in objects])
+        own = own_volumes(model, [occlude(obj.first_views(12), box, mode=mode,
+                                          seed=obj.seed) for obj in objects])
         assert np.array_equal(volumes, own), box
         assert row == occlusion_sweep(model, dataset, sizes=(box,), n_views=12, mode=mode)[0]
 

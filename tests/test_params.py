@@ -82,6 +82,26 @@ def test_untrained_refined_volume_is_pinned():
     assert hashlib.sha256(volume.data.tobytes()).hexdigest()[:16] == "548df9293aabbe24"
 
 
+def test_untrained_no_grad_volumes_are_pinned():
+    # the no-grad form of the same function: 45 images cross an embed pass
+    # and 9 objects cross a decode pass
+    net = MultiViewReconstructor(tiny_model_config(), seed=0)
+    volumes = net.volumes_from_tokens(net.embed_views(random_images(0, 9, 5, net.cfg)))
+    assert hashlib.sha256(volumes.tobytes()).hexdigest()[:16] == "551b98f9ed9fb496"
+
+
+@pytest.mark.parametrize("make", [tiny_model_config, desk_model_config], ids=["tiny", "desk"])
+@pytest.mark.parametrize("objects,views", [(1, 1), (3, 5), (9, 8)])
+def test_forward_and_the_no_grad_forms_agree(make, objects, views):
+    # they differ only in the GEMM shapes the padded passes give
+    net = MultiViewReconstructor(make(), seed=0)
+    images = random_images(objects, objects, views, net.cfg)
+    with ad.no_grad():
+        graph = net.forward(images).refined.data
+    no_grad = net.volumes_from_tokens(net.embed_views(images))
+    assert np.max(np.abs(graph - no_grad)) <= 1e-5
+
+
 def test_every_parameter_changes_the_loss():
     # a tensor whose gradient is zero up to round-off changes nothing the
     # model computes: a key bias read 1e-18 here, and the smallest gradient

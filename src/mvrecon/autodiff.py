@@ -14,9 +14,8 @@ that reads it is done and the walk never holds the whole graph.  A second
 score matrix or patches, only their inputs (attention also its output and
 each row's log-sum-exp), and backward recomputes the rest.
 
-Broadcasting is deliberately restricted.  Elementwise ops align a shorter
-shape against the *trailing* axes of the longer one (leading batch axes
-only); anything else needs an explicit :func:`expand`.
+Elementwise ops broadcast as numpy does; a shape pair numpy rejects
+raises :class:`ShapeMismatch`.
 
 Every forward op validates that finite inputs produced finite outputs;
 overflow raises :class:`NumericalOverflow` instead of propagating inf/NaN.
@@ -133,12 +132,7 @@ class Tensor:
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        return transpose(self, axes if axes else None)
-
-    def expand(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return expand(self, shape)
+        return transpose(self, axes)
 
 
 def _as_tensor(x, dtype) -> Tensor:
@@ -171,39 +165,31 @@ def _check_dtypes(op: str, *ts: Tensor) -> None:
             raise TypeError(f"{op}: mixed dtypes {dt} and {t.dtype}")
 
 
-# --- broadcasting helpers (leading batch axes only) ---
-
-def _suffix_shape(op: str, sa: tuple, sb: tuple) -> tuple:
-    """Result shape when one operand shape is a trailing suffix of the other."""
-    if sa == sb:
-        return sa
-    if len(sa) >= len(sb):
-        longer, shorter = sa, sb
-    else:
-        longer, shorter = sb, sa
-    k = len(shorter)
-    if k == 0 or longer[len(longer) - k:] == shorter:
-        return longer
-    raise ShapeMismatch(f"{op}: shapes {sa} and {sb} only broadcast over leading axes")
-
+# --- broadcasting ---
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient ``g`` down to the trailing ``shape``, over the leading
-    axes that broadcasting added, one at a time."""
+    """Sum gradient ``g`` down to ``shape``: over the leading axes that
+    broadcasting added, one at a time, then over every size-1 axis it
+    stretched, in one call."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
-    return g
+    stretched = tuple(ax for ax, n in enumerate(shape) if n == 1 and g.shape[ax] != 1)
+    return g.sum(axis=stretched, keepdims=True) if stretched else g
 
 
 # --- elementwise ---
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 def _binary(op: str, fn, a: Tensor, b, grads) -> Tensor:
-    """``fn(a, b)`` with suffix broadcasting.  ``grads(g, x, y)`` gives both
-    parent gradients at full shape; the VJP sums each back to its parent."""
+    """``fn(a, b)`` with numpy broadcasting.  ``grads(g, x, y)`` gives both
+    parent gradients at the output's shape; the VJP sums each back to its
+    parent."""
     b = _as_tensor(b, a.dtype)
     _check_dtypes(op, a, b)
-    _suffix_shape(op, a.shape, b.shape)
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ShapeMismatch(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
     def vjp(g):
         ga, gb = grads(g, a.data, b.data)
@@ -294,23 +280,23 @@ def _softmax_inplace(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeMismatch(f"softmax: axis {axis} invalid for shape {a.shape}")
-    data, _ = _softmax_inplace(np.array(a.data), axis)
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    data, _ = _softmax_inplace(np.array(a.data), -1)
 
     def vjp(g):
-        dot = np.sum(g * data, axis=axis, keepdims=True)
+        dot = np.sum(g * data, axis=-1, keepdims=True)
         return (data * (g - dot),)
 
     return _make(data, "softmax", (a,), vjp)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
-def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Each last-axis row of ``a`` at zero mean and unit variance, with no gain or bias."""
+def layer_norm(a: Tensor) -> Tensor:
+    """Each last-axis row of ``a`` at zero mean and unit variance (eps 1e-5),
+    with no gain or bias."""
     xc = a.data - a.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + a.dtype.type(eps))
+    inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + a.dtype.type(1e-5))
     data = xc * inv
 
     def vjp(g):
@@ -365,9 +351,7 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     return _make(data, "reshape", (a,), vjp)
 
 
-def transpose(a: Tensor, axes: Optional[tuple] = None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
+def transpose(a: Tensor, axes: tuple) -> Tensor:
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeMismatch(f"transpose: axes {axes} invalid for rank {a.ndim}")
     data = np.ascontiguousarray(a.data.transpose(axes))
@@ -377,25 +361,6 @@ def transpose(a: Tensor, axes: Optional[tuple] = None) -> Tensor:
         return (np.ascontiguousarray(g.transpose(inverse)),)
 
     return _make(data, "transpose", (a,), vjp)
-
-
-def expand(a: Tensor, shape: tuple) -> Tensor:
-    """Explicit broadcast: prepend axes and/or repeat size-1 axes."""
-    try:
-        data = np.ascontiguousarray(np.broadcast_to(a.data, shape))
-    except ValueError as e:
-        raise ShapeMismatch(f"expand: {a.shape} -> {shape}: {e}") from None
-    lead = len(shape) - a.ndim
-    expanded = tuple(lead + ax for ax, (have, want) in
-                     enumerate(zip(a.shape, shape[lead:])) if have == 1 and want != 1)
-
-    def vjp(g):
-        g = g.sum(axis=tuple(range(lead))) if lead else g
-        if expanded:
-            g = g.sum(axis=tuple(ax - lead for ax in expanded), keepdims=True)
-        return (g,)
-
-    return _make(data, "expand", (a,), vjp)
 
 
 # --- contraction ---

@@ -215,24 +215,24 @@ def _rotation(azimuth_deg: float, elevation_deg: float) -> np.ndarray:
     return rot_x @ rot_z
 
 
-def _project(grid: np.ndarray, n_views: int, elevation_deg: float, out_size: int):
-    """For each of ``n_views`` evenly spaced azimuths: the pixel row and
-    column of each occupied voxel center, and its depth in [0, 1] (nearer
-    is larger)."""
+def _project(grid: np.ndarray, n_views: int, out_size: int):
+    """For each of ``n_views`` evenly spaced azimuths at the default
+    elevation: the pixel row and column of each occupied voxel center, and
+    its depth in [0, 1] (nearer is larger)."""
     side = grid.shape[0]
     centers = (np.argwhere(grid > 0).astype(np.float64) + 0.5) / side - 0.5
     scale = (out_size - 4) / math.sqrt(3.0)
     center_px = (out_size - 1) / 2.0
     depth_span = math.sqrt(3.0)
     for k in range(n_views):
-        p = centers @ _rotation(k * (360.0 / n_views), elevation_deg).T
+        p = centers @ _rotation(k * (360.0 / n_views), DEFAULT_ELEVATION_DEG).T
         rows = np.floor(center_px - scale * p[:, 2] + 0.5).astype(np.int64)
         cols = np.floor(center_px + scale * p[:, 0] + 0.5).astype(np.int64)
         yield rows, cols, (0.5 * depth_span - p[:, 1]) / depth_span
 
 
-def render_views(grid: np.ndarray, n_views: int = DEFAULT_N_VIEWS, out_size: int = 64,
-                 elevation_deg: float = DEFAULT_ELEVATION_DEG) -> np.ndarray:
+def render_views(grid: np.ndarray, n_views: int = DEFAULT_N_VIEWS,
+                 out_size: int = 64) -> np.ndarray:
     """Orthographic silhouette + nearest-depth renders of a [V, V, V] grid
     from ``n_views`` evenly spaced azimuths: [n_views, 2, H, W], background 0.
 
@@ -243,7 +243,7 @@ def render_views(grid: np.ndarray, n_views: int = DEFAULT_N_VIEWS, out_size: int
     offsets = [(dr, dc) for dr in range(-half, half + 1)
                for dc in range(-half, half + 1)]
     images = np.zeros((n_views, 2, out_size, out_size), dtype=np.float32)
-    for k, (iv, iu, depth) in enumerate(_project(grid, n_views, elevation_deg, out_size)):
+    for k, (iv, iu, depth) in enumerate(_project(grid, n_views, out_size)):
         rows = np.clip(np.concatenate([iv + dr for dr, _ in offsets]), 0, out_size - 1)
         cols = np.clip(np.concatenate([iu + dc for _, dc in offsets]), 0, out_size - 1)
         vals = np.concatenate([depth] * len(offsets))
@@ -456,14 +456,14 @@ def manifest_from_text(text: str) -> Dataset:
 
 
 def build_dataset(n_objects: int, voxel_side: int, image_size: int, seed: int = 0,
-                  categories: tuple[str, ...] = CATEGORIES, n_views: int = DEFAULT_N_VIEWS,
-                  elevation_deg: float = DEFAULT_ELEVATION_DEG) -> Dataset:
+                  categories: tuple[str, ...] = CATEGORIES,
+                  n_views: int = DEFAULT_N_VIEWS) -> Dataset:
     """Generate, render, and split a dataset entirely in memory."""
     if not categories or not set(categories) <= set(CATEGORIES):
         raise BadConfig(f"categories {categories} are not a non-empty subset of {CATEGORIES}")
     if seed < 0:
         raise BadConfig(f"seed {seed} is negative")
-    dataset = Dataset(voxel_side, image_size, n_views, elevation_deg, [])
+    dataset = Dataset(voxel_side, image_size, n_views, DEFAULT_ELEVATION_DEG, [])
     for i in range(n_objects):
         category = categories[i % len(categories)]
         obj_seed = seed * 1_000_003 + i
@@ -472,7 +472,7 @@ def build_dataset(n_objects: int, voxel_side: int, image_size: int, seed: int = 
     assignment = make_splits([(o.object_id, o.category) for o in dataset.objects], seed=seed)
     for obj in dataset.objects:
         obj.split = assignment[obj.object_id]
-        views = render_views(obj.grid, n_views, image_size, elevation_deg)
+        views = render_views(obj.grid, n_views, image_size)
         views *= 255.0  # in place: a 224-px object's views are ~10 MB of float32
         obj.levels = np.rint(views, out=views).astype(np.uint8)  # the PGMs' 8 bits
     return dataset

@@ -105,11 +105,15 @@ def evaluate(model: MultiViewReconstructor, dataset: Dataset, split: str = "test
 def occlusion_sweep(model: MultiViewReconstructor, dataset: Dataset,
                     sizes=OCCLUSION_BOX_SIZES, split: str = "test",
                     n_views: int = 12, mode: str = "center",
-                    threshold: float = DEFAULT_THRESHOLD, tau: float | None = None,
-                    seed: int = 0) -> list[Score]:
+                    threshold: float = DEFAULT_THRESHOLD,
+                    tau: float | None = None) -> list[Score]:
+    """Score each box size of ``sizes``; a random-mode box is seeded with
+    its object's seed."""
     if min(sizes, default=0) < 0:
         raise BadConfig(f"box size {min(sizes)} is negative")
     objects = _scored_objects(dataset, split, threshold, tau)
+    if not sizes:
+        return []
     clean = [obj.first_views(n_views) for obj in objects]
     hit = np.zeros(n_views, dtype=bool)
     hit[OCCLUDED_VIEWS] = True
@@ -118,7 +122,7 @@ def occlusion_sweep(model: MultiViewReconstructor, dataset: Dataset,
 
     def occluded(box):
         hit_tokens = model.embed_views(
-            [occlude(views, box, mode=mode, seed=seed * 100_003 + obj.seed)[hit]
+            [occlude(views, box, mode=mode, seed=obj.seed)[hit]
              for obj, views in zip(objects, clean)])
         tokens = np.empty((len(objects), n_views, hit_tokens.shape[2]), hit_tokens.dtype)
         tokens[:, hit] = hit_tokens

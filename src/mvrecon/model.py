@@ -30,8 +30,7 @@ RECONSTRUCT_CHUNK = 8
 
 @dataclass
 class ModelOutput:
-    coarse: Tensor    # decoder volume, [B, V, V, V] in [0, 1]
-    refined: Tensor   # final volume (same tensor as coarse when no refiner)
+    refined: Tensor   # final volume, [B, V, V, V] in [0, 1]
 
 
 class MultiViewReconstructor(Module):
@@ -68,10 +67,12 @@ class MultiViewReconstructor(Module):
         return self.backbone(flat).reshape(bsz, n_views, self.cfg.embed_dim)
 
     def decode(self, tokens: Tensor) -> ModelOutput:
-        """[B, N, embed_dim] backbone tokens -> the coarse and refined volumes."""
-        coarse = self.decoder(self.encoder(tokens))
-        refined = self.refiner(coarse) if self.refiner is not None else coarse
-        return ModelOutput(coarse=coarse, refined=refined)
+        """[B, N, embed_dim] backbone tokens -> the refined volume (the
+        decoder's, when there is no refiner)."""
+        volume = self.decoder(self.encoder(tokens))
+        if self.refiner is not None:
+            volume = self.refiner(volume)
+        return ModelOutput(refined=volume)
 
     def forward(self, images) -> ModelOutput:
         return self.decode(self.embed(images))

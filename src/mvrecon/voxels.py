@@ -1,10 +1,10 @@
 """Voxel grids: the cube partition, reconstruction losses, and metrics.
 
 Grids are cubic occupancy fields stored as ``(V, V, V)`` float arrays in C
-order, axes ``(x, y, z)`` with z fastest.  Losses take arrays or Tensors
-and are built from autodiff ops so they can train the model; metrics take
-arrays and are plain numpy.  ``VoxelGrid`` is what ``reconstruct`` returns:
-one continuous volume in [0, 1].
+order, axes ``(x, y, z)`` with z fastest.  Losses take ``[B, V, V, V]``
+batches (arrays or Tensors) and are built from autodiff ops so they can
+train the model; metrics take arrays and are plain numpy.  ``VoxelGrid``
+is what ``reconstruct`` returns: one continuous volume in [0, 1].
 
 The F-score matches voxels at integer offsets within tau, ties counted with
 a 1e-9 tolerance, by dilating each grid once; its cost grows with (tau*V)^2
@@ -69,10 +69,8 @@ def _loss_pair(y, y_pred) -> tuple[Tensor, Tensor]:
     yt = y if isinstance(y, Tensor) else Tensor(y, dtype=pt.dtype)
     if yt.shape != pt.shape:
         raise ShapeMismatch(f"loss: shapes {yt.shape} vs {pt.shape}")
-    if yt.ndim == 3:
-        yt, pt = yt.reshape((1,) + yt.shape), pt.reshape((1,) + pt.shape)
     if yt.ndim != 4:
-        raise ShapeMismatch(f"loss: expected [V,V,V] or [B,V,V,V], got {yt.shape}")
+        raise ShapeMismatch(f"loss: expected [B,V,V,V], got {yt.shape}")
     return yt, pt
 
 
@@ -83,7 +81,7 @@ def loss_mse(y, y_pred) -> Tensor:
     return ad.mul(diff, diff).mean()
 
 
-def loss_ssim3d(y, y_pred, c1: float = SSIM_C1, c2: float = SSIM_C2) -> Tensor:
+def loss_ssim3d(y, y_pred) -> Tensor:
     """One minus the volume-level structural similarity, batch mean.
 
     Statistics (means, variances, covariance) are taken over the whole
@@ -91,11 +89,10 @@ def loss_ssim3d(y, y_pred, c1: float = SSIM_C1, c2: float = SSIM_C2) -> Tensor:
     """
     yt, pt = _loss_pair(y, y_pred)
     vol_axes = (1, 2, 3)
-    full = yt.shape
 
     def center(t):
         mu = t.mean(axis=vol_axes, keepdims=True)
-        return mu, ad.sub(t, mu.expand(full))
+        return mu, ad.sub(t, mu)
 
     mu_y, yc = center(yt)
     mu_p, pc = center(pt)
@@ -103,10 +100,10 @@ def loss_ssim3d(y, y_pred, c1: float = SSIM_C1, c2: float = SSIM_C2) -> Tensor:
     var_p = ad.mul(pc, pc).mean(axis=vol_axes, keepdims=True)
     cov = ad.mul(yc, pc).mean(axis=vol_axes, keepdims=True)
 
-    lum = ad.add(ad.scale(ad.mul(mu_y, mu_p), 2.0), c1)
-    struct = ad.add(ad.scale(cov, 2.0), c2)
-    denom_lum = ad.add(ad.add(ad.mul(mu_y, mu_y), ad.mul(mu_p, mu_p)), c1)
-    denom_struct = ad.add(ad.add(var_y, var_p), c2)
+    lum = ad.add(ad.scale(ad.mul(mu_y, mu_p), 2.0), SSIM_C1)
+    struct = ad.add(ad.scale(cov, 2.0), SSIM_C2)
+    denom_lum = ad.add(ad.add(ad.mul(mu_y, mu_y), ad.mul(mu_p, mu_p)), SSIM_C1)
+    denom_struct = ad.add(ad.add(var_y, var_p), SSIM_C2)
     ssim = ad.div(ad.mul(lum, struct), ad.mul(denom_lum, denom_struct))
     return ad.sub(Tensor(np.asarray(1.0, dtype=ssim.dtype)), ssim.mean())
 

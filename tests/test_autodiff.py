@@ -245,9 +245,21 @@ def test_leading_axis_broadcast_grad():
     check_op_grads(lambda x, y: ad.mul(x, y).sum(), [a, b])
 
 
-def test_inner_broadcast_rejected():
-    with pytest.raises(ShapeMismatch):
-        ad.add(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 1, 4))))
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+@pytest.mark.parametrize("shapes", [((4, 2, 3), (1, 3)), ((3, 4, 4, 4), (3, 1, 1, 1))],
+                         ids=["inner", "per-volume"])
+def test_size_one_broadcast_grad_fd(op, shapes):
+    # a size-1 axis stretched on either side, as the SSIM loss centres each volume
+    rng = np.random.default_rng(4)
+    a, b = (rng.uniform(0.5, 1.5, shape) for shape in shapes)
+    w = Tensor(rng.standard_normal(shapes[0]))
+    check_op_grads(lambda x, y: ad.mul(op(x, y), w).sum(), [a, b])
+    check_op_grads(lambda x, y: ad.mul(op(y, x), w).sum(), [a, b])
+
+
+def test_shapes_numpy_cannot_broadcast_are_rejected():
+    with pytest.raises(ShapeMismatch, match=r"add: shapes \(2, 3, 4\) and \(2, 2, 4\)"):
+        ad.add(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 2, 4))))
 
 
 def test_div_by_zero():
@@ -266,17 +278,17 @@ def test_overflow_is_an_error():
 # --- softmax ---
 
 def test_softmax_uniform():
-    out = ad.softmax(Tensor(np.zeros(3)), axis=-1)
+    out = ad.softmax(Tensor(np.zeros(3)))
     np.testing.assert_allclose(out.data, np.full(3, 1 / 3), atol=1e-7)
 
 
 def test_softmax_large_inputs_stable():
-    out = ad.softmax(Tensor(np.array([1000.0, 1000.0])), axis=-1)
+    out = ad.softmax(Tensor(np.array([1000.0, 1000.0])))
     np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-7)
 
 
 def test_softmax_reference_values():
-    out = ad.softmax(t64([1.0, 2.0, 3.0]), axis=-1)
+    out = ad.softmax(t64([1.0, 2.0, 3.0]))
     e = np.exp([1.0, 2.0, 3.0])
     np.testing.assert_allclose(out.data, e / e.sum(), atol=1e-12)
     np.testing.assert_allclose(out.data, [0.09003, 0.24473, 0.66524], atol=1e-5)
@@ -286,7 +298,7 @@ def test_softmax_reference_values():
 def test_softmax_rows_sum_to_one(extreme):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 6)) + extreme
-    out = ad.softmax(Tensor(x), axis=-1)
+    out = ad.softmax(Tensor(x))
     np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(4), atol=1e-6)
 
 
@@ -296,7 +308,7 @@ def test_softmax_grad_fd(seed):
     x = rng.standard_normal((2, 5))
     w = rng.standard_normal((2, 5))  # weight the outputs to make the loss generic
     wt = Tensor(w)
-    check_op_grads(lambda t: ad.mul(ad.softmax(t, axis=-1), wt).sum(), [x])
+    check_op_grads(lambda t: ad.mul(ad.softmax(t), wt).sum(), [x])
 
 
 # --- layer_norm ---
@@ -309,7 +321,7 @@ def test_layer_norm_constant_input():
 
 def test_layer_norm_reference_values():
     x = t64([1.0, 2.0, 3.0])
-    out = ad.layer_norm(x, eps=1e-12)
+    out = ad.layer_norm(x)
     np.testing.assert_allclose(out.data, [-1.22474, 0.0, 1.22474], atol=1e-5)
 
 
@@ -364,12 +376,6 @@ def test_narrow_axis_out_of_range():
         ad.narrow(Tensor(np.ones((2, 3))), 5, 0, 1)
 
 
-@pytest.mark.parametrize("shape", [(4, 3, 5), (3,)], ids=["extent", "lower-rank"])
-def test_expand_errors_are_shape_mismatch(shape):
-    with pytest.raises(ShapeMismatch):
-        ad.expand(Tensor(np.ones((2, 3))), shape)
-
-
 def test_reshape_transpose_inverses():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 3, 4))
@@ -390,13 +396,6 @@ def test_concat_split_grads_fd():
         return ad.mul(ad.concat([right, left], axis=-1), w).sum()
 
     check_op_grads(build, [a, b])
-
-
-def test_expand_grad_fd():
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal((1, 3))
-    w = Tensor(rng.standard_normal((4, 2, 3)))
-    check_op_grads(lambda x: ad.mul(x.expand(4, 2, 3), w).sum(), [a])
 
 
 def test_sum_mean_grads_fd():

@@ -91,8 +91,8 @@ def test_center_voxel_projects_to_image_center():
 def test_every_projected_center_is_foreground():
     for i in range(10):
         grid = gen_object(CATEGORIES[i % len(CATEGORIES)], 100 + i, 16)
-        views = render_views(grid, 6, out_size=48, elevation_deg=30.0)
-        for k, (rows, cols, _) in enumerate(_project(grid, 6, 30.0, 48)):
+        views = render_views(grid, 6, out_size=48)
+        for k, (rows, cols, _) in enumerate(_project(grid, 6, 48)):
             assert np.all(views[k, 0][rows, cols] == 1.0)
 
 

@@ -39,11 +39,15 @@ def test_decode_view_permutation_invariance():
     model = MultiViewReconstructor(cfg, seed=3)
     model.encoder.positional.data[...] = 0.0  # x + 0 is bitwise x
     images = random_images(4, 1, 6, cfg)
-    base = model.forward(images).coarse.data
+
+    def decode(images):
+        return model.decoder(model.encoder(model.embed(images))).data
+
+    base = decode(images)
     rng = np.random.default_rng(5)
     for _ in range(5):
         perm = rng.permutation(6)
-        permuted = model.forward(images[:, perm]).coarse.data
+        permuted = decode(images[:, perm])
         assert np.max(np.abs(permuted - base)) < 1e-5
 
 
@@ -119,7 +123,8 @@ def reference_decode(cfg, bank, maps, features):
     """The unfolded decoder: cross-attention of the projected bank over the
     features with key and value biases and an output map, then the MLP, on
     every cube query."""
-    queries = maps["q"](bank.expand((features.shape[0],) + bank.shape))
+    batch = [bank.reshape((1,) + bank.shape)] * features.shape[0]
+    queries = maps["q"](ad.concat(batch, axis=0))
     mixed = ad.attention(queries, maps["k"](features), maps["v"](features),
                          cfg.head_count(cfg.feature_width))
     cube_values = ad.sigmoid(maps["fc2"](ad.gelu(maps["fc1"](maps["out"](mixed)))))

@@ -128,13 +128,15 @@ def test_given_tokens_are_checked_without_converting_a_view(dataset):
             reconstruct_objects(model, tokens, n_views)
 
 
-def test_no_setting_embeds_nothing_and_scores_no_row(dataset):
+def test_no_setting_embeds_nothing_and_scores_no_row(dataset, embedded_images):
     stub = ConstantStub(0.5, dataset.voxel_side)
     embedded = []
     stub.embed_views = embedded.append
     assert evaluate(stub, dataset, view_counts=()) == EvalReport([])
     assert embedded == []
-    assert occlusion_sweep(ConstantStub(0.5, dataset.voxel_side), dataset, sizes=()) == []
+    model = MultiViewReconstructor(tiny_model_config(), seed=0)
+    assert occlusion_sweep(model, dataset, sizes=(), n_views=12) == []
+    assert embedded_images == []  # no backbone pass
 
 
 @pytest.mark.parametrize("view_counts", [(-1, 8), (0,)])

@@ -180,9 +180,9 @@ class WithNormAffine:
     def __getattr__(self, name):
         return getattr(ad, name)
 
-    def layer_norm(self, a, eps=1e-5):
+    def layer_norm(self, a):
         gain, bias = self.affine[a.shape[-1]]
-        return ad.add(ad.mul(ad.layer_norm(a, eps), gain), bias)
+        return ad.add(ad.mul(ad.layer_norm(a), gain), bias)
 
 
 def fold_norm(weight, gain, bias):

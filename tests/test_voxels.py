@@ -162,65 +162,66 @@ def test_tensor_partition_matches_numpy():
     np.testing.assert_array_equal(assemble_tokens(tok, 2, 8).data, vals)
 
 
-# --- losses ---
+# --- losses (on a batch of one unless the test says otherwise) ---
 
 def test_mse_identical_is_zero():
-    g = random_grid(3)
+    g = random_grid(3)[None]
     assert loss_mse(g, g).item() == 0.0
 
 
 def test_mse_ones_vs_zeros():
     side = 6
-    assert loss_mse(np.ones((side,) * 3), zeros(side)).item() == pytest.approx(1.0, abs=1e-12)
+    assert loss_mse(np.ones((1,) + (side,) * 3),
+                    zeros(side)[None]).item() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_mse_matches_loop_oracle(seed):
     y, p = random_grid(seed), random_grid(seed + 100)
-    assert abs(loss_mse(y, p).item() - mse_loop(y, p)) < 1e-12
+    assert abs(loss_mse(y[None], p[None]).item() - mse_loop(y, p)) < 1e-12
 
 
 def test_ssim_identical_is_zero():
-    g = random_grid(4)
+    g = random_grid(4)[None]
     assert abs(loss_ssim3d(g, g).item()) < 1e-12
 
 
 def test_ssim_equal_constants_is_zero():
     side = 6
-    half = np.full((side,) * 3, 0.5)
+    half = np.full((1,) + (side,) * 3, 0.5)
     assert abs(loss_ssim3d(half, half).item()) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_ssim_matches_direct_oracle(seed):
     y, p = random_grid(seed), random_grid(seed + 50)
-    assert abs(loss_ssim3d(y, p).item() - ssim_loss_direct(y, p)) < 1e-10
+    assert abs(loss_ssim3d(y[None], p[None]).item() - ssim_loss_direct(y, p)) < 1e-10
 
 
 def test_ssim_range():
     for seed in range(10):
-        y, p = random_grid(seed), random_grid(seed + 30)
+        y, p = random_grid(seed)[None], random_grid(seed + 30)[None]
         val = loss_ssim3d(y, p).item()
         assert 0.0 <= val <= 2.0
 
 
 def test_total_is_sum_of_parts():
-    y, p = random_grid(5), random_grid(15)
+    y, p = random_grid(5)[None], random_grid(15)[None]
     total = loss_total(y, p).item()
     assert total == pytest.approx(loss_mse(y, p).item() + loss_ssim3d(y, p).item(),
                                   abs=1e-15)
 
 
 def test_total_identical_is_zero():
-    g = random_grid(6)
+    g = random_grid(6)[None]
     assert abs(loss_total(g, g).item()) < 1e-12
 
 
 def test_total_gradient_vs_fd():
     rng = np.random.default_rng(12)
     side = 4
-    y = rng.random((side,) * 3)
-    p = rng.random((side,) * 3)
+    y = rng.random((1,) + (side,) * 3)
+    p = rng.random((1,) + (side,) * 3)
     pred = Tensor(p, requires_grad=True)
     loss_total(y, pred).backward()
     numeric = central_diff(lambda: loss_total(y, Tensor(p)).item(), p)
@@ -231,13 +232,20 @@ def test_batched_losses_average_per_volume():
     y = np.stack([random_grid(i) for i in range(3)])
     p = np.stack([random_grid(i + 9) for i in range(3)])
     batched = loss_ssim3d(Tensor(y), Tensor(p)).item()
-    singles = [loss_ssim3d(Tensor(y[i]), Tensor(p[i])).item() for i in range(3)]
+    singles = [loss_ssim3d(Tensor(y[i:i + 1]), Tensor(p[i:i + 1])).item() for i in range(3)]
     assert batched == pytest.approx(np.mean(singles), abs=1e-6)
 
 
 def test_loss_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        loss_mse(random_grid(0, side=4), random_grid(0, side=8))
+        loss_mse(random_grid(0, side=4)[None], random_grid(0, side=8)[None])
+
+
+@pytest.mark.parametrize("loss", [loss_mse, loss_ssim3d, loss_total])
+def test_unbatched_volume_rejected(loss):
+    g = random_grid(0)
+    with pytest.raises(ShapeMismatch, match=r"expected \[B,V,V,V\], got \(8, 8, 8\)"):
+        loss(g, g)
 
 
 # --- IoU ---

@@ -3,7 +3,9 @@
 Procedural object families give category-characteristic shapes that are
 fully deterministic from (category, seed, side).  Views are orthographic
 silhouette + nearest-depth renders from a ring of azimuths at a fixed
-elevation.  The occlusion protocol overwrites a square patch on the
+elevation: the nearest depth at each voxel's projected center, then a max
+over a square around every pixel, wide enough that face-adjacent voxels
+leave no holes.  The occlusion protocol overwrites a square patch on the
 odd-indexed views with background.
 
 A dataset holds each object's views as 8-bit levels, the bytes of its PGM
@@ -237,18 +239,27 @@ def render_views(grid: np.ndarray, n_views: int = DEFAULT_N_VIEWS,
     from ``n_views`` evenly spaced azimuths: [n_views, 2, H, W], background 0.
 
     Every occupied voxel is painted as a small square around its projected
-    center, sized so that face-adjacent voxels leave no holes.
+    center, sized so that face-adjacent voxels leave no holes: each view
+    takes the nearest depth at each projected center, then the max over the
+    square around every pixel (zero outside the image).  Every depth is > 0,
+    so the silhouette is where the depth is.
     """
+    if grid.ndim != 3 or grid.shape[0] < 1 or len(set(grid.shape)) != 1:
+        raise ShapeMismatch(f"grid of shape {grid.shape} is not [V, V, V] with V >= 1")
+    if out_size <= 4:  # _project's scale (out_size - 4) / sqrt(3) must be > 0
+        raise BadConfig(f"image size {out_size} px; need at least 5")
     half = (math.ceil((out_size - 4) / math.sqrt(3.0) / grid.shape[0]) + 1) // 2
-    offsets = [(dr, dc) for dr in range(-half, half + 1)
-               for dc in range(-half, half + 1)]
     images = np.zeros((n_views, 2, out_size, out_size), dtype=np.float32)
-    for k, (iv, iu, depth) in enumerate(_project(grid, n_views, out_size)):
-        rows = np.clip(np.concatenate([iv + dr for dr, _ in offsets]), 0, out_size - 1)
-        cols = np.clip(np.concatenate([iu + dc for _, dc in offsets]), 0, out_size - 1)
-        vals = np.concatenate([depth] * len(offsets))
-        images[k, 0][rows, cols] = 1.0
-        np.maximum.at(images[k, 1], (rows, cols), vals.astype(np.float32))
+    source = np.empty((out_size, out_size), dtype=np.float32)
+    views = zip(_project(grid, n_views, out_size), images)
+    for (iv, iu, center_depth), (silhouette, depth) in views:
+        np.maximum.at(depth, (iv, iu), center_depth.astype(np.float32))
+        for image, src in ((depth, source), (depth.T, source.T)):  # rows, then columns
+            np.copyto(src, image)
+            for d in range(1, half + 1):
+                np.maximum(image[d:], src[:-d], out=image[d:])
+                np.maximum(image[:-d], src[d:], out=image[:-d])
+        silhouette[:] = depth > 0
     return images
 
 

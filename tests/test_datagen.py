@@ -1,3 +1,5 @@
+import hashlib
+import math
 import re
 
 import numpy as np
@@ -119,6 +121,74 @@ def test_depth_channel_in_unit_range_and_nearest():
 def test_render_deterministic():
     grid = gen_object("ring", 2, 16)
     assert np.array_equal(render_views(grid, 4, 32), render_views(grid, 4, 32))
+
+
+def reference_render(grid, n_views, out_size):
+    """The splat ``render_views`` replaced: every voxel painted as a square of
+    (2 * half + 1)^2 scattered copies of its center, clipped into the image."""
+    half = (math.ceil((out_size - 4) / math.sqrt(3.0) / grid.shape[0]) + 1) // 2
+    offsets = [(dr, dc) for dr in range(-half, half + 1)
+               for dc in range(-half, half + 1)]
+    images = np.zeros((n_views, 2, out_size, out_size), dtype=np.float32)
+    for k, (iv, iu, depth) in enumerate(_project(grid, n_views, out_size)):
+        rows = np.clip(np.concatenate([iv + dr for dr, _ in offsets]), 0, out_size - 1)
+        cols = np.clip(np.concatenate([iu + dc for _, dc in offsets]), 0, out_size - 1)
+        vals = np.concatenate([depth] * len(offsets))
+        images[k, 0][rows, cols] = 1.0
+        np.maximum.at(images[k, 1], (rows, cols), vals.astype(np.float32))
+    return images
+
+
+@pytest.mark.parametrize("side, size", [(32, 224), (16, 64)])
+def test_render_is_the_splat_bitwise_for_every_category(side, size):
+    for category in CATEGORIES:
+        grid = gen_object(category, 0, side)
+        assert render_views(grid, 24, size).tobytes() == reference_render(grid, 24, size).tobytes()
+
+
+def _four_corners(side):
+    grid = np.zeros((side, side, side), dtype=np.float32)
+    grid[0, 0, 0] = grid[0, -1, -1] = grid[-1, 0, -1] = grid[-1, -1, 0] = 1.0
+    return grid
+
+
+@pytest.mark.parametrize("make_grid", [lambda s: np.ones((s, s, s), np.float32), _four_corners],
+                         ids=["all-ones", "four-corners"])
+def test_render_is_the_splat_bitwise_at_the_image_edges(make_grid):
+    # the outermost centers land one pixel in from the border, where the
+    # splat's clip piles a square's overflow
+    for side in (1, 3, 8):
+        grid = make_grid(side)
+        for size in (5, 7, 64):
+            for n_views in (1, 24):
+                got = render_views(grid, n_views, size)
+                assert got.tobytes() == reference_render(grid, n_views, size).tobytes()
+
+
+def test_renders_keep_their_pinned_bits():
+    # digests of the scattered-splat renderer's output
+    levels = hashlib.sha256()
+    for obj in build_dataset(9, 16, 64, seed=0).objects:
+        levels.update(obj.levels.tobytes())
+    assert levels.hexdigest() == (
+        "931c4c5b041544c8dee61df4a97b2e7acc0b9632ddb4c8a90b010c943bef83e8")
+    renders = hashlib.sha256()
+    for category in CATEGORIES:
+        renders.update(render_views(gen_object(category, 0, 32), 24, 224).tobytes())
+    assert renders.hexdigest() == (
+        "c997287c35a28bc0c5ca5d42f16296e4e523c241dd2b83f6149fb6593def8659")
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 32), (8, 8), (0, 0, 0), (4, 4, 4, 1)])
+def test_render_rejects_a_grid_that_is_not_a_cube(shape):
+    with pytest.raises(ShapeMismatch, match=re.escape(f"grid of shape {shape} is not [V, V, V]")):
+        render_views(np.ones(shape, np.float32), 2, 32)
+
+
+@pytest.mark.parametrize("size", [-1, 0, 1, 4])
+def test_render_rejects_an_image_below_five_px(size):
+    with pytest.raises(BadConfig, match=f"image size {size} px; need at least 5"):
+        render_views(np.ones((8, 8, 8), np.float32), 2, size)
 
 
 # --- occlusion ---

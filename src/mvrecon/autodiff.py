@@ -17,8 +17,10 @@ each row's log-sum-exp), and backward recomputes the rest.
 Elementwise ops broadcast as numpy does; a shape pair numpy rejects
 raises :class:`ShapeMismatch`.
 
-Every forward op validates that finite inputs produced finite outputs;
-overflow raises :class:`NumericalOverflow` instead of propagating inf/NaN.
+Ops let inf and NaN propagate (those that can make them run under
+``np.errstate``, so numpy prints no ``RuntimeWarning``); finiteness is checked
+where a value leaves the graph: a train step's loss and gradients, and
+:func:`check_finite` on each no-grad model pass and rollout map.
 
 This module is only the graph engine; the parameter update rule lives in
 ``training.py``.
@@ -57,9 +59,9 @@ class no_grad:
         return False
 
 
-def _check_finite(data: np.ndarray, op: str) -> None:
+def check_finite(data: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(data)):
-        raise NumericalOverflow(f"{op} produced non-finite values")
+        raise NumericalOverflow(f"{what} produced non-finite values")
 
 
 class Tensor:
@@ -142,7 +144,6 @@ def _as_tensor(x, dtype) -> Tensor:
 
 
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -211,7 +212,7 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def div(a: Tensor, b) -> Tensor:
-    # a zero denominator gives inf or nan, which _make raises as NumericalOverflow
+    # a zero denominator gives inf or nan, which the graph's exit checks report
     return _binary("div", np.divide, a, b, lambda g, x, y: (g / y, -g * x / (y * y)))
 
 
@@ -425,7 +426,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     s = q.dtype.type(1.0 / math.sqrt(q.shape[-1] // heads))
     kh, vh = _split_heads(k.data, heads), _split_heads(v.data, heads)
     scores = np.matmul(_split_heads(q.data * s, heads), kh.swapaxes(-1, -2))
-    _check_finite(scores, "attention")
     probs, lse = _softmax_inplace(scores, -1)
     if trace is not None:
         trace.append(probs)

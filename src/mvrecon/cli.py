@@ -132,7 +132,7 @@ def cmd_train(args) -> int:
     _write_run_manifest(args.out, cfg.seed, {
         "checkpoint": "checkpoint.ckpt",
         "loss_curve": "loss_curve.csv",
-        "final_loss": f"{result.losses[-1]:.6f}" if result.losses else "nan",
+        "final_loss": f"{result.losses[-1]:.6f}",
         "iterations": str(len(result.losses)),
     })
     print(f"done: {len(result.losses)} iterations, "

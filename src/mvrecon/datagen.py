@@ -248,6 +248,8 @@ def render_views(grid: np.ndarray, n_views: int = DEFAULT_N_VIEWS,
         raise ShapeMismatch(f"grid of shape {grid.shape} is not [V, V, V] with V >= 1")
     if out_size <= 4:  # _project's scale (out_size - 4) / sqrt(3) must be > 0
         raise BadConfig(f"image size {out_size} px; need at least 5")
+    if n_views < 1:
+        raise BadConfig(f"{n_views} views per object; need at least 1")
     half = (math.ceil((out_size - 4) / math.sqrt(3.0) / grid.shape[0]) + 1) // 2
     images = np.zeros((n_views, 2, out_size, out_size), dtype=np.float32)
     source = np.empty((out_size, out_size), dtype=np.float32)

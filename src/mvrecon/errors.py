@@ -14,7 +14,8 @@ class ShapeMismatch(MvreconError):
 
 
 class NumericalOverflow(MvreconError):
-    """An op produced NaN/Inf, from overflow or a zero denominator."""
+    """A no-grad model pass or a rollout map produced NaN/Inf, from overflow
+    or a zero denominator; a train step raises :class:`DivergedLoss` instead."""
 
 
 class GraphReleased(MvreconError):

@@ -116,8 +116,8 @@ class MultiViewReconstructor(Module):
     def _padded_passes(self, stage, rows, chunk: int, row_shape: tuple) -> np.ndarray:
         """``stage`` run without grad on ``rows`` (a sequence of equal-shape
         arrays), ``chunk`` rows per pass; the last pass is padded with zero
-        rows, and only the real rows' outputs are kept.  ``rows`` is sliced,
-        never stacked whole."""
+        rows, and only the real rows' outputs are kept, checked once to be
+        finite as they leave the graph.  ``rows`` is sliced, never stacked whole."""
         out = np.empty((len(rows),) + row_shape, dtype=self.cfg.np_dtype)
         for start in range(0, len(rows), chunk):
             part = rows[start:start + chunk]
@@ -125,6 +125,7 @@ class MultiViewReconstructor(Module):
             batch[:len(part)] = part
             with ad.no_grad():
                 out[start:start + len(part)] = stage(Tensor(batch)).data[:len(part)]
+        ad.check_finite(out, "the model")
         return out
 
 

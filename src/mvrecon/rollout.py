@@ -43,9 +43,8 @@ def attention_rollout(model: MultiViewReconstructor,
     trace: list = []
     with ad.no_grad():
         model.encoder(Tensor(model.embed_views([views])), trace=trace)
-    maps = []
-    for block_trace in trace:
-        maps.append(rollout_from_trace([layer[0] for layer in block_trace]))
+    maps = [rollout_from_trace([layer[0] for layer in block]) for block in trace]
+    ad.check_finite(np.stack(maps), "attention rollout")
     return maps
 
 

@@ -9,8 +9,7 @@ import numpy as np
 from .autodiff import Tensor
 from .config import TrainConfig
 from .datagen import Dataset, DatasetObject, levels_to_images
-from .errors import (DivergedLoss, MissingViews, NumericalOverflow, ShapeMismatch,
-                     TooFewObjects)
+from .errors import DivergedLoss, MissingViews, ShapeMismatch, TooFewObjects
 from .model import MultiViewReconstructor
 from .voxels import LOSS_FUNCTIONS
 
@@ -58,16 +57,13 @@ def train_step(model: MultiViewReconstructor, images: np.ndarray,
     update; returns the loss.  Each ``p.grad`` lives from this step's
     backward until the next step starts."""
     model.zero_grads()
-    try:
-        out = model.forward(images.astype(cfg.model.np_dtype, copy=False))
-        loss = LOSS_FUNCTIONS["total"](targets.astype(cfg.model.np_dtype, copy=False),
-                                       out.refined)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise DivergedLoss(f"loss is {value}")
-        loss.backward()
-    except NumericalOverflow as exc:
-        raise DivergedLoss(f"forward/backward overflowed: {exc}") from exc
+    out = model.forward(images.astype(cfg.model.np_dtype, copy=False))
+    loss = LOSS_FUNCTIONS["total"](targets.astype(cfg.model.np_dtype, copy=False),
+                                   out.refined)
+    value = loss.item()
+    if not np.isfinite(value):
+        raise DivergedLoss(f"loss is {value}")
+    loss.backward()
     params = model.parameters()
     grads = []
     for name, p in model.named_params():

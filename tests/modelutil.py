@@ -28,6 +28,20 @@ def traced_tiny_benchmark(workload: str) -> dict:
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
+def nan_weight(model):
+    """One NaN in the first backbone convolution's weight."""
+    model.backbone.convs[0].weight.data[0, 0] = np.nan
+
+
+def overflowing_weights(model):
+    """Two chained backbone convolutions whose outputs overflow float32."""
+    model.backbone.convs[0].weight.data[:] = np.float32(1e20)
+    model.backbone.convs[1].weight.data[:] = np.float32(1e20)
+
+
+WEIGHT_FAULTS = [nan_weight, overflowing_weights]
+
+
 def tiny64(**overrides):
     overrides.setdefault("dtype", "float64")
     return tiny_model_config(**overrides)

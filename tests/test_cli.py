@@ -1,16 +1,19 @@
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mvrecon.checkpoint import load_model
+from mvrecon.checkpoint import load_model, save_checkpoint
 from mvrecon.cli import build_parser, main
 from mvrecon.config import MODEL_PRESETS
 from mvrecon.datagen import load_dataset
 from mvrecon.model import MultiViewReconstructor
 from mvrecon.voxels import DEFAULT_THRESHOLD
 from mvrecon.voxio import read_binvox, write_pgm
+
+from modelutil import WEIGHT_FAULTS
 
 
 @pytest.fixture(scope="module")
@@ -52,12 +55,12 @@ def test_train_outputs(workspace):
     run = workspace["run"]
     for name in ("checkpoint.ckpt", "loss_curve.csv", "config.txt", "run.txt"):
         assert os.path.exists(os.path.join(run, name)), name
-    curve = open(os.path.join(run, "loss_curve.csv")).read().strip().splitlines()
+    curve = Path(run, "loss_curve.csv").read_text().strip().splitlines()
     assert len(curve) == 5  # header + 4 iterations
-    run_txt = open(os.path.join(run, "run.txt")).read()
+    run_txt = Path(run, "run.txt").read_text()
     assert "seed 1" in run_txt and "checkpoint checkpoint.ckpt" in run_txt
     assert "model." not in run_txt  # the config lives in config.txt and the checkpoint
-    config = open(os.path.join(run, "config.txt")).read()
+    config = Path(run, "config.txt").read_text()
     assert "train.batch_size = 4" in config and "model.voxel_side = 8" in config
 
 
@@ -66,9 +69,9 @@ def test_eval_command(workspace, tmp_path):
     assert main(["eval", "--checkpoint", os.path.join(workspace["run"], "checkpoint.ckpt"),
                  "--data", workspace["data"], "--out", out,
                  "--view-counts", "1,4,8"]) == 0
-    csv = open(os.path.join(out, "eval.csv")).read()
+    csv = Path(out, "eval.csv").read_text()
     assert csv.splitlines()[0] == "view_count,category,iou,fscore,n_empty"
-    md = open(os.path.join(out, "eval.md")).read()
+    md = Path(out, "eval.md").read_text()
     assert "| Metric | 1 | 4 | 8 |" in md
 
 
@@ -78,14 +81,14 @@ def test_occlusion_command(workspace, tmp_path):
                  os.path.join(workspace["run"], "checkpoint.ckpt"),
                  "--data", workspace["data"], "--out", out,
                  "--views", "8", "--sizes", "0,20,40"]) == 0
-    csv = open(os.path.join(out, "occlusion.csv")).read().strip().splitlines()
+    csv = Path(out, "occlusion.csv").read_text().strip().splitlines()
     assert csv[0] == "box_size,category,iou,fscore,n_empty"
     # per box: one overall line, then one line per test-split category
     categories = {o.category for o in load_dataset(workspace["data"]).split("test")}
     assert len(csv) == 1 + 3 * (1 + len(categories))
     assert [line.split(",")[:2] for line in csv[1::1 + len(categories)]] == [
         ["0", "overall"], ["20", "overall"], ["40", "overall"]]
-    md = open(os.path.join(out, "occlusion.md")).read()
+    md = Path(out, "occlusion.md").read_text()
     assert "| Metric | 0x0 | 20x20 | 40x40 |" in md
 
 
@@ -111,7 +114,7 @@ def test_reconstruct_command(workspace, tmp_path):
     assert main(["reconstruct", "--checkpoint",
                  os.path.join(workspace["run"], "checkpoint.ckpt"),
                  "--images"] + images + ["--out", out]) == 0
-    grid = read_binvox(open(out, "rb").read())
+    grid = read_binvox(Path(out).read_bytes())
     assert grid.shape == (8, 8, 8)
 
 
@@ -137,7 +140,7 @@ def test_reconstruct_command_matches_the_model_on_the_dataset_views(workspace, t
     expected = load_model(ckpt).reconstruct(obj.first_views(3)).values
     assert len(volumes) == 1 and volumes[0].tobytes() == expected.tobytes()
     occupied = (expected >= DEFAULT_THRESHOLD).astype(np.float32)
-    assert np.array_equal(read_binvox(open(out, "rb").read()), occupied)
+    assert np.array_equal(read_binvox(Path(out).read_bytes()), occupied)
 
 
 def test_train_rejects_mismatched_geometry(workspace, tmp_path):
@@ -221,6 +224,17 @@ def test_eval_on_missing_checkpoint_is_one_line_error(workspace, tmp_path):
     with pytest.raises(SystemExit, match="^error: .*No such file.*missing.ckpt"):
         main(["eval", "--checkpoint", os.path.join(workspace["run"], "missing.ckpt"),
               "--data", workspace["data"], "--out", str(tmp_path / "eval")])
+
+
+@pytest.mark.parametrize("fault", WEIGHT_FAULTS)
+def test_eval_on_a_non_finite_checkpoint_is_one_line_error(workspace, tmp_path, fault):
+    model = load_model(os.path.join(workspace["run"], "checkpoint.ckpt"))
+    fault(model)
+    ckpt = str(tmp_path / "faulty.ckpt")
+    save_checkpoint(ckpt, model)
+    with pytest.raises(SystemExit, match="^error: the model produced non-finite values$"):
+        main(["eval", "--checkpoint", ckpt, "--data", workspace["data"],
+              "--out", str(tmp_path / "eval"), "--view-counts", "1,8"])
 
 
 @pytest.mark.parametrize("flags", [["eval", "--view-counts", "1,x"],

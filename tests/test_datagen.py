@@ -191,6 +191,12 @@ def test_render_rejects_an_image_below_five_px(size):
         render_views(np.ones((8, 8, 8), np.float32), 2, size)
 
 
+@pytest.mark.parametrize("n_views", [-1, 0])
+def test_render_rejects_fewer_than_one_view(n_views):
+    with pytest.raises(BadConfig, match=f"{n_views} views per object; need at least 1"):
+        render_views(np.ones((8, 8, 8), np.float32), n_views, 32)
+
+
 # --- occlusion ---
 
 def make_views(n=4, size=32, seed=0):

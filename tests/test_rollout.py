@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mvrecon.config import ENCODER_BLOCKS, tiny_model_config
+from mvrecon.errors import NumericalOverflow
 from mvrecon.model import MultiViewReconstructor
 from mvrecon.rollout import (
     attention_rollout,
@@ -62,6 +65,14 @@ def test_model_rollout_shapes_and_stochasticity():
         assert np.all(mat >= 0)
 
 
+def test_a_nan_encoder_weight_raises_at_the_maps():
+    cfg = tiny_model_config()
+    model = MultiViewReconstructor(cfg, seed=1)
+    model.encoder.blocks[0].layers[0].attn.q.weight.data[0, 0] = np.nan
+    with pytest.raises(NumericalOverflow, match="attention rollout"):
+        attention_rollout(model, random_images(2, 1, 3, cfg)[0])
+
+
 def test_save_rollout_maps(tmp_path):
     cfg = tiny_model_config()
     model = MultiViewReconstructor(cfg, seed=1)
@@ -69,6 +80,6 @@ def test_save_rollout_maps(tmp_path):
     maps = attention_rollout(model, views)
     paths = save_rollout_maps(maps, str(tmp_path), prefix="demo")
     assert len(paths) == ENCODER_BLOCKS * 3
-    img = read_pgm(open(paths[0], "rb").read())
+    img = read_pgm(Path(paths[0]).read_bytes())
     assert img.shape == (1, 3)
     assert img.max() == 255  # the peak of each map is 1

@@ -8,8 +8,10 @@ from mvrecon import autodiff as ad
 from mvrecon import training
 from mvrecon.config import TrainConfig, tiny_model_config
 from mvrecon.datagen import build_dataset, CATEGORIES, levels_to_images
-from mvrecon.errors import DivergedLoss, MissingViews, TooFewObjects
+from mvrecon.errors import DivergedLoss, MissingViews, NumericalOverflow, TooFewObjects
+from mvrecon.evaluation import evaluate
 from mvrecon.model import MultiViewReconstructor
+from mvrecon.rollout import attention_rollout
 from mvrecon.training import (
     data_rng,
     loss_curve_csv,
@@ -18,7 +20,7 @@ from mvrecon.training import (
     train_step,
 )
 
-from modelutil import traced_tiny_benchmark
+from modelutil import WEIGHT_FAULTS, traced_tiny_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +198,25 @@ def test_training_aborts_on_divergence_with_diagnostic(tiny_dataset):
     with pytest.raises(DivergedLoss) as err:
         train(model, tiny_dataset, cfg)
     assert "iteration 0" in str(err.value)
+
+
+@pytest.mark.parametrize("fault", WEIGHT_FAULTS)
+@pytest.mark.parametrize("exit_", ["train", "reconstruct", "evaluate", "rollout"])
+def test_a_non_finite_weight_raises_where_the_value_leaves_the_graph(
+        tiny_dataset, fault, exit_):
+    cfg = make_cfg()
+    model = MultiViewReconstructor(cfg.model, seed=2)
+    fault(model)
+    views = tiny_dataset.objects[0].first_views(3)
+    error, run = {
+        "train": (DivergedLoss, lambda: train(model, tiny_dataset, cfg)),
+        "reconstruct": (NumericalOverflow, lambda: model.reconstruct(views)),
+        "evaluate": (NumericalOverflow,
+                     lambda: evaluate(model, tiny_dataset, view_counts=(1, 3))),
+        "rollout": (NumericalOverflow, lambda: attention_rollout(model, views)),
+    }[exit_]
+    with pytest.raises(error):
+        run()
 
 
 def test_training_empty_split():

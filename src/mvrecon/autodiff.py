@@ -17,10 +17,11 @@ each row's log-sum-exp), and backward recomputes the rest.
 Elementwise ops broadcast as numpy does; a shape pair numpy rejects
 raises :class:`ShapeMismatch`.
 
-Ops let inf and NaN propagate (those that can make them run under
-``np.errstate``, so numpy prints no ``RuntimeWarning``); finiteness is checked
-where a value leaves the graph: a train step's loss and gradients, and
-:func:`check_finite` on each no-grad model pass and rollout map.
+Ops let inf and NaN propagate (those that can make them, and ``backward``
+with every VJP, run under ``np.errstate``, so numpy prints no
+``RuntimeWarning``); finiteness is checked where a value leaves the graph:
+a train step's loss and gradients, and :func:`check_finite` on each no-grad
+model pass and rollout map.
 
 This module is only the graph engine; the parameter update rule lives in
 ``training.py``.
@@ -561,6 +562,7 @@ def _released(g):
     raise GraphReleased("backward: this graph was freed by an earlier backward")
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``,
     freeing each node of the graph once its VJP has run."""

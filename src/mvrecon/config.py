@@ -149,16 +149,13 @@ def _check_ranges(section: str, cfg) -> None:
 class TrainConfig:
     """One run's schedule and seeds.  The objective is not a setting: every
     step minimises ``voxels.loss_total`` (MSE plus 3D-SSIM) on the refined
-    volume, as the paper trains."""
+    volume, as the paper trains.  The rate is ``lr_init`` for the whole run."""
     model: ModelConfig = field(default_factory=tiny_model_config)
     batch_size: int = 32
     views_per_sample: int = 8
     epochs: int = 100
     max_iterations: int = 0          # 0 = run all epochs
     lr_init: float = 0.01
-    lr_decay_epochs: int = 500
-    lr_decay_factor: float = 0.1
-    lr_floor: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
@@ -166,12 +163,11 @@ class TrainConfig:
         if self.views_per_sample > MAX_VIEWS:
             raise BadConfig(f"train.views_per_sample = {self.views_per_sample} "
                             f"exceeds {MAX_VIEWS}")
-        if self.lr_floor > self.lr_init:
-            raise BadConfig("lr floor above the initial rate")
 
     def learning_rate(self, epoch: int) -> float:
-        lr = self.lr_init * self.lr_decay_factor ** (epoch // self.lr_decay_epochs)
-        return max(self.lr_floor, lr)
+        """The rate of ``epoch``: ``lr_init`` at every epoch.  ``training.train``
+        reads it each epoch, and the benchmark's train workloads read epoch 0."""
+        return self.lr_init
 
 
 # --- flat key=value config files ---

@@ -1,4 +1,4 @@
-"""Training loop: per-iteration view sampling, stepped learning rate, SGD."""
+"""Training loop: per-iteration view sampling, SGD at ``lr_init`` for the whole run."""
 
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
 """Shared helpers for the model test modules."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +27,11 @@ def traced_tiny_benchmark(workload: str) -> dict:
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True
     return {k: v["value"] for k, v in result["metrics"].items()}
+
+
+# the standard library's double erf, elementwise: a GELU oracle that shares no
+# code with the one autodiff.gelu calls
+erf = np.vectorize(math.erf, otypes=[np.float64])
 
 
 def nan_weight(model):

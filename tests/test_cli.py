@@ -262,7 +262,8 @@ _RECON = ["reconstruct", "--checkpoint", "{ckpt}", "--out", "{out}/r.binvox", "-
 @pytest.mark.parametrize("argv,prefix", [
     (_TRAIN + ["train.epochs=0"], "bad config: train.epochs = 0"),
     (_TRAIN + ["train.batch_size=0"], "bad config: train.batch_size = 0"),
-    (_TRAIN + ["train.lr_decay_epochs=0"], "bad config: train.lr_decay_epochs = 0"),
+    (_TRAIN + ["train.lr_decay_epochs=500"],
+     "bad config: unknown train field 'lr_decay_epochs'"),
     (_TRAIN + ["train.lr_init=nan"], "bad config: train.lr_init = nan"),
     (["eval", *_CKPT, "--view-counts=-1,8"], "error: asked for -1 views"),
     (["occlusion", *_CKPT, "--views=-1"], "error: asked for -1 views"),
@@ -291,7 +292,7 @@ _RECON = ["reconstruct", "--checkpoint", "{ckpt}", "--out", "{out}/r.binvox", "-
     (["rollout", *_CKPT, "--object", "nope"], "error: object 'nope' not in dataset"),
     (_RECON + ["{sil32}", "{dep32}", "{sil32}"],
      "bad config: --images expects silhouette/depth PGM pairs"),
-], ids=["epochs-0", "batch-0", "decay-0", "lr-nan", "eval-views-neg", "occlusion-views-neg",
+], ids=["epochs-0", "batch-0", "retired-decay", "lr-nan", "eval-views-neg", "occlusion-views-neg",
         "rollout-views-neg", "rollout-views-beyond", "pgm-pair-sizes", "pgm-pairs-sizes",
         "pgm-model-size", "occlusion-box-neg", "eval-threshold-nan", "eval-tau-neg",
         "occlusion-threshold-0", "occlusion-tau-inf", "reconstruct-threshold-above-1",

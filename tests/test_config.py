@@ -75,8 +75,8 @@ def test_refiner_cube_must_divide_the_voxel_side_and_halve(lines):
 
 
 @pytest.mark.parametrize("line", [
-    "train.lr_floor = inf",
-    "train.lr_decay_factor = -0.5",
+    "train.lr_init = inf",
+    "train.lr_init = -0.5",
     "train.lr_init = nan",
 ])
 def test_non_finite_or_negative_float_is_rejected(line):

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from mvrecon import autodiff as ad
 from mvrecon.autodiff import Tensor
@@ -12,7 +11,7 @@ from mvrecon.errors import ShapeMismatch
 from mvrecon.model import MultiViewReconstructor
 
 from fd import central_diff, rel_err
-from modelutil import check_param_grads, naive_conv, random_images, tiny64
+from modelutil import check_param_grads, erf, naive_conv, random_images, tiny64
 
 
 def encode(model, images):
@@ -121,7 +120,7 @@ def test_volumes_from_tokens_checks_its_tokens(shape, match):
 # --- backbone ---
 
 def gelu_np(x):
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)).astype(x.dtype))
 
 
 def naive_backbone(model, img):

@@ -15,7 +15,9 @@ score matrix or patches, only their inputs (attention also its output and
 each row's log-sum-exp), and backward recomputes the rest.
 
 Elementwise ops broadcast as numpy does; a shape pair numpy rejects
-raises :class:`ShapeMismatch`.
+raises :class:`ShapeMismatch`.  A binary op's second operand may be a
+number, and an operand that does not require a gradient gets none
+computed.
 
 Ops let inf and NaN propagate (those that can make them, and ``backward``
 with every VJP, run under ``np.errstate``, so numpy prints no
@@ -182,10 +184,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # --- elementwise ---
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
-def _binary(op: str, fn, a: Tensor, b, grads) -> Tensor:
-    """``fn(a, b)`` with numpy broadcasting.  ``grads(g, x, y)`` gives both
-    parent gradients at the output's shape; the VJP sums each back to its
-    parent."""
+def _binary(op: str, fn, a: Tensor, b, grad_a, grad_b) -> Tensor:
+    """``fn(a, b)`` with numpy broadcasting; ``b`` may be a number.
+    ``grad_a(g, x, y)`` and ``grad_b(g, x, y)`` give each operand's
+    gradient at the output's shape; the VJP sums it back to the operand,
+    and gives ``None`` for an operand that does not require one."""
     b = _as_tensor(b, a.dtype)
     _check_dtypes(op, a, b)
     try:
@@ -194,38 +197,29 @@ def _binary(op: str, fn, a: Tensor, b, grads) -> Tensor:
         raise ShapeMismatch(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
     def vjp(g):
-        ga, gb = grads(g, a.data, b.data)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = _unbroadcast(grad_a(g, a.data, b.data), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(grad_b(g, a.data, b.data), b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _make(fn(a.data, b.data), op, (a, b), vjp)
 
 
 def add(a: Tensor, b) -> Tensor:
-    return _binary("add", np.add, a, b, lambda g, x, y: (g, g))
+    return _binary("add", np.add, a, b, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a: Tensor, b) -> Tensor:
-    return _binary("sub", np.subtract, a, b, lambda g, x, y: (g, -g))
+    return _binary("sub", np.subtract, a, b, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    return _binary("mul", np.multiply, a, b, lambda g, x, y: (g * y, g * x))
+    return _binary("mul", np.multiply, a, b, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a: Tensor, b) -> Tensor:
     # a zero denominator gives inf or nan, which the graph's exit checks report
-    return _binary("div", np.divide, a, b, lambda g, x, y: (g / y, -g * x / (y * y)))
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    data = a.data * a.dtype.type(s)
-
-    def vjp(g):
-        return (g * a.dtype.type(s),)
-
-    return _make(data, "scale", (a,), vjp)
+    return _binary("div", np.divide, a, b,
+                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
@@ -470,7 +464,7 @@ def _mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         count = 1
         for ax in axes:
             count *= a.shape[ax % a.ndim]
-    return scale(_sum(a, axis, keepdims), 1.0 / count)
+    return mul(_sum(a, axis, keepdims), 1.0 / count)
 
 
 # --- convolution ---

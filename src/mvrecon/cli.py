@@ -54,8 +54,10 @@ from .voxio import read_pgm, write_binvox
 
 
 def _git_describe() -> str:
+    """The commit of this package's own checkout, wherever the run starts."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             cwd=os.path.dirname(os.path.abspath(__file__)),
                              capture_output=True, text=True, timeout=10)
         if out.returncode == 0:
             return out.stdout.strip()

@@ -47,7 +47,7 @@ class VolumeDecoder(Module):
         q = self.queries.reshape(cubes, heads, d).transpose(1, 0, 2)
         k = ad.matmul(features, self.key).reshape(bsz * n, heads, d).transpose(1, 2, 0)
         v = ad.matmul(features, self.value).reshape(bsz * n, heads, d).transpose(1, 0, 2)
-        scores = ad.scale(ad.matmul(q, k), 1.0 / math.sqrt(d))  # [H, G, B*N]
+        scores = ad.mul(ad.matmul(q, k), 1.0 / math.sqrt(d))  # [H, G, B*N]
         probs = ad.softmax(scores.reshape(heads, cubes, bsz, n))
         probs = probs.transpose(2, 1, 0, 3).reshape(bsz, cubes, heads * n)
         # one running name, so that without a graph each step frees the last

@@ -9,7 +9,7 @@ import numpy as np
 from .autodiff import Tensor
 from .config import TrainConfig
 from .datagen import Dataset, DatasetObject, levels_to_images
-from .errors import DivergedLoss, MissingViews, ShapeMismatch, TooFewObjects
+from .errors import DivergedLoss, MissingViews, TooFewObjects
 from .model import MultiViewReconstructor
 from .voxels import LOSS_FUNCTIONS
 
@@ -40,22 +40,20 @@ def sample_batch(objects: list[DatasetObject], cfg: TrainConfig,
     return levels_to_images(np.stack(levels)), np.stack(grids)
 
 
-def sgd_step(params: list[Tensor], grads: list[np.ndarray], lr: float) -> None:
-    """In-place p <- p - lr * g for each (param, grad) pair."""
-    if len(params) != len(grads):
-        raise ShapeMismatch(f"sgd_step: {len(params)} params vs {len(grads)} grads")
-    for p, g in zip(params, grads):
-        g = np.asarray(g, dtype=p.dtype)
-        if g.shape != p.shape:
-            raise ShapeMismatch(f"sgd_step: grad {g.shape} vs param {p.shape}")
-        p.data -= p.dtype.type(lr) * g
+def sgd_step(params: list[Tensor], lr: float) -> None:
+    """In place, p <- p - lr * p.grad for each parameter; one without a
+    gradient keeps its value."""
+    for p in params:
+        if p.grad is not None:
+            p.data -= p.dtype.type(lr) * p.grad
 
 
 def train_step(model: MultiViewReconstructor, images: np.ndarray,
                targets: np.ndarray, cfg: TrainConfig, lr: float) -> float:
     """One forward, ``loss_total`` on the refined volume, backward and SGD
-    update; returns the loss.  Each ``p.grad`` lives from this step's
-    backward until the next step starts."""
+    update; returns the loss.  A parameter without a gradient keeps its
+    value, and a non-finite gradient raises before any weight moves.  Each
+    ``p.grad`` lives from this step's backward until the next step starts."""
     model.zero_grads()
     out = model.forward(images.astype(cfg.model.np_dtype, copy=False))
     loss = LOSS_FUNCTIONS["total"](targets.astype(cfg.model.np_dtype, copy=False),
@@ -64,14 +62,10 @@ def train_step(model: MultiViewReconstructor, images: np.ndarray,
     if not np.isfinite(value):
         raise DivergedLoss(f"loss is {value}")
     loss.backward()
-    params = model.parameters()
-    grads = []
     for name, p in model.named_params():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
             raise DivergedLoss(f"non-finite gradient in {name}")
-        grads.append(g)
-    sgd_step(params, grads, lr)
+    sgd_step(model.parameters(), lr)
     return value
 
 

@@ -100,8 +100,8 @@ def loss_ssim3d(y, y_pred) -> Tensor:
     var_p = ad.mul(pc, pc).mean(axis=vol_axes, keepdims=True)
     cov = ad.mul(yc, pc).mean(axis=vol_axes, keepdims=True)
 
-    lum = ad.add(ad.scale(ad.mul(mu_y, mu_p), 2.0), SSIM_C1)
-    struct = ad.add(ad.scale(cov, 2.0), SSIM_C2)
+    lum = ad.add(ad.mul(ad.mul(mu_y, mu_p), 2.0), SSIM_C1)
+    struct = ad.add(ad.mul(cov, 2.0), SSIM_C2)
     denom_lum = ad.add(ad.add(ad.mul(mu_y, mu_y), ad.mul(mu_p, mu_p)), SSIM_C1)
     denom_struct = ad.add(ad.add(var_y, var_p), SSIM_C2)
     ssim = ad.div(ad.mul(lum, struct), ad.mul(denom_lum, denom_struct))

@@ -234,7 +234,7 @@ def test_elementwise_grads_fd(op, seed):
     elif op == "sigmoid":
         check_op_grads(lambda x: ad.sigmoid(x).sum(), [a])
     elif op == "scale":
-        check_op_grads(lambda x: ad.scale(x, 1.7).sum(), [a])
+        check_op_grads(lambda x: ad.mul(x, 1.7).sum(), [a])
 
 
 def test_leading_axis_broadcast_grad():
@@ -260,6 +260,15 @@ def test_size_one_broadcast_grad_fd(op, shapes):
 def test_shapes_numpy_cannot_broadcast_are_rejected():
     with pytest.raises(ShapeMismatch, match=r"add: shapes \(2, 3, 4\) and \(2, 2, 4\)"):
         ad.add(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 2, 4))))
+
+
+@pytest.mark.parametrize("constant", [lambda: 1.7, lambda: t64(1.7)], ids=["number", "tensor"])
+def test_a_constant_operand_gets_no_gradient(constant):
+    x = t64([[1.0, -2.0, 0.5]], requires_grad=True)
+    y = ad.mul(x, constant())
+    gx, gc = y._vjp(np.ones(y.shape))
+    assert gc is None
+    np.testing.assert_array_equal(gx, np.full(x.shape, 1.7))
 
 
 @pytest.mark.parametrize("op", [
@@ -538,6 +547,13 @@ def test_backward_requires_scalar():
         x.item()
 
 
+def test_backward_rejects_a_gradient_of_the_wrong_shape():
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = ad._make(x.data * 2, "misshapen", (x,), lambda g: (np.ones(4),))
+    with pytest.raises(ShapeMismatch, match=r"misshapen: gradient shape \(4,\) vs \(3,\)"):
+        y.sum().backward()
+
+
 def test_backward_twice_bitwise_identical():
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
@@ -588,14 +604,16 @@ def test_no_grad_suppresses_graph():
 
 def test_sgd_step_basic():
     p = Tensor(np.array([1.0], dtype=np.float64), requires_grad=True)
-    sgd_step([p], [np.array([2.0])], lr=0.1)
+    p.grad = np.array([2.0])
+    sgd_step([p], lr=0.1)
     np.testing.assert_allclose(p.data, [0.8], atol=1e-15)
 
 
 def test_sgd_step_zero_lr():
     p = Tensor(np.array([1.5, -2.0]), requires_grad=True)
     before = p.data.copy()
-    sgd_step([p], [np.ones(2, dtype=np.float32)], lr=0.0)
+    p.grad = np.ones(2, dtype=np.float32)
+    sgd_step([p], lr=0.0)
     np.testing.assert_array_equal(p.data, before)
 
 
@@ -604,19 +622,14 @@ def test_sgd_two_steps_vs_summed_identical_grads():
     g = np.array([0.25], dtype=np.float64)
     p1 = Tensor(np.array([1.0], dtype=np.float64), requires_grad=True)
     p2 = Tensor(np.array([1.0], dtype=np.float64), requires_grad=True)
-    sgd_step([p1], [g], lr=0.5)
-    sgd_step([p1], [g], lr=0.5)
-    sgd_step([p2], [g + g], lr=0.5)
+    p1.grad, p2.grad = g, g + g
+    sgd_step([p1], lr=0.5)
+    sgd_step([p1], lr=0.5)
+    sgd_step([p2], lr=0.5)
     np.testing.assert_array_equal(p1.data, p2.data)
 
 
-def test_sgd_count_error():
-    p = Tensor(np.ones(3), requires_grad=True)
-    with pytest.raises(ShapeMismatch):
-        sgd_step([p], [np.ones(3), np.ones(3)], lr=0.1)
-
-
-def test_sgd_shape_error():
-    p = Tensor(np.ones(3), requires_grad=True)
-    with pytest.raises(ShapeMismatch):
-        sgd_step([p], [np.ones(4)], lr=0.1)
+def test_sgd_step_keeps_a_parameter_without_gradient():
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    sgd_step([p], lr=0.1)
+    np.testing.assert_array_equal(p.data, [1.0, -2.0])

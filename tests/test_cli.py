@@ -1,10 +1,12 @@
 import os
 import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mvrecon import cli
 from mvrecon.checkpoint import load_model, save_checkpoint
 from mvrecon.cli import build_parser, main
 from mvrecon.config import MODEL_PRESETS
@@ -316,3 +318,16 @@ def test_bad_input_is_one_line_error(workspace, tmp_path, capsys, argv, prefix):
     assert isinstance(message, str) and "\n" not in message
     assert message.startswith(prefix.format(**paths))
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_run_manifest_records_the_commit_of_the_package_source(tmp_path, monkeypatch):
+    # run from a directory outside the checkout, as `mvrecon train` may be
+    monkeypatch.chdir(tmp_path)
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    try:
+        done = subprocess.run(["git", "-C", package, "describe", "--always", "--dirty"],
+                              capture_output=True, text=True, timeout=10)
+        expected = done.stdout.strip() if done.returncode == 0 else "unknown"
+    except OSError:
+        expected = "unknown"
+    assert cli._git_describe() == expected

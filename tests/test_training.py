@@ -6,7 +6,7 @@ import pytest
 
 from mvrecon import autodiff as ad
 from mvrecon import training
-from mvrecon.config import TrainConfig, tiny_model_config
+from mvrecon.config import TrainConfig, desk_model_config, tiny_model_config
 from mvrecon.datagen import build_dataset, CATEGORIES, levels_to_images
 from mvrecon.errors import DivergedLoss, MissingViews, NumericalOverflow, TooFewObjects
 from mvrecon.evaluation import evaluate
@@ -20,7 +20,7 @@ from mvrecon.training import (
     train_step,
 )
 
-from modelutil import WEIGHT_FAULTS, traced_tiny_benchmark
+from modelutil import WEIGHT_FAULTS, random_images, traced_tiny_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +106,23 @@ def test_train_step_frees_old_gradients_before_the_forward(tiny_dataset):
         train_step(model, images, grids, cfg, lr=cfg.lr_init)
         assert all(p.grad is not None for p in model.parameters())
     assert len(starts) == 2 and all(all(s) for s in starts)
+
+
+@pytest.mark.parametrize("use_refiner", [True, False], ids=["refiner", "no-refiner"])
+@pytest.mark.parametrize("preset", [tiny_model_config, desk_model_config], ids=["tiny", "desk"])
+def test_train_step_gives_every_parameter_its_gradient(preset, use_refiner):
+    # sgd_step leaves a parameter without a gradient where it is, so a
+    # parameter the loss stops reaching would freeze without this check
+    mcfg = preset(use_refiner=use_refiner)
+    cfg = TrainConfig(model=mcfg, batch_size=2, views_per_sample=3, seed=0)
+    model = MultiViewReconstructor(mcfg, seed=0)
+    images = random_images(0, 2, 3, mcfg)
+    side = mcfg.voxel_side
+    targets = np.random.default_rng(1).random((2, side, side, side)) < 0.3
+    train_step(model, images, targets, cfg, lr=0.01)
+    for name, p in model.named_params():
+        assert p.grad is not None, name
+        assert p.grad.shape == p.shape and p.grad.dtype == p.dtype, name
 
 
 def test_train_frees_the_last_step_before_sampling_the_next(tiny_dataset, monkeypatch):
